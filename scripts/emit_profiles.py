@@ -35,10 +35,10 @@ def main():
     grid = BoxGrid(args.N, args.points, args.box)
     config = SolverConfig()
 
-    cr = compute_constants(params, grid, config)
+    gs_energy = route_Q(params, grid, config)
+    cr = compute_constants(gs_energy)
     print(cr.table())
 
-    gs_energy = route_Q(params, grid, config)
     residuals = []
     gs_action = petviashvili(
         params.with_omega(cr.omega_eps), grid, config, residual_trace=residuals

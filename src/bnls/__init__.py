@@ -61,7 +61,6 @@ from .solvers import (
     petviashvili,
     random_bandlimited,
     route_Q,
-    weinstein_minimize,
 )
 from .constants import (
     ConstantsReport,

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .constants import compute_constants, omega_formula
+from .constants import K_numeric, compute_constants
 from .errors import (
     BnlsError,
     ConfigurationError,
@@ -39,7 +39,6 @@ from .solvers import (
     pde_residual,
     petviashvili,
     route_Q,
-    weinstein_minimize,
 )
 from .verify import TolProfile, full_verification
 
@@ -119,15 +118,19 @@ def save_state(gs: GroundState, config: SolverConfig, out_dir, name: str) -> Pat
 
 
 def load_state(path) -> GroundState:
+    """Read a stored field; its sidecar is required, since only it records (N, p, eps)."""
     field = read_field(path)
-    side = {}
-    if sidecar_path(path).exists():
-        side = read_sidecar(path)
+    side = read_sidecar(path) if sidecar_path(path).exists() else {}
     pdoc = side.get("params", {})
+    missing = [key for key in ("bigN", "p", "eps") if key not in pdoc]
+    if missing:
+        raise ConfigurationError(
+            f"{path}: the sidecar is absent or lacks params {missing}; only it records (N, p, eps)"
+        )
     params = Params(
-        bigN=int(pdoc.get("bigN", field.grid.dim)),
-        p=float(pdoc.get("p", 8.0)),
-        eps=float(pdoc.get("eps", 1.0)),
+        bigN=int(pdoc["bigN"]),
+        p=float(pdoc["p"]),
+        eps=float(pdoc["eps"]),
         omega=pdoc.get("omega"),
         mass_c=pdoc.get("mass_c"),
         relaxed=bool(pdoc.get("relaxed", False)),
@@ -155,7 +158,10 @@ def cmd_constants(args) -> int:
     if args.print_config:
         print(json.dumps(cfg, indent=2, sort_keys=True))
     params, grid, solver = build_problem(cfg)
-    report = compute_constants(params, grid, solver, with_k_numeric=args.k_numeric)
+    q = route_Q(params, grid, solver)
+    report = compute_constants(
+        q, K_numeric(params, grid, solver, q.field) if args.k_numeric else None
+    )
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "constants.json").write_text(
@@ -199,8 +205,7 @@ def cmd_action_gss(args) -> int:
         print(json.dumps(cfg, indent=2, sort_keys=True))
     params, grid, solver = build_problem(cfg)
     if params.omega is None:
-        v, _ = weinstein_minimize(params, grid, solver)
-        omega = omega_formula(norms(v, params.p).mass, params)
+        omega = compute_constants(route_Q(params, grid, solver)).omega_eps
         log.info("omega not configured; using the optimizer frequency %.12g", omega)
         params = params.with_omega(omega)
     gs = petviashvili(params, grid, solver)
@@ -254,8 +259,8 @@ def _sweep_row(task) -> dict:
     )
     from .functionals import nehari_residual, pohozaev, quadratic_scale
 
-    report = compute_constants(params, grid, solver)
     gs = route_Q(params, grid, solver)
+    report = compute_constants(gs)
     pm = params.with_omega(gs.omega_extracted)
     scale = quadratic_scale(gs.nt, pm)
     nehari_rel = abs(nehari_residual(gs.nt, pm)) / scale

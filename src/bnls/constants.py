@@ -26,15 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateQuotientError, RegimeError
-from .functionals import Params
-from .grid import BoxGrid, norms
-from .solvers import (
-    SolverConfig,
-    _SpectralIterate,
-    random_bandlimited,
-    route_Q,
-    weinstein_minimize,
-)
+from .functionals import Params, weinstein
+from .grid import BoxGrid, Field, norms
+from .scalings import lambda_normalize
+from .solvers import GroundState, SolverConfig, _SpectralIterate, random_bandlimited
 
 
 @dataclass(frozen=True)
@@ -161,20 +156,19 @@ def K_numeric(
     params: Params,
     grid: BoxGrid,
     config: SolverConfig,
+    seed_field: Field,
     n_starts: int = 8,
-    seed_field=None,
 ) -> float:
     """Best-effort supremum of the non-homogeneous quotient by multi-start ascent.
 
     Each start runs a normalized fixed point on the quotient's stationarity
     equation; the best quotient value over all iterates of all starts is
-    returned.  Seeding one start at the constructed critical-mass state makes
-    the estimate sharp, since the supremum is attained there.
+    returned.  ``seed_field``, the critical-mass state of the pipeline's
+    ``route_Q`` solve, is one start; the supremum is attained there, which
+    makes the estimate sharp.  The other starts are random fields on ``grid``.
     """
     p = params.p
     params.exponents()
-    if seed_field is None:
-        seed_field = route_Q(params, grid, config).field
     starts = [seed_field]
     for k in range(n_starts):
         starts.append(random_bandlimited(grid, config.seed + 101 * (k + 1)))
@@ -218,26 +212,25 @@ def K_numeric(
     return best
 
 
-def compute_constants(
-    params: Params,
-    grid: BoxGrid,
-    config: SolverConfig,
-    with_k_numeric: bool = False,
-) -> ConstantsReport:
-    """Run the optimizer solve once and assemble the whole constants chain."""
-    v, c_best = weinstein_minimize(params, grid, config)
-    v_mass = norms(v, params.p).mass
+def compute_constants(q: GroundState, k_numeric: float | None = None) -> ConstantsReport:
+    """Assemble the constants chain from the critical-mass state ``q`` of ``route_Q``.
+
+    No solve runs here: ``q`` is an exact rescaling of the quotient optimizer
+    v = lambda_normalize(q.field), which gives C = 1/W_p(v) and v_mass.
+    ``k_numeric`` is the :func:`K_numeric` cross-check, if it was run.
+    """
+    params = q.params
+    nt_v = norms(lambda_normalize(q.field), params.p)
+    c_best = 1.0 / weinstein(nt_v, params)
     c_eps = c_eps_formula(c_best, params)
-    report = ConstantsReport(
+    return ConstantsReport(
         C=c_best,
         K=K_from_c_eps(c_eps, params),
         c_eps=c_eps,
         eps_c=eps_c_formula(c_eps, c_best, params),
-        omega_eps=omega_formula(v_mass, params),
-        v_mass=v_mass,
-        K_numeric=(
-            K_numeric(params, grid, config) if with_k_numeric else None
-        ),
+        omega_eps=omega_formula(nt_v.mass, params),
+        v_mass=nt_v.mass,
+        K_numeric=k_numeric,
         provenance={
             "C": "numeric (quotient minimization)",
             "K": "formula (from c_eps)",
@@ -245,7 +238,6 @@ def compute_constants(
             "eps_c": "formula (inverse at c = c_eps)",
             "omega_eps": "formula (from numeric v_mass)",
             "v_mass": "numeric (optimizer mass)",
-            "K_numeric": "numeric (quotient ascent)" if with_k_numeric else "skipped",
+            "K_numeric": "numeric (quotient ascent)" if k_numeric is not None else "skipped",
         },
     )
-    return report

@@ -107,9 +107,6 @@ class Field:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.samples)))
-
 
 @dataclass(frozen=True)
 class NormTuple:
@@ -155,14 +152,6 @@ def _spectral_tables(grid: BoxGrid):
     k2.setflags(write=False)
     weight.setflags(write=False)
     return k2, weight
-
-
-def spectrum(u: Field) -> np.ndarray:
-    return np.fft.rfftn(u.samples)
-
-
-def from_spectrum(grid: BoxGrid, spec: np.ndarray) -> Field:
-    return Field(grid, np.fft.irfftn(spec, s=grid.shape))
 
 
 def quadratic_norms(u: Field) -> tuple:
@@ -234,13 +223,6 @@ def inverse_operator(u: Field, a: float, b: float, w: float) -> Field:
     return _apply_symbol(u, 1.0 / (a * k2 * k2 + b * k2 + w))
 
 
-def lowpass_two_thirds(u: Field) -> Field:
-    """Zero all modes with |k| > (2/3) * k_max; optional anti-aliasing filter."""
-    k2, _ = _spectral_tables(u.grid)
-    cutoff = (2.0 / 3.0) * u.grid.k_max()
-    return _apply_symbol(u, (k2 <= cutoff * cutoff).astype(np.float64))
-
-
 def shift_field(u: Field, shifts) -> Field:
     """Periodic translation: returns w with w(x) = u(x + s), s real per axis.
 
@@ -304,16 +286,34 @@ def center_and_align(u: Field) -> Field:
     return out
 
 
-def boundary_amplitude_ratio(u: Field) -> float:
-    """max |u| over the box faces divided by max |u| overall (0 for the zero field)."""
-    peak = u.max_abs()
+def boundary_amplitude_ratio(u) -> float:
+    """max |u| over the box faces divided by max |u| overall (0 for the zero field).
+
+    Takes a Field or a bare samples array, which iteration loops pass uncopied.
+    """
+    samples = u.samples if isinstance(u, Field) else u
+    peak = float(np.max(np.abs(samples)))
     if peak == 0.0:
         return 0.0
     edge = 0.0
-    for axis in range(u.grid.dim):
+    for axis in range(samples.ndim):
         for index in (0, -1):
-            edge = max(edge, float(np.max(np.abs(np.take(u.samples, index, axis=axis)))))
+            edge = max(edge, float(np.max(np.abs(np.take(samples, index, axis=axis)))))
     return edge / peak
+
+
+def spectral_tail_ratio(u: Field) -> float:
+    """max |u_hat| over |k| > 0.9 k_max divided by max |u_hat| (0 for the zero field).
+
+    The grid's counterpart of :func:`boundary_amplitude_ratio`: the Fourier
+    coefficients of a resolved field decay to roundoff before the Nyquist.
+    """
+    k2, _ = _spectral_tables(u.grid)
+    amplitude = np.abs(np.fft.rfftn(u.samples))
+    peak = float(np.max(amplitude))
+    if peak == 0.0:
+        return 0.0
+    return float(np.max(amplitude[k2 > (0.9 * u.grid.k_max()) ** 2])) / peak
 
 
 def check_box_adequacy(u: Field, warn_ratio: float = BOUNDARY_WARN_RATIO) -> float:

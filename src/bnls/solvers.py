@@ -4,15 +4,16 @@ Three routes:
 
 * ``petviashvili`` solves the stationary PDE at fixed omega > 0 with the
   classic stabilized fixed point u <- S^gamma * L^-1 N(u).
-* ``weinstein_minimize`` locates the optimizer of the scale-invariant
-  quotient by shooting on the frequency: the fixed-omega ground state is the
-  optimizer exactly when its norms satisfy grad = (beta/alpha) * eps * bilap,
-  and that mismatch is a smooth, monotone, scale-free function of omega.  A
-  bracketed secant iteration drives it to zero, warm-starting each inner
-  solve from the previous one, and a single exact renormalization at the end
-  yields the unit-norm optimizer.  (Per-sweep renormalized Euler-Lagrange
-  sweeps were tried first and rejected: the renormalization shrinks the box
-  until the tails wrap, which feeds a slow width instability.)
+* ``route_Q`` locates the optimizer of the scale-invariant quotient by
+  shooting on the frequency: the fixed-omega ground state is the optimizer
+  exactly when its norms satisfy grad = (beta/alpha) * eps * bilap, and that
+  mismatch is a smooth, monotone, scale-free function of omega.  A bracketed
+  secant iteration drives it to zero, warm-starting each inner solve from the
+  previous one; exact rescalings of the converged state give the unit-norm
+  optimizer and the critical-mass state, from which a pipeline derives all
+  its constants.  (Per-sweep renormalized Euler-Lagrange sweeps were tried
+  first and rejected: the renormalization shrinks the box until the tails
+  wrap, which feeds a slow width instability.)
 * ``mass_constrained_flow`` descends the energy on the fixed-mass sphere with
   a preconditioned, multiplier-shifted projected gradient; its fixed points
   are exact critical points and every accepted step is non-increasing in
@@ -45,7 +46,7 @@ from .errors import (
     DivergenceError,
     VanishingError,
 )
-from .functionals import Params, weinstein
+from .functionals import Params
 from .grid import (
     BoxGrid,
     Field,
@@ -55,6 +56,7 @@ from .grid import (
     boundary_amplitude_ratio,
     laplacian,
     norms,
+    spectral_tail_ratio,
 )
 from .scalings import construct_Q, lambda_normalize
 
@@ -435,18 +437,6 @@ def _petviashvili_state(
 # quotient optimizer by frequency shooting
 
 
-def weinstein_minimize(params: Params, grid: BoxGrid, config: SolverConfig) -> tuple:
-    """Minimize the scale-invariant quotient; returns (v, C) with C = 1/W_p(v).
-
-    v comes back with grad = bilap = 1; its box length differs from the input
-    grid's by the exact final renormalization factor.
-    """
-    state, _res, _iters = _weinstein_state(params, grid, config)
-    v = lambda_normalize(state.field())
-    c_best = 1.0 / weinstein(norms(v, params.p), params)
-    return v, c_best
-
-
 def _el_residual_spectral(state: _SpectralIterate, params: Params) -> float:
     """Relative residual of the self-normalized Euler-Lagrange equation.
 
@@ -514,8 +504,8 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
 
     # Illinois-damped regula falsi on the bracketed, monotone mismatch; stop
     # on the actual Euler-Lagrange residual of the inner state.  That residual
-    # bottoms out at the box-truncation error, so stalling there is reported
-    # with the boundary amplitude for diagnosis.
+    # bottoms out at the larger of the box-truncation and the resolution
+    # error, so a stall names whichever of the two ratios is larger.
     el_history = [_el_residual_spectral(state, params)]
     best = el_history[0]
     stale = 0
@@ -545,11 +535,17 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
             stale += 1
             if stale > 12:
                 break
-    boundary = _boundary_ratio(state.physical())
+    u = state.field()
+    boundary = boundary_amplitude_ratio(u)
+    tail = spectral_tail_ratio(u)
+    if tail > boundary:
+        cause = "the grid may under-resolve the state (use more points)"
+    else:
+        cause = "the box may be too small for these parameters (enlarge it)"
     raise DivergenceError(
         f"frequency shooting stalled at residual {best:.3e} "
         f"(tolerance {config.tol_residual:.1e}); boundary amplitude ratio is "
-        f"{boundary:.2e}, so the box may be too small for these parameters",
+        f"{boundary:.2e} and spectral tail ratio is {tail:.2e}, so {cause}",
         last_residual=el_history[-1],
         history=el_history,
     )
@@ -561,7 +557,8 @@ def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
     The state solves the stationary PDE at the frequency fixed by the
     optimizer's mass, and its own mass is the critical one.  All three steps
     after the solve are exact rescalings, so the solver-state residual is the
-    returned state's residual.
+    returned state's residual.  A pipeline solves once here and derives the
+    rest: ``compute_constants`` and the ``K_numeric`` seed take the result.
     """
     state, res, iters = _weinstein_state(params, grid, config)
     v = lambda_normalize(state.field())
@@ -651,7 +648,7 @@ def mass_constrained_flow(
                 accepted = True
                 break
             tau *= 0.5
-        spread = _boundary_ratio(u_phys)
+        spread = boundary_amplitude_ratio(u_phys)
         if spread > 1e-2:
             return _finish(
                 state.field(),
@@ -680,14 +677,3 @@ def mass_constrained_flow(
                 ),
             )
     progress.exhausted()
-
-
-def _boundary_ratio(phys: np.ndarray) -> float:
-    peak = float(np.max(np.abs(phys)))
-    if peak == 0.0:
-        return 0.0
-    edge = 0.0
-    for axis in range(phys.ndim):
-        for index in (0, -1):
-            edge = max(edge, float(np.max(np.abs(np.take(phys, index, axis=axis)))))
-    return edge / peak

@@ -721,18 +721,22 @@ def full_verification(
 ) -> tuple:
     """Run every check family against fresh or supplied states.
 
-    States not supplied are solved fresh (the constants pipeline always runs,
-    since the checks need C and the optimizer mass).  Deterministic given the
-    inputs; the report's provenance hashes both states and names the sampler
-    seed.
+    One ``route_Q`` solve always runs, even when an energy state is supplied,
+    and the constants and the K-ascent seed come from it: a supplied state is
+    never checked against constants derived from itself.  Missing states are
+    solved fresh (the action state by an independent Petviashvili solve).
+    Deterministic given the inputs; the report's provenance hashes both states
+    and names the sampler seed.
     """
-    from .constants import compute_constants
+    from .constants import K_numeric, compute_constants
     from .fieldio import field_to_bytes
     from .solvers import petviashvili, route_Q
     import hashlib
 
-    cr = compute_constants(params, grid, config, with_k_numeric=with_k_numeric)
-    gs_energy = energy_state if energy_state is not None else route_Q(params, grid, config)
+    q = route_Q(params, grid, config)
+    k_numeric = K_numeric(params, grid, config, q.field) if with_k_numeric else None
+    cr = compute_constants(q, k_numeric)
+    gs_energy = energy_state if energy_state is not None else q
     gs_action = (
         action_state
         if action_state is not None

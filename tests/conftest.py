@@ -28,8 +28,8 @@ def config():
 
 
 @pytest.fixture(scope="session")
-def constants_report(params, grid, config):
-    return compute_constants(params, grid, config)
+def constants_report(q_state):
+    return compute_constants(q_state)
 
 
 @pytest.fixture(scope="session")

@@ -298,9 +298,9 @@ def test_criterion_11_eps_scaling_law(q_state):
 
 def test_criterion_12_resolution_robustness(params, config, constants_report):
     base = constants_report
-    fine = compute_constants(params, BoxGrid(1, 2048, 40.0), config)
+    fine = compute_constants(route_Q(params, BoxGrid(1, 2048, 40.0), config))
     small = compute_constants(
-        params, BoxGrid(1, 512, 20.0), SolverConfig(tol_residual=1e-6)
+        route_Q(params, BoxGrid(1, 512, 20.0), SolverConfig(tol_residual=1e-6))
     )
     worst_fine = max(
         abs(getattr(fine, name) - getattr(base, name)) / getattr(base, name)

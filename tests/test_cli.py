@@ -131,6 +131,30 @@ class TestGroundStateCommand:
         assert code == 2
         assert "byte offset 0" in err
 
+    def test_load_without_sidecar_exit_2(self, tmp_path, capsys):
+        # the binary file does not record p or eps: read with guessed defaults
+        # this p = 7 state passed as a p = 8 state with the wrong omega
+        code, _, _ = run(
+            capsys, "ground-state", "--N", "1", "--p", "7", "--eps", "1",
+            *FAST, "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        path = tmp_path / "ground_state_critical_mass.bnls"
+        sidecar = tmp_path / "ground_state_critical_mass.bnls.json"
+        sidecar.unlink()
+        for argv in (
+            ["ground-state", "--load", str(path)],
+            ["verify", "--energy-state", str(path), "--out-dir", str(tmp_path)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert "sidecar" in err
+            assert "omega=" not in out
+        sidecar.write_text("{}")
+        code, _, err = run(capsys, "ground-state", "--load", str(path))
+        assert code == 2
+        assert "'p'" in err
+
     def test_divergence_exit_3_with_history(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "action-gss", "--N", "1", "--p", "8", "--eps", "1", "--omega", "2.0",

@@ -138,7 +138,10 @@ class TestPipeline:
 
     def test_compute_constants_with_k_numeric(self, params, config):
         from bnls.grid import BoxGrid
+        from bnls.solvers import route_Q
 
         small = BoxGrid(1, 512, 40.0)
-        cr = compute_constants(params, small, config, with_k_numeric=True)
+        q = route_Q(params, small, config)
+        cr = compute_constants(q, K_numeric(params, small, config, q.field))
         assert cr.K_numeric == pytest.approx(cr.K, rel=1e-3)
+        assert cr.provenance["K_numeric"].startswith("numeric")

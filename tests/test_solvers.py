@@ -27,8 +27,14 @@ from bnls.solvers import (
     petviashvili,
     random_bandlimited,
     route_Q,
-    weinstein_minimize,
 )
+from bnls.scalings import lambda_normalize
+
+
+def optimizer(params, grid, config):
+    """Unit-norm optimizer v and C = 1/W_p(v), derived from one route_Q solve."""
+    v = lambda_normalize(route_Q(params, grid, config).field)
+    return v, 1.0 / weinstein(norms(v, params.p), params)
 
 
 class TestSolverConfig:
@@ -130,29 +136,40 @@ class TestPetviashvili:
 
 class TestWeinstein:
     def test_seed_independence(self, params, grid):
-        va, ca = weinstein_minimize(
-            params, grid, SolverConfig(init="random_bandlimited", seed=3)
-        )
-        vb, cb = weinstein_minimize(
-            params, grid, SolverConfig(init="random_bandlimited", seed=4)
-        )
+        va, ca = optimizer(params, grid, SolverConfig(init="random_bandlimited", seed=3))
+        vb, cb = optimizer(params, grid, SolverConfig(init="random_bandlimited", seed=4))
         assert ca == pytest.approx(cb, rel=1e-8)
         common = BoxGrid(1, 1024, 40.0)
         da = center_and_align(regrid(va, common))
         db = center_and_align(regrid(vb, common))
         assert relative_l2_distance(da, db) <= 1e-6
 
-    def test_output_normalized_and_consistent(self, params, grid, config):
-        v, c_best = weinstein_minimize(params, grid, config)
+    def test_output_normalized_and_consistent(self, params, q_state, constants_report):
+        v = lambda_normalize(q_state.field)
         _, g, b = quadratic_norms(v)
         assert abs(g - 1.0) <= 1e-10
         assert abs(b - 1.0) <= 1e-10
+        c_best = constants_report.C
         assert c_best * weinstein(norms(v, params.p), params) == pytest.approx(1.0, rel=1e-12)
 
     def test_resolution_stability(self, params):
-        _, c1 = weinstein_minimize(params, BoxGrid(1, 512, 40.0), SolverConfig())
-        _, c2 = weinstein_minimize(params, BoxGrid(1, 1024, 40.0), SolverConfig())
+        _, c1 = optimizer(params, BoxGrid(1, 512, 40.0), SolverConfig())
+        _, c2 = optimizer(params, BoxGrid(1, 1024, 40.0), SolverConfig())
         assert c1 == pytest.approx(c2, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "points, box, cause",
+        [(64, 40.0, "under-resolve"), (1024, 12.0, "box may be too small")],
+    )
+    def test_stall_names_binding_cause(self, params, points, box, cause):
+        # 64 points cannot resolve the desk state on the desk box; L = 12
+        # resolves it but truncates its tails
+        with pytest.raises(DivergenceError) as err:
+            route_Q(params, BoxGrid(1, points, box), SolverConfig())
+        message = str(err.value)
+        assert "stalled" in message
+        assert "boundary amplitude ratio" in message and "spectral tail ratio" in message
+        assert cause in message
 
 
 class TestRouteQ:
