@@ -18,9 +18,7 @@ identically and that agreement is itself a shipped check.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +28,9 @@ from .functionals import Params, weinstein
 from .grid import BoxGrid, Field, norms
 from .scalings import lambda_normalize
 from .solvers import GroundState, SolverConfig, _SpectralIterate, random_bandlimited
+
+STAGNATION_RTOL = 1e-12
+STAGNATION_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -161,54 +162,43 @@ def K_numeric(
 ) -> float:
     """Best-effort supremum of the non-homogeneous quotient by multi-start ascent.
 
-    Each start runs a normalized fixed point on the quotient's stationarity
-    equation; the best quotient value over all iterates of all starts is
-    returned.  ``seed_field``, the critical-mass state of the pipeline's
-    ``route_Q`` solve, is one start; the supremum is attained there, which
-    makes the estimate sharp.  The other starts are random fields on ``grid``.
+    Each start runs a normalized (Petviashvili-type) fixed point on the
+    quotient's stationarity equation; the best quotient value over all
+    iterates of all starts is returned.  ``seed_field``, the critical-mass
+    state of the pipeline's ``route_Q`` solve, is one start, with its samples
+    taken on ``grid`` (its box equals grid's up to roundoff); the supremum is
+    attained there, which makes the estimate sharp.  The other starts are
+    random fields on ``grid``.  All starts advance as one batch on one thread,
+    one transform pair per sweep, so the result is the same at any thread
+    count.  A start retires once its quotient moved by at most STAGNATION_RTOL,
+    relatively, over STAGNATION_WINDOW sweeps, and after 400 sweeps at most.
     """
     p = params.p
     params.exponents()
-    starts = [seed_field]
+    if not seed_field.samples.any():
+        raise DegenerateQuotientError("the quotient is undefined at the zero seed field")
+    starts = [Field(grid, seed_field.samples)]
     for k in range(n_starts):
         starts.append(random_bandlimited(grid, config.seed + 101 * (k + 1)))
-    sweeps = max(60, min(400, config.max_iters))
-
-    def ascend(start):
-        best = 0.0
-        state = _SpectralIterate(start)
-        k2 = state.k2
-        vol = state.cell_volume
-        for _ in range(sweeps):
-            mass, grad, bilap = state.quadratic_norms()
-            u_phys = state.physical()
-            lp = vol * float(np.sum(np.abs(u_phys) ** p))
-            if lp <= 0 or mass <= 0:
-                break
-            quad = params.eps * bilap + grad
-            best = max(best, lp / (mass ** ((p - 2.0) / 2.0) * quad))
-            nl_spec = np.fft.rfftn(np.abs(u_phys) ** (p - 2.0) * u_phys)
-            symbol = (
-                (2.0 * params.eps / quad) * k2 * k2
-                + (2.0 / quad) * k2
-                + (p - 2.0) / mass
-            )
-            new_spec = (p / lp) * nl_spec / symbol
-            # quotient is amplitude-invariant; renormalize mass to stop drift
-            state.spec = new_spec
-            m_new = state.quadratic_norms()[0]
-            if m_new <= 0:
-                break
-            state.spec = new_spec / math.sqrt(m_new)
-        return best
-
-    # starts are independent; the max is order-free, so this stays deterministic
-    with concurrent.futures.ThreadPoolExecutor(
-        max_workers=min(len(starts), os.cpu_count() or 1)
-    ) as pool:
-        best = max(pool.map(ascend, starts))
-    if best <= 0:
-        raise DegenerateQuotientError("quotient ascent never produced a positive value")
+    state = _SpectralIterate(starts)
+    k2 = state.k2
+    best = 0.0
+    recent = np.full((len(starts), STAGNATION_WINDOW), np.inf)  # each row's last quotients
+    for _ in range(max(60, min(400, config.max_iters))):
+        mass, grad, bilap = state.quadratic_norms()
+        lp, nl_spec = state.nonlinearity(p)
+        quad = params.eps * bilap + grad
+        quotient = (lp / (mass ** ((p - 2.0) / 2.0) * quad)).ravel()
+        best = max(best, float(np.max(quotient)))
+        live = np.abs(quotient - recent[:, 0]) > STAGNATION_RTOL * quotient
+        if not live.any():
+            break
+        symbol = (2.0 * params.eps / quad) * k2 * k2 + (2.0 / quad) * k2 + (p - 2.0) / mass
+        new_spec = (p / lp) * nl_spec / symbol
+        # quotient is amplitude-invariant; renormalize mass to stop drift
+        new_spec /= np.sqrt(state.spec_norm_sq(new_spec))
+        state.spec = new_spec if live.all() else new_spec[live]
+        recent = np.column_stack([recent[:, 1:], quotient])[live]
     return best
 
 

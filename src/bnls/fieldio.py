@@ -94,7 +94,17 @@ def read_field(path) -> Field:
 
 
 def read_sidecar(path) -> dict:
-    return json.loads(sidecar_path(path).read_text())
+    side = sidecar_path(path)
+    try:
+        doc = json.loads(side.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FieldFormatError(f"sidecar {side} is not UTF-8 text", offset=exc.start) from exc
+    except json.JSONDecodeError as exc:
+        offset = len(exc.doc[: exc.pos].encode("utf-8"))
+        raise FieldFormatError(f"sidecar {side} is not JSON: {exc.msg}", offset=offset) from exc
+    if not isinstance(doc, dict):
+        raise FieldFormatError(f"sidecar {side} does not hold a JSON object", offset=0)
+    return doc
 
 
 def file_sha256(path) -> str:

@@ -29,6 +29,9 @@ from .errors import InvalidFieldError, SingularOperatorError
 # probably feeling the periodic wrap.
 BOUNDARY_WARN_RATIO = 1e-8
 
+# Target rows per block of regrid's dense basis; bounds its temporaries to MiBs.
+REGRID_BLOCK = 128
+
 
 class BoxAdequacyWarning(UserWarning):
     """The field has visible amplitude at the box boundary."""
@@ -332,22 +335,29 @@ def check_box_adequacy(u: Field, warn_ratio: float = BOUNDARY_WARN_RATIO) -> flo
 def regrid(u: Field, target: BoxGrid) -> Field:
     """Evaluate the periodic trigonometric interpolant of u on another grid.
 
-    Exact (to roundoff) for band-limited content when the target resolves it.
-    Target coordinates are taken modulo the source box, so enlarging the box
-    wraps the (negligible) tails of a decaying field.
+    Exact (to roundoff) for band-limited content when the target resolves it;
+    onto u's own grid, where the interpolant reproduces the samples, u itself
+    is returned.  Target coordinates are taken modulo the source box, so
+    enlarging the box wraps the (negligible) tails of a decaying field.
     """
     if target.dim != u.grid.dim:
         raise ValueError("regrid requires matching dimensions")
+    if target == u.grid:
+        return u
     g = u.grid
     m = g.points_per_axis
-    spec = np.fft.fftn(u.samples) / g.size
     k = 2.0 * np.pi * np.fft.fftfreq(m, d=g.spacing)
     x = target.axis_coordinates() + u.grid.box_length / 2.0
-    basis = np.exp(1j * np.outer(x, k))
-    basis[:, m // 2] = np.cos(k[m // 2] * x)
-    out = spec
+    out = np.fft.fftn(u.samples) / g.size
     for axis in range(g.dim):
-        out = np.moveaxis(np.tensordot(basis, out, axes=(1, axis)), 0, axis)
+        src = np.ascontiguousarray(np.moveaxis(out, axis, 0))
+        out = np.empty((x.size,) + src.shape[1:], dtype=complex)
+        for lo in range(0, x.size, REGRID_BLOCK):
+            xb = x[lo : lo + REGRID_BLOCK]
+            basis = np.exp(1j * np.outer(xb, k))
+            basis[:, m // 2] = np.cos(k[m // 2] * xb)
+            out[lo : lo + REGRID_BLOCK] = np.tensordot(basis, src, axes=1)
+        out = np.moveaxis(out, 0, axis)
     return Field(target, out.real)
 
 

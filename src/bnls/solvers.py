@@ -225,60 +225,59 @@ def normalize_to_mass(u: Field, c: float) -> Field:
 
 
 class _SpectralIterate:
-    """Iterate kept as an rfftn spectrum over a box that may be exactly rescaled.
+    """Iterate kept as an rfftn spectrum on a fixed grid.
 
-    Wavenumbers scale like 1/L and the cell volume like L^d, so all norms are
-    derived from the starting grid's tables plus the accumulated box factor.
+    Built from a list of fields on one grid, ``spec`` gets a leading batch axis
+    (drop rows by indexing it) and each norm is a (rows, 1, ...) array.
     """
 
-    def __init__(self, field: Field):
-        self.dim = field.grid.dim
-        self.m = field.grid.points_per_axis
-        self.base_grid = field.grid
-        base_k2, weight = _spectral_tables(field.grid)
-        self._base_k2 = base_k2
-        self._weight = weight
-        self.scale = 1.0  # current box is base box / scale
-        self.spec = np.fft.rfftn(field.samples)
-
-    @property
-    def k2(self) -> np.ndarray:
-        return self._base_k2 * self.scale**2
-
-    @property
-    def box_length(self) -> float:
-        return self.base_grid.box_length / self.scale
-
-    @property
-    def cell_volume(self) -> float:
-        return (self.box_length / self.m) ** self.dim
-
-    def grid(self) -> BoxGrid:
-        return BoxGrid(self.dim, self.m, self.box_length)
+    def __init__(self, fields):
+        self.batched = not isinstance(fields, Field)
+        self.grid = fields[0].grid if self.batched else fields.grid
+        self._scale = self.grid.cell_volume / self.grid.size  # Parseval factor
+        self.k2, self._weight = _spectral_tables(self.grid)
+        self._axes = tuple(range(-self.grid.dim, 0))
+        samples = np.stack([f.samples for f in fields]) if self.batched else fields.samples
+        self.spec = np.fft.rfftn(samples, axes=self._axes)
 
     def physical(self) -> np.ndarray:
-        return np.fft.irfftn(self.spec, s=(self.m,) * self.dim, axes=range(self.dim))
+        return np.fft.irfftn(self.spec, s=self.grid.shape, axes=self._axes)
 
-    def spec_norm_sq(self, arr: np.ndarray) -> float:
-        """Parseval ||.||_2^2 of a spectrum over the current box."""
-        scale = self.cell_volume / self.m**self.dim
-        return scale * float(np.sum(self._weight * (arr.real**2 + arr.imag**2)))
+    def _sum(self, arr: np.ndarray):
+        """Sum over the grid axes: a float, or per row an array that broadcasts on spec."""
+        total = np.sum(arr, axis=self._axes, keepdims=self.batched)
+        return total if self.batched else float(total)
 
-    def quadratic_norms(self) -> tuple:
-        scale = self.cell_volume / self.m**self.dim
-        power = self._weight * (self.spec.real**2 + self.spec.imag**2)
-        k2 = self.k2
-        mass = scale * float(np.sum(power))
-        grad = scale * float(np.sum(k2 * power))
-        bilap = scale * float(np.sum(k2 * k2 * power))
+    def spec_norm_sq(self, arr: np.ndarray):
+        """Parseval ||.||_2^2 of a spectrum on the grid."""
+        return self._scale * self._sum(self._weight * (arr.real**2 + arr.imag**2))
+
+    def quadratic_norms(self, spec: np.ndarray | None = None) -> tuple:
+        """(mass, grad, bilap) of the iterate, or of another spectrum on the grid."""
+        spec = self.spec if spec is None else spec
+        power = self._weight * (spec.real**2 + spec.imag**2)
+        mass = self._scale * self._sum(power)
+        grad = self._scale * self._sum(self.k2 * power)
+        bilap = self._scale * self._sum(self.k2 * self.k2 * power)
         return mass, grad, bilap
 
+    def nonlinearity(self, p: float) -> tuple:
+        """(lp, nl_spec) = (||u||_p^p, rfftn(|u|^(p-2) u)) from one irfftn.
+
+        A lone iterate sums |u|^p for lp, which keeps solves bit-identical to
+        their stored references; a batch sums nl * u and saves that pass.
+        """
+        u = self.physical()
+        nl = np.abs(u) ** (p - 2.0) * u
+        lp = self.grid.cell_volume * self._sum(nl * u if self.batched else np.abs(u) ** p)
+        return lp, np.fft.rfftn(nl, axes=self._axes)
+
     def field(self) -> Field:
-        return Field(self.grid(), self.physical())
+        return Field(self.grid, self.physical())
 
 
 def _filter_mask(state: _SpectralIterate) -> np.ndarray:
-    cutoff = (2.0 / 3.0) * np.pi * state.m / state.box_length
+    cutoff = (2.0 / 3.0) * np.pi * state.grid.points_per_axis / state.grid.box_length
     return (state.k2 <= cutoff * cutoff).astype(np.float64)
 
 
@@ -410,11 +409,9 @@ def _petviashvili_state(
             )
         if mass < 1e-24 * mass0:
             raise VanishingError("iterate collapsed to zero")
-        u_phys = state.physical()
-        lp = state.cell_volume * float(np.sum(np.abs(u_phys) ** p))
+        lp, nl_spec = state.nonlinearity(p)
         if lp <= 0:
             raise VanishingError("nonlinearity vanished; iterate collapsed")
-        nl_spec = np.fft.rfftn(np.abs(u_phys) ** (p - 2.0) * u_phys)
         if config.filter:
             nl_spec *= _filter_mask(state)
         res = math.sqrt(
@@ -447,11 +444,9 @@ def _el_residual_spectral(state: _SpectralIterate, params: Params) -> float:
     ep = params.exponents()
     p = params.p
     mass, grad, bilap = state.quadratic_norms()
-    u_phys = state.physical()
-    lp = state.cell_volume * float(np.sum(np.abs(u_phys) ** p))
+    lp, nl_spec = state.nonlinearity(p)
     if lp <= 0 or grad <= 0 or bilap <= 0:
         raise VanishingError("degenerate iterate in quotient residual")
-    nl_spec = np.fft.rfftn(np.abs(u_phys) ** (p - 2.0) * u_phys)
     k2 = state.k2
     symbol = (ep.alpha / bilap) * k2 * k2 + (ep.beta / grad) * k2 + (p - 2.0) / mass
     rhs = (p / lp) * nl_spec
@@ -593,17 +588,11 @@ def mass_constrained_flow(
     p = params.p
     state = _SpectralIterate(normalize_to_mass(initial_field(grid, config), c))
     k2 = state.k2
-    vol = state.cell_volume
-    weight = state._weight
-    mcount = state.m**state.dim
+    vol = grid.cell_volume
 
     def energy_parts(spec, phys):
-        power = weight * (spec.real**2 + spec.imag**2)
-        scale = vol / mcount
-        grad = scale * float(np.sum(k2 * power))
-        bilap = scale * float(np.sum(k2 * k2 * power))
-        lp = vol * float(np.sum(np.abs(phys) ** p))
-        return grad, bilap, lp
+        _, grad, bilap = state.quadratic_norms(spec)
+        return grad, bilap, vol * float(np.sum(np.abs(phys) ** p))
 
     u_phys = state.physical()
     grad, bilap, lp = energy_parts(state.spec, u_phys)
@@ -627,7 +616,7 @@ def mass_constrained_flow(
         accepted = False
         for _ in range(60):
             trial = state.spec - tau * d_spec
-            trial_phys = np.fft.irfftn(trial, s=state.base_grid.shape, axes=range(state.dim))
+            trial_phys = np.fft.irfftn(trial, s=state.grid.shape, axes=range(state.grid.dim))
             m_t = vol * float(np.sum(trial_phys**2))
             if m_t <= 0:
                 tau *= 0.5

@@ -155,6 +155,22 @@ class TestGroundStateCommand:
         assert code == 2
         assert "'p'" in err
 
+    @pytest.mark.parametrize(
+        "sidecar, offset",
+        [(b"not json", 0), (b'{"params": \xff}', 11), (b'["bigN", "p"]', 0)],
+        ids=["not-json", "not-utf8", "not-an-object"],
+    )
+    def test_load_malformed_sidecar_exit_2(self, tmp_path, capsys, sidecar, offset):
+        from bnls.fieldio import write_field
+        from bnls.grid import BoxGrid, Field
+
+        path = write_field(tmp_path / "x.bnls", Field(BoxGrid(1, 32, 1.0), [0.0] * 32))
+        (tmp_path / "x.bnls.json").write_bytes(sidecar)
+        code, out, err = run(capsys, "ground-state", "--load", str(path))
+        assert code == 2
+        assert "x.bnls.json" in err and f"byte offset {offset})" in err
+        assert "omega=" not in out
+
     def test_divergence_exit_3_with_history(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "action-gss", "--N", "1", "--p", "8", "--eps", "1", "--omega", "2.0",

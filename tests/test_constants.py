@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,3 +146,43 @@ class TestPipeline:
         cr = compute_constants(q, K_numeric(params, small, config, q.field))
         assert cr.K_numeric == pytest.approx(cr.K, rel=1e-3)
         assert cr.provenance["K_numeric"].startswith("numeric")
+
+
+class TestKAscent:
+    """The batched K ascent: its transform budget, determinism, and 2D sharpness."""
+
+    def test_transform_budget_and_sharpness(self, params, grid, config, q_state,
+                                             constants_report, monkeypatch):
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        k = K_numeric(params, grid, config, q_state.field)
+        # nine starts run to stagnation as one batch, not 400 sweeps each
+        assert len(calls) <= 400
+        assert abs(k / constants_report.K - 1.0) <= 1e-14
+
+    def test_bit_identical_at_any_thread_count(self, params, grid, config, q_state, monkeypatch):
+        values = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BNLS_THREADS", threads)
+            values += [K_numeric(params, grid, config, q_state.field) for _ in range(2)]
+        assert len(set(values)) == 1
+
+    def test_2d_reaches_closed_form(self, config):
+        from bnls.grid import BoxGrid
+        from bnls.solvers import route_Q
+        from bnls.verify import TolProfile, verify_constants
+
+        params2 = Params(bigN=2, p=5.0, eps=1.0)
+        grid2 = BoxGrid(2, 128, 40.0)
+        q = route_Q(params2, grid2, config)
+        cr = compute_constants(q, K_numeric(params2, grid2, config, q.field))
+        report = verify_constants(cr, params2)
+        (check,) = [c for c in report.checks if c.name == "const.k_numeric_close"]
+        assert check.passed and check.tol == TolProfile().route

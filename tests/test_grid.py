@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bnls import grid as grid_module
 from bnls.errors import InvalidFieldError, SingularOperatorError
 from bnls.grid import (
     BoxAdequacyWarning,
@@ -246,11 +247,41 @@ class TestShiftField:
         np.testing.assert_allclose(out.samples, u.samples, atol=1e-12)
 
 
+def dense_regrid(u, target):
+    """Reference interpolant: the full exp(i k x) basis, contracted along each axis."""
+    g = u.grid
+    m = g.points_per_axis
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=g.spacing)
+    x = target.axis_coordinates() + g.box_length / 2.0
+    basis = np.exp(1j * np.outer(x, k))
+    basis[:, m // 2] = np.cos(k[m // 2] * x)
+    out = np.fft.fftn(u.samples) / g.size
+    for axis in range(g.dim):
+        out = np.moveaxis(np.tensordot(basis, out, axes=(1, axis)), 0, axis)
+    return out.real
+
+
 class TestRegrid:
     def test_same_grid_identity(self):
-        u = sine(3)
-        out = regrid(u, GRID)
-        np.testing.assert_allclose(out.samples, u.samples, atol=1e-12)
+        for u in (sine(3), random_bandlimited(BoxGrid(2, 64, 20.0), 4)):
+            assert regrid(u, u.grid) is u
+            # the interpolant that the identity stands for reproduces the samples
+            np.testing.assert_allclose(dense_regrid(u, u.grid), u.samples, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "source, target, block",
+        [
+            (BoxGrid(1, 1024, 40.0), BoxGrid(1, 1024, 41.0), grid_module.REGRID_BLOCK),
+            # a small block splits the 64 target rows into 24 + 24 + 16
+            (BoxGrid(3, 32, 20.0), BoxGrid(3, 64, 24.0), 24),
+        ],
+    )
+    def test_blocked_basis_matches_dense(self, source, target, block, monkeypatch):
+        monkeypatch.setattr(grid_module, "REGRID_BLOCK", block)
+        u = random_bandlimited(source, 7)
+        out = regrid(u, target)
+        assert out.grid == target
+        np.testing.assert_allclose(out.samples, dense_regrid(u, target), rtol=0, atol=1e-13)
 
     def test_refine_bandlimited_exact(self):
         fine = BoxGrid(1, 512, 2.0 * np.pi)
