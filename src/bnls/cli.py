@@ -30,7 +30,7 @@ from .errors import (
 )
 from .functionals import Params
 from .grid import BoxGrid, norms
-from .fieldio import read_field, read_sidecar, sidecar_path, write_field
+from .fieldio import file_sha256, read_field, read_sidecar, sidecar_path, write_field
 from .solvers import (
     GroundState,
     SolverConfig,
@@ -118,21 +118,41 @@ def save_state(gs: GroundState, config: SolverConfig, out_dir, name: str) -> Pat
 
 
 def load_state(path) -> GroundState:
-    """Read a stored field; its sidecar is required, since only it records (N, p, eps)."""
+    """Read a stored field; its sidecar is required, since only it records (N, p, eps).
+
+    A sidecar that records the field file's sha256 must match it; one written
+    before the hash was recorded still loads.
+    """
     field = read_field(path)
-    side = read_sidecar(path) if sidecar_path(path).exists() else {}
+    side_path = sidecar_path(path)
+    side = read_sidecar(path) if side_path.exists() else {}
     pdoc = side.get("params", {})
+    if not isinstance(pdoc, dict):
+        raise ConfigurationError(f"{side_path}: params is not a JSON object")
     missing = [key for key in ("bigN", "p", "eps") if key not in pdoc]
     if missing:
         raise ConfigurationError(
             f"{path}: the sidecar is absent or lacks params {missing}; only it records (N, p, eps)"
         )
+    recorded, actual = side.get("sha256"), file_sha256(path)
+    if recorded is not None and recorded != actual:
+        raise ConfigurationError(
+            f"{path} does not match its sidecar {side_path}: the sidecar records "
+            f"sha256 {recorded}, the field file hashes to {actual}"
+        )
+    try:
+        bigN, p, eps = int(pdoc["bigN"]), float(pdoc["p"]), float(pdoc["eps"])
+        omega, mass_c = (
+            None if pdoc.get(key) is None else float(pdoc[key]) for key in ("omega", "mass_c")
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{side_path}: params must hold numbers ({exc})") from exc
     params = Params(
-        bigN=int(pdoc["bigN"]),
-        p=float(pdoc["p"]),
-        eps=float(pdoc["eps"]),
-        omega=pdoc.get("omega"),
-        mass_c=pdoc.get("mass_c"),
+        bigN=bigN,
+        p=p,
+        eps=eps,
+        omega=omega,
+        mass_c=mass_c,
         relaxed=bool(pdoc.get("relaxed", False)),
     )
     nt = norms(field, params.p)

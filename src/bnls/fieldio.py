@@ -10,7 +10,8 @@ Layout (all little-endian):
     offset 24  samples           points_per_axis**dim f64, row-major
 
 The sidecar is ``<path>.json`` and holds provenance only (params, solver,
-iterations, residuals); the binary file alone reconstructs the field.
+iterations, residuals, and the binary file's sha256); the binary file alone
+reconstructs the field.
 """
 
 from __future__ import annotations
@@ -48,11 +49,15 @@ def field_to_bytes(field: Field) -> bytes:
 
 
 def write_field(path, field: Field, sidecar: dict | None = None) -> Path:
-    """Write the binary field file; optionally a JSON sidecar next to it."""
+    """Write the binary field file; optionally a JSON sidecar next to it.
+
+    The sidecar also records the field file's ``sha256``, which pairs the two.
+    """
     path = Path(path)
     path.write_bytes(field_to_bytes(field))
     if sidecar is not None:
-        sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        doc = dict(sidecar, sha256=file_sha256(path))
+        sidecar_path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 

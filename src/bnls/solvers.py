@@ -9,7 +9,11 @@ Three routes:
   exactly when its norms satisfy grad = (beta/alpha) * eps * bilap, and that
   mismatch is a smooth, monotone, scale-free function of omega.  A bracketed
   secant iteration drives it to zero, warm-starting each inner solve from the
-  previous one; exact rescalings of the converged state give the unit-norm
+  previous one.  The inner solves are inexact: each runs only to
+  INNER_FORCING times the last Euler-Lagrange residual (an inexact-Newton
+  forcing rule), and once that residual meets the tolerance the last inner
+  solve is polished at its omega to the tight inner floor and the residual
+  checked again.  Exact rescalings of the converged state give the unit-norm
   optimizer and the critical-mass state, from which a pipeline derives all
   its constants.  (Per-sweep renormalized Euler-Lagrange sweeps were tried
   first and rejected: the renormalization shrinks the box until the tails
@@ -66,6 +70,11 @@ INIT_MODES = ("gaussian_bump", "stored_field", "random_bandlimited")
 STALL_WINDOW = 60
 # Residual growth after this many iterations is only a warning, not an error.
 BURN_IN = 10
+# Inexact frequency shooting: an inner solve runs to INNER_FORCING times the
+# last Euler-Lagrange residual; the first one, with no such residual yet, runs
+# to FIRST_INNER_TOL.
+INNER_FORCING = 1e-2
+FIRST_INNER_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -341,6 +350,9 @@ def _finish(
     ratio = boundary_amplitude_ratio(u)
     if ratio > 1e-8:
         warn.append(f"boundary amplitude is {ratio:.2e} of the peak; box may be too small")
+    tail = spectral_tail_ratio(u)
+    if tail > 1e-8:
+        warn.append(f"spectral tail is {tail:.2e} of the peak; grid may under-resolve the state")
     return GroundState(
         field=u,
         params=params,
@@ -371,7 +383,7 @@ def petviashvili(
 
     Pass a list as ``residual_trace`` to record the residual history.
     """
-    state, res, iters, warn = _petviashvili_state(
+    state, res, iters, warn, _sweep = _petviashvili_state(
         params, grid, config, residual_trace=residual_trace
     )
     return _finish(state.field(), params, iters, "petviashvili", res, warn)
@@ -385,6 +397,12 @@ def _petviashvili_state(
     tol: float | None = None,
     residual_trace: list | None = None,
 ) -> tuple:
+    """Returns (state, residual, iterations, warnings, sweep).
+
+    ``sweep`` = ((mass, grad, bilap), lp, nl_spec) is what the last sweep
+    computed for the returned state (``nl_spec`` unfiltered), so a caller
+    measuring that state needs no further transform.
+    """
     omega = params.require_omega()
     if not omega > 0:
         raise ConfigurationError(f"petviashvili needs omega > 0, got {omega}")
@@ -409,11 +427,10 @@ def _petviashvili_state(
             )
         if mass < 1e-24 * mass0:
             raise VanishingError("iterate collapsed to zero")
-        lp, nl_spec = state.nonlinearity(p)
+        lp, raw_nl = state.nonlinearity(p)
         if lp <= 0:
             raise VanishingError("nonlinearity vanished; iterate collapsed")
-        if config.filter:
-            nl_spec *= _filter_mask(state)
+        nl_spec = raw_nl * _filter_mask(state) if config.filter else raw_nl
         res = math.sqrt(
             state.spec_norm_sq(symbol * state.spec - nl_spec) / state.spec_norm_sq(nl_spec)
         )
@@ -421,7 +438,7 @@ def _petviashvili_state(
         if residual_trace is not None:
             residual_trace.append(res)
         if res <= tol:
-            return state, res, it, progress.warnings()
+            return state, res, it, progress.warnings(), ((mass, grad, bilap), lp, raw_nl)
         stabilizer = (params.eps * bilap + grad + omega * mass) / lp
         new_spec = stabilizer**gamma * (nl_spec / symbol)
         if config.relaxation < 1.0:
@@ -434,17 +451,17 @@ def _petviashvili_state(
 # quotient optimizer by frequency shooting
 
 
-def _el_residual_spectral(state: _SpectralIterate, params: Params) -> float:
+def _el_residual_spectral(state: _SpectralIterate, params: Params, sweep: tuple) -> float:
     """Relative residual of the self-normalized Euler-Lagrange equation.
 
     (alpha/bilap) lap^2 u - (beta/grad) lap u + ((p-2)/mass) u = (p/lp) |u|^(p-2) u
     is exactly invariant under amplitude/box rescaling, so this equals the
-    residual of the unit-normalized optimizer candidate.
+    residual of the unit-normalized optimizer candidate.  ``sweep`` is what
+    the inner solve computed for ``state`` (see ``_petviashvili_state``).
     """
     ep = params.exponents()
     p = params.p
-    mass, grad, bilap = state.quadratic_norms()
-    lp, nl_spec = state.nonlinearity(p)
+    (mass, grad, bilap), lp, nl_spec = sweep
     if lp <= 0 or grad <= 0 or bilap <= 0:
         raise VanishingError("degenerate iterate in quotient residual")
     k2 = state.k2
@@ -459,28 +476,41 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
     Returns (state, residual, total inner iterations); the state is the
     converged fixed-omega solution whose exact rescalings are the optimizer
     and the constructed critical-mass state.
+
+    The inner solves are inexact (Eisenstat-Walker forcing): each runs only to
+    ``max(inner_floor, INNER_FORCING * el)``, with ``el`` the last
+    Euler-Lagrange residual (the first solve, before any, runs to
+    ``FIRST_INNER_TOL``): all but the last only supply a mismatch sign or a
+    secant point.  Once the EL residual meets the tolerance, the last inner
+    solve is polished at the same omega down to ``inner_floor`` and the EL
+    residual is checked again, so the returned state is converged as tightly
+    as a sequence of exact solves would leave it.
     """
     _require_field_grid(params, grid)
     ep = params.exponents()
-    inner_tol = min(1e-12, 0.1 * config.tol_residual)
+    inner_floor = min(1e-12, 0.1 * config.tol_residual)
     total = 0
-    state = None
+    state = omega_at = inner_res = el = None
 
-    def solve(omega):
-        nonlocal total, state
-        state, _res, its, _warn = _petviashvili_state(
+    def solve(omega, inner_tol=None):
+        """Inner solve at omega, by default forced by ``el``; sets ``el``, returns the mismatch."""
+        nonlocal total, state, omega_at, inner_res, el
+        if inner_tol is None:
+            inner_tol = max(inner_floor, INNER_FORCING * el)
+        state, inner_res, its, _warn, sweep = _petviashvili_state(
             params.with_omega(omega), grid, config, warm=state, tol=inner_tol
         )
         total += its
-        mass, g, b = state.quadratic_norms()
-        mismatch = ep.beta * params.eps * b / (ep.alpha * g) - 1.0
-        return mismatch
+        omega_at = omega
+        el = _el_residual_spectral(state, params, sweep)
+        _mass, g, b = sweep[0]
+        return ep.beta * params.eps * b / (ep.alpha * g) - 1.0
 
     # The mismatch is scale-free and increasing in omega; bracket a sign change
     # starting from the frequency the optimizer would have at unit mass.
     omega0 = (params.p - 2.0) * ep.alpha / (ep.beta**2 * params.eps)
     lo = hi = omega0
-    f_lo = f_hi = solve(omega0)
+    f_lo = f_hi = solve(omega0, FIRST_INNER_TOL)
     for _ in range(80):
         if f_lo < 0 < f_hi or f_lo > 0 > f_hi or f_lo == 0 or f_hi == 0:
             break
@@ -501,13 +531,17 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
     # on the actual Euler-Lagrange residual of the inner state.  That residual
     # bottoms out at the larger of the box-truncation and the resolution
     # error, so a stall names whichever of the two ratios is larger.
-    el_history = [_el_residual_spectral(state, params)]
-    best = el_history[0]
+    el_history = [el]
+    best = el
     stale = 0
     last_side = 0
     for _ in range(120):
-        if el_history[-1] <= config.tol_residual:
-            return state, el_history[-1], total
+        if el <= config.tol_residual:
+            if inner_res <= inner_floor:
+                return state, el, total
+            solve(omega_at, inner_floor)  # the polish
+            el_history.append(el)
+            continue
         denom = f_hi - f_lo
         w = 0.5 * (lo + hi) if denom == 0 else hi - f_hi * (hi - lo) / denom
         if not (min(lo, hi) < w < max(lo, hi)):
@@ -523,9 +557,9 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
                 f_lo *= 0.5
             hi, f_hi = w, f_w
             last_side = +1
-        el_history.append(_el_residual_spectral(state, params))
-        if el_history[-1] < 0.5 * best:
-            best, stale = el_history[-1], 0
+        el_history.append(el)
+        if el < 0.5 * best:
+            best, stale = el, 0
         else:
             stale += 1
             if stale > 12:
@@ -541,7 +575,7 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
         f"frequency shooting stalled at residual {best:.3e} "
         f"(tolerance {config.tol_residual:.1e}); boundary amplitude ratio is "
         f"{boundary:.2e} and spectral tail ratio is {tail:.2e}, so {cause}",
-        last_residual=el_history[-1],
+        last_residual=el,
         history=el_history,
     )
 

@@ -171,6 +171,50 @@ class TestGroundStateCommand:
         assert "x.bnls.json" in err and f"byte offset {offset})" in err
         assert "omega=" not in out
 
+    @pytest.mark.parametrize(
+        "params",
+        [5, {"bigN": 1, "p": "eight", "eps": 1.0}, {"bigN": 1, "p": 8.0, "eps": None}],
+        ids=["params-not-an-object", "p-not-a-number", "eps-null"],
+    )
+    def test_load_sidecar_params_not_numbers_exit_2(self, tmp_path, capsys, params):
+        from bnls.fieldio import write_field
+        from bnls.grid import BoxGrid, Field
+
+        path = write_field(tmp_path / "x.bnls", Field(BoxGrid(1, 32, 1.0), [0.0] * 32))
+        (tmp_path / "x.bnls.json").write_text(json.dumps({"params": params}))
+        code, out, err = run(capsys, "ground-state", "--load", str(path))
+        assert code == 2
+        assert "x.bnls.json" in err and "params" in err
+        assert "omega=" not in out
+
+    def test_load_refuses_mismatched_pair(self, tmp_path, capsys):
+        from bnls.fieldio import file_sha256
+
+        code, _, _ = run(
+            capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "1",
+            *FAST, "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        state = tmp_path / "ground_state_critical_mass.bnls"
+        sidecar = Path(str(state) + ".json")
+        doc = json.loads(sidecar.read_text())
+        assert doc["sha256"] == file_sha256(state)
+        code, _, _ = run(capsys, "ground-state", "--load", str(state))
+        assert code == 0
+        # zeroing the last sample (at the box edge) leaves a readable field
+        # that no longer matches its sidecar
+        state.write_bytes(state.read_bytes()[:-8] + b"\x00" * 8)
+        code, out, err = run(capsys, "ground-state", "--load", str(state))
+        assert code == 2
+        assert str(state) in err and str(sidecar) in err and "sha256" in err
+        assert "omega=" not in out
+        # a sidecar written before the hash was recorded still loads
+        del doc["sha256"]
+        sidecar.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "ground-state", "--load", str(state))
+        assert code == 0
+        assert "omega=" in out
+
     def test_divergence_exit_3_with_history(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "action-gss", "--N", "1", "--p", "8", "--eps", "1", "--omega", "2.0",

@@ -41,7 +41,8 @@ def test_roundtrip_bit_exact(tmp_path, small_field):
     back = read_field(path)
     assert back.grid == small_field.grid
     assert np.array_equal(back.samples, small_field.samples)
-    assert read_sidecar(path) == {"note": "test"}
+    # the sidecar comes back as written, plus the hash that pairs it with the field
+    assert read_sidecar(path) == {"note": "test", "sha256": file_sha256(path)}
     assert sidecar_path(path).name == "state.bnls.json"
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bnls.solvers
 from bnls.errors import ConfigurationError, DivergenceError
 from bnls.functionals import (
     Params,
@@ -191,6 +192,43 @@ class TestRouteQ:
 
     def test_physical_residual_small(self, q_state, params):
         assert pde_residual(q_state.field, params, q_state.omega_extracted) <= 1e-6
+
+
+class TestShooting:
+    """Inexact inner solves: counts are deterministic, so they gate here."""
+
+    def test_desk_problem_sweeps(self, q_state):
+        assert q_state.iters <= 110
+
+    def test_2d_sweeps(self):
+        q = route_Q(Params(bigN=2, p=5.0, eps=1.0), BoxGrid(2, 128, 40.0), SolverConfig())
+        assert q.iters <= 160
+        assert q.residual_pde <= 1e-10
+
+    def test_returned_state_is_polished(self, params, grid, config, monkeypatch):
+        inner = []
+        original = bnls.solvers._petviashvili_state
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            inner.append((kwargs["tol"], out[1]))
+            return out
+
+        monkeypatch.setattr(bnls.solvers, "_petviashvili_state", recorded)
+        q = route_Q(params, grid, config)
+        inner_floor = min(1e-12, 0.1 * config.tol_residual)
+        # the early solves are loose, the state returned is converged to the floor
+        assert max(tol for tol, _ in inner) > 1e3 * inner_floor
+        assert inner[-1][1] <= inner_floor
+        assert q.residual_pde <= config.tol_residual
+
+    def test_bit_identical_reruns(self, params, grid, config, q_state):
+        again = route_Q(params, grid, config)
+        assert np.array_equal(again.field.samples, q_state.field.samples)
+        assert (again.residual_pde, again.iters) == (q_state.residual_pde, q_state.iters)
+
+    def test_desk_problem_has_no_tail_warning(self, q_state):
+        assert not any("spectral tail" in w for w in q_state.warnings)
 
 
 class TestRouteEquivalence:

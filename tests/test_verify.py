@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bnls.constants import compute_constants
 from bnls.errors import PreconditionError
 from bnls.functionals import Params
 from bnls.grid import BoxGrid, Field, norms
@@ -13,6 +14,7 @@ from bnls.solvers import (
     pde_residual,
     petviashvili,
     random_bandlimited,
+    route_Q,
 )
 from bnls.verify import (
     REQUIRED_CHECKS,
@@ -103,6 +105,19 @@ class TestVerifyQNegativeControls:
         assert not ratio.passed
         # identity is linear in eps, so doubling it halves the ratio
         assert ratio.residual == pytest.approx(0.5, rel=1e-6)
+
+
+class TestThreeDimensional:
+    def test_route_q_end_to_end(self):
+        # at the default 1e-10 this grid stalls near 2e-10 (its boundary ratio
+        # is 8e-7 and its spectral tail 7e-8), so the 3D desk problem solves to 1e-8
+        params = Params(bigN=3, p=4.0, eps=1.0)
+        q = route_Q(params, BoxGrid(3, 64, 32.0), SolverConfig(tol_residual=1e-8))
+        assert q.residual_pde <= 1e-8
+        assert q.iters <= 130
+        out = verify_Q(q, compute_constants(q), TolProfile())
+        assert out.passed, out.table()
+        assert any("spectral tail" in w and "under-resolve" in w for w in q.warnings)
 
 
 class TestVerifyEquivalence:
