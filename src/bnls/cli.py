@@ -78,7 +78,9 @@ def resolve_config(args) -> dict:
         if flag is not None:
             cfg[key] = flag
     if cfg["eps"] is None:
-        log.info("eps not configured; defaulting to eps = 1")
+        # a loaded state takes its eps from its sidecar, so no default applies to it
+        if not (getattr(args, "load", None) or getattr(args, "energy_state", None)):
+            log.info("eps not configured; defaulting to eps = 1")
         cfg["eps"] = 1.0
     return cfg
 

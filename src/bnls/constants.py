@@ -181,7 +181,6 @@ def K_numeric(
     for k in range(n_starts):
         starts.append(random_bandlimited(grid, config.seed + 101 * (k + 1)))
     state = _SpectralIterate(starts)
-    k2 = state.k2
     best = 0.0
     recent = np.full((len(starts), STAGNATION_WINDOW), np.inf)  # each row's last quotients
     for _ in range(max(60, min(400, config.max_iters))):
@@ -193,11 +192,14 @@ def K_numeric(
         live = np.abs(quotient - recent[:, 0]) > STAGNATION_RTOL * quotient
         if not live.any():
             break
-        symbol = (2.0 * params.eps / quad) * k2 * k2 + (2.0 / quad) * k2 + (p - 2.0) / mass
-        new_spec = (p / lp) * nl_spec / symbol
+        symbol = state.symbol(2.0 * params.eps / quad, 2.0 / quad, (p - 2.0) / mass)
+        nl_spec *= p / lp
+        nl_spec /= symbol
         # quotient is amplitude-invariant; renormalize mass to stop drift
-        new_spec /= np.sqrt(state.spec_norm_sq(new_spec))
-        state.spec = new_spec if live.all() else new_spec[live]
+        nl_spec /= np.sqrt(state.spec_norm_sq(nl_spec))
+        state.advance()
+        if not live.all():
+            state.keep(live)
         recent = np.column_stack([recent[:, 1:], quotient])[live]
     return best
 

@@ -13,6 +13,20 @@ sums are weighted by the cell volume h^d, so Parseval reads
 where w doubles the interior modes of the half-spectrum axis.  The derivative
 seminorms are the same spectral sums weighted by |k|^2 and |k|^4, with the
 full symmetric wavenumber (including Nyquist) entering the even symbols.
+
+Every real transform runs through one pair, :func:`_rfftn` and :func:`_irfftn`.
+They do numpy's n-dimensional real transforms as one-axis passes written in
+place: the forward pass is one ``rfft`` on the last axis into the output
+array, then a complex ``fft`` over each other axis in that same array; the
+inverse runs the complex ``ifft`` passes in a caller-supplied work array and
+ends with one ``irfft`` into the output.  The passes are the ones
+``numpy.fft.rfftn``/``irfftn`` run, in the same order, so the results are
+bit-equal to theirs, but no pass allocates an intermediate array.  An
+iteration that hands in its own output and work arrays therefore transforms
+without fresh memory: large temporaries go back to the operating system when
+freed, so allocating them anew each sweep pays page faults on every page,
+which cost more than the arithmetic on 3D grids.  The ``out=`` argument of
+``numpy.fft`` needs numpy 2.0.
 """
 
 from __future__ import annotations
@@ -137,36 +151,67 @@ class NormTuple:
 
 @lru_cache(maxsize=64)
 def _spectral_tables(grid: BoxGrid):
-    """Cached |k|^2 array and Parseval weights on the rfftn spectrum layout."""
+    """Cached |k|^2 and |k|^4 = k2*k2 arrays and Parseval weights on the rfftn spectrum layout."""
     m = grid.points_per_axis
     k_full = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
     k_half = 2.0 * np.pi * np.fft.rfftfreq(m, d=grid.spacing)
     axes = [k_full] * (grid.dim - 1) + [k_half]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    k2 = np.zeros(mesh[0].shape)
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    k2 = np.zeros(np.broadcast_shapes(*(k.shape for k in mesh)))
     for k in mesh:
         k2 += k * k
+    k4 = k2 * k2
     # Half-spectrum double counting: interior modes of the last axis stand for
     # a conjugate pair; m=0 and Nyquist do not.
     weight = np.full(k_half.shape, 2.0)
     weight[0] = 1.0
     weight[-1] = 1.0
     weight = weight.reshape((1,) * (grid.dim - 1) + (-1,))
-    k2.setflags(write=False)
-    weight.setflags(write=False)
-    return k2, weight
+    for table in (k2, k4, weight):
+        table.setflags(write=False)
+    return k2, k4, weight
+
+
+def _rfftn(x: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Real-to-complex transform over the last ``dim`` axes of x, bit-equal to
+    ``numpy.fft.rfftn(x, axes=range(-dim, 0))``.
+
+    ``out``, when given, receives the spectrum (complex, x's shape with the
+    last axis halved plus one); every pass after the first runs in place in it.
+    """
+    spec = np.fft.rfft(x, axis=-1, out=out)
+    for axis in range(-2, -dim - 1, -1):
+        np.fft.fft(spec, axis=axis, out=spec)
+    return spec
+
+
+def _irfftn(
+    spec: np.ndarray, dim: int, work: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse of :func:`_rfftn` onto an even last axis, bit-equal to
+    ``numpy.fft.irfftn(spec, s, axes=range(-dim, 0))``; spec is left unchanged.
+
+    The complex passes run in place in ``work`` (spec's shape and dtype, used
+    only when dim > 1); ``out``, when given, receives the real result.
+    """
+    if dim > 1 and work is None:
+        work = np.empty_like(spec)
+    src = spec
+    for axis in range(-dim, -1):
+        src = np.fft.ifft(src, axis=axis, out=work)
+    return np.fft.irfft(src, n=2 * (spec.shape[-1] - 1), axis=-1, out=out)
 
 
 def quadratic_norms(u: Field) -> tuple:
     """(mass, grad, bilap) of a field; the p-independent part of :func:`norms`."""
     g = u.grid
     mass = g.cell_volume * float(np.sum(u.samples * u.samples))
-    k2, weight = _spectral_tables(g)
-    spec = np.fft.rfftn(u.samples)
+    k2, k4, weight = _spectral_tables(g)
+    spec = _rfftn(u.samples, g.dim)
     power = weight * (spec.real**2 + spec.imag**2)
     scale = g.cell_volume / g.size
     grad = scale * float(np.sum(k2 * power))
-    bilap = scale * float(np.sum(k2 * k2 * power))
+    bilap = scale * float(np.sum(k4 * power))
     return mass, grad, bilap
 
 
@@ -186,30 +231,30 @@ def norms(u: Field, p: float) -> NormTuple:
 def spectral_mass(u: Field) -> float:
     """||u||_2^2 evaluated on the Fourier side; equals the quadrature mass."""
     g = u.grid
-    _, weight = _spectral_tables(g)
-    spec = np.fft.rfftn(u.samples)
+    _, _, weight = _spectral_tables(g)
+    spec = _rfftn(u.samples, g.dim)
     return g.cell_volume / g.size * float(np.sum(weight * (spec.real**2 + spec.imag**2)))
 
 
 def _apply_symbol(u: Field, symbol: np.ndarray) -> Field:
-    spec = np.fft.rfftn(u.samples)
+    spec = _rfftn(u.samples, u.grid.dim)
     spec *= symbol
-    return Field(u.grid, np.fft.irfftn(spec, s=u.grid.shape, axes=range(u.grid.dim)))
+    return Field(u.grid, _irfftn(spec, u.grid.dim))
 
 
 def laplacian(u: Field) -> Field:
-    k2, _ = _spectral_tables(u.grid)
+    k2, _, _ = _spectral_tables(u.grid)
     return _apply_symbol(u, -k2)
 
 
 def bilaplacian(u: Field) -> Field:
-    k2, _ = _spectral_tables(u.grid)
-    return _apply_symbol(u, k2 * k2)
+    _, k4, _ = _spectral_tables(u.grid)
+    return _apply_symbol(u, k4)
 
 
 def forward_operator(u: Field, a: float, b: float, w: float) -> Field:
     """(a*lap^2 - b*lap + w) u as a diagonal Fourier multiplier."""
-    k2, _ = _spectral_tables(u.grid)
+    k2, _, _ = _spectral_tables(u.grid)
     return _apply_symbol(u, a * k2 * k2 + b * k2 + w)
 
 
@@ -222,7 +267,7 @@ def inverse_operator(u: Field, a: float, b: float, w: float) -> Field:
         raise ValueError(f"operator coefficients must be nonnegative, got a={a}, b={b}")
     if not w > 0:
         raise SingularOperatorError(f"zero-order coefficient must be positive, got w={w}")
-    k2, _ = _spectral_tables(u.grid)
+    k2, _, _ = _spectral_tables(u.grid)
     return _apply_symbol(u, 1.0 / (a * k2 * k2 + b * k2 + w))
 
 
@@ -235,7 +280,7 @@ def shift_field(u: Field, shifts) -> Field:
     """
     g = u.grid
     m = g.points_per_axis
-    spec = np.fft.rfftn(u.samples)
+    spec = _rfftn(u.samples, g.dim)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=np.float64))
     if shifts.size != g.dim:
         raise ValueError(f"need {g.dim} shift components, got {shifts.size}")
@@ -250,7 +295,7 @@ def shift_field(u: Field, shifts) -> Field:
         nyq = k.size - 1 if axis == g.dim - 1 else m // 2
         phase[nyq] = np.cos(k[nyq] * s)
         spec = spec * phase.reshape((1,) * axis + (-1,) + (1,) * (g.dim - 1 - axis))
-    return Field(g, np.fft.irfftn(spec, s=g.shape, axes=range(g.dim)))
+    return Field(g, _irfftn(spec, g.dim))
 
 
 def mass_centroid_indices(u: Field) -> np.ndarray:
@@ -295,7 +340,7 @@ def boundary_amplitude_ratio(u) -> float:
     Takes a Field or a bare samples array, which iteration loops pass uncopied.
     """
     samples = u.samples if isinstance(u, Field) else u
-    peak = float(np.max(np.abs(samples)))
+    peak = max(float(np.max(samples)), -float(np.min(samples)))  # max |u|, with no |u| array
     if peak == 0.0:
         return 0.0
     edge = 0.0
@@ -311,8 +356,8 @@ def spectral_tail_ratio(u: Field) -> float:
     The grid's counterpart of :func:`boundary_amplitude_ratio`: the Fourier
     coefficients of a resolved field decay to roundoff before the Nyquist.
     """
-    k2, _ = _spectral_tables(u.grid)
-    amplitude = np.abs(np.fft.rfftn(u.samples))
+    k2, _, _ = _spectral_tables(u.grid)
+    amplitude = np.abs(_rfftn(u.samples, u.grid.dim))
     peak = float(np.max(amplitude))
     if peak == 0.0:
         return 0.0

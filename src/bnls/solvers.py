@@ -55,6 +55,8 @@ from .grid import (
     BoxGrid,
     Field,
     NormTuple,
+    _irfftn,
+    _rfftn,
     _spectral_tables,
     bilaplacian,
     boundary_amplitude_ratio,
@@ -170,11 +172,11 @@ def random_bandlimited(
     """
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(grid.shape)
-    spec = np.fft.rfftn(white)
-    k2, _ = _spectral_tables(grid)
+    spec = _rfftn(white, grid.dim)
+    k2, _, _ = _spectral_tables(grid)
     kc = modes * 2.0 * np.pi / grid.box_length
     spec *= np.exp(-k2 / (kc * kc))
-    smooth = np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
+    smooth = _irfftn(spec, grid.dim)
     r2 = np.zeros(grid.shape)
     for x in grid.coordinates():
         r2 += x * x
@@ -233,53 +235,131 @@ def normalize_to_mass(u: Field, c: float) -> Field:
 # spectral iteration plumbing
 
 
+def _carve(memory: np.ndarray, shape: tuple, start: int = 0) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on the flat array ``memory``, from index ``start``."""
+    return memory[start : start + math.prod(shape)].reshape(shape)
+
+
 class _SpectralIterate:
-    """Iterate kept as an rfftn spectrum on a fixed grid.
+    """Iterate kept as an rfftn spectrum on a fixed grid, with the arrays its sweeps reuse.
 
     Built from a list of fields on one grid, ``spec`` gets a leading batch axis
-    (drop rows by indexing it) and each norm is a (rows, 1, ...) array.
+    (retire rows with :meth:`keep`) and each norm is a (rows, 1, ...) array.
+
+    Besides ``spec`` the iterate owns three spectrum-sized arrays that every
+    sweep overwrites instead of allocating temporaries:
+
+    * ``next``, the spectrum being written next: :meth:`nonlinearity` puts the
+      forward transform there, a sweep turns it into the new iterate in place
+      and :meth:`advance` swaps it with ``spec``;
+    * ``work``, the complex work array of the inverse transform, which between
+      transforms holds one physical-space or residual array (:meth:`scratch`);
+    * a real block holding either the (power, weighted power) pair behind
+      every quadratic norm or the physical field :meth:`physical` writes, so
+      that field lasts only until the next norm.
+
+    Each array is computed with the same ufuncs, in the same order, as the
+    expression it replaces, so results stay bit-identical.
     """
 
     def __init__(self, fields):
         self.batched = not isinstance(fields, Field)
         self.grid = fields[0].grid if self.batched else fields.grid
         self._scale = self.grid.cell_volume / self.grid.size  # Parseval factor
-        self.k2, self._weight = _spectral_tables(self.grid)
+        self.k2, self.k4, self._weight = _spectral_tables(self.grid)
         self._axes = tuple(range(-self.grid.dim, 0))
         samples = np.stack([f.samples for f in fields]) if self.batched else fields.samples
-        self.spec = np.fft.rfftn(samples, axes=self._axes)
+        self.spec = _rfftn(samples, self.grid.dim)
+        self.next = np.empty_like(self.spec)
+        self.work = np.empty_like(self.spec)
+        self._block = np.empty(2 * self.spec.size)
+
+    def advance(self):
+        """Make ``next`` the iterate; the old spectrum's memory is written next."""
+        self.spec, self.next = self.next, self.spec
+
+    def keep(self, rows: np.ndarray):
+        """Retire the batch rows where ``rows`` is False."""
+        self.spec = self.spec[rows]
+        self.next = self.next[: len(self.spec)]
+        self.work = self.work[: len(self.spec)]
+
+    def scratch(self, shape: tuple) -> np.ndarray:
+        """A float array of ``shape``, at most the physical or the spectrum's size, in ``work``."""
+        return _carve(self.work.view(np.float64).reshape(-1), shape)
 
     def physical(self) -> np.ndarray:
-        return np.fft.irfftn(self.spec, s=self.grid.shape, axes=self._axes)
+        """The iterate in physical space, in memory the next norm or transform overwrites."""
+        shape = self.spec.shape[:-1] + (self.grid.points_per_axis,)
+        return _irfftn(self.spec, self.grid.dim, self.work, out=_carve(self._block, shape))
 
     def _sum(self, arr: np.ndarray):
         """Sum over the grid axes: a float, or per row an array that broadcasts on spec."""
         total = np.sum(arr, axis=self._axes, keepdims=self.batched)
         return total if self.batched else float(total)
 
+    def _power_pair(self) -> tuple:
+        shape = self.spec.shape
+        return _carve(self._block, shape), _carve(self._block, shape, self.spec.size)
+
+    def _weighted_power(self, spec: np.ndarray) -> np.ndarray:
+        """weight * (re^2 + im^2) of spec, in the first array of the power pair."""
+        power, other = self._power_pair()
+        np.multiply(spec.real, spec.real, out=power)
+        np.multiply(spec.imag, spec.imag, out=other)
+        power += other
+        power *= self._weight
+        return power
+
     def spec_norm_sq(self, arr: np.ndarray):
         """Parseval ||.||_2^2 of a spectrum on the grid."""
-        return self._scale * self._sum(self._weight * (arr.real**2 + arr.imag**2))
+        return self._scale * self._sum(self._weighted_power(arr))
 
     def quadratic_norms(self, spec: np.ndarray | None = None) -> tuple:
         """(mass, grad, bilap) of the iterate, or of another spectrum on the grid."""
-        spec = self.spec if spec is None else spec
-        power = self._weight * (spec.real**2 + spec.imag**2)
+        power = self._weighted_power(self.spec if spec is None else spec)
+        weighted = self._power_pair()[1]
         mass = self._scale * self._sum(power)
-        grad = self._scale * self._sum(self.k2 * power)
-        bilap = self._scale * self._sum(self.k2 * self.k2 * power)
+        grad = self._scale * self._sum(np.multiply(self.k2, power, out=weighted))
+        bilap = self._scale * self._sum(np.multiply(self.k4, power, out=weighted))
         return mass, grad, bilap
 
+    def symbol(self, a, b, c, out: np.ndarray | None = None) -> np.ndarray:
+        """The Fourier symbol a|k|^4 + b|k|^2 + c, per row in a batch, into ``out`` or a new array.
+
+        Formed as ((a k2) k2 + b k2) + c, with b k2 in the power pair's memory.
+        """
+        out = np.multiply(a, self.k2, out=out)
+        out *= self.k2
+        b_shape = np.broadcast_shapes(np.shape(b), self.k2.shape)
+        out += np.multiply(b, self.k2, out=_carve(self._block, b_shape))
+        out += c
+        return out
+
+    def residual_ratio(self, symbol: np.ndarray, rhs: np.ndarray) -> float:
+        """||symbol * spec - rhs|| / ||rhs|| of a lone iterate, the difference in ``work``."""
+        diff = np.multiply(symbol, self.spec, out=self.work)
+        diff -= rhs
+        return math.sqrt(self.spec_norm_sq(diff) / self.spec_norm_sq(rhs))
+
     def nonlinearity(self, p: float) -> tuple:
-        """(lp, nl_spec) = (||u||_p^p, rfftn(|u|^(p-2) u)) from one irfftn.
+        """(lp, nl_spec) = (||u||_p^p, rfftn(|u|^(p-2) u)) from one irfftn; nl_spec is ``next``.
 
         A lone iterate sums |u|^p for lp, which keeps solves bit-identical to
         their stored references; a batch sums nl * u and saves that pass.
         """
         u = self.physical()
-        nl = np.abs(u) ** (p - 2.0) * u
-        lp = self.grid.cell_volume * self._sum(nl * u if self.batched else np.abs(u) ** p)
-        return lp, np.fft.rfftn(nl, axes=self._axes)
+        nl = self.scratch(u.shape)
+        if not self.batched:  # |u|^p first, in the memory nl takes next
+            np.abs(u, out=nl)
+            nl **= p
+            lp = self.grid.cell_volume * self._sum(nl)
+        np.abs(u, out=nl)
+        nl **= p - 2.0
+        nl *= u
+        if self.batched:
+            lp = self.grid.cell_volume * self._sum(np.multiply(nl, u, out=u))
+        return lp, _rfftn(nl, self.grid.dim, out=self.next)
 
     def field(self) -> Field:
         return Field(self.grid, self.physical())
@@ -386,7 +466,9 @@ def petviashvili(
     state, res, iters, warn, _sweep = _petviashvili_state(
         params, grid, config, residual_trace=residual_trace
     )
-    return _finish(state.field(), params, iters, "petviashvili", res, warn)
+    u = state.field()
+    del state, _sweep  # their buffers would otherwise stay live through _finish
+    return _finish(u, params, iters, "petviashvili", res, warn)
 
 
 def _petviashvili_state(
@@ -400,8 +482,9 @@ def _petviashvili_state(
     """Returns (state, residual, iterations, warnings, sweep).
 
     ``sweep`` = ((mass, grad, bilap), lp, nl_spec) is what the last sweep
-    computed for the returned state (``nl_spec`` unfiltered), so a caller
-    measuring that state needs no further transform.
+    computed for the returned state (``nl_spec`` unfiltered, in the state's
+    ``next`` array until its next sweep), so a caller measuring that state
+    needs no further transform.
     """
     omega = params.require_omega()
     if not omega > 0:
@@ -413,8 +496,7 @@ def _petviashvili_state(
     if gamma is None:
         gamma = (p - 1.0) / (p - 2.0)
     state = warm if warm is not None else _SpectralIterate(initial_field(grid, config))
-    k2 = state.k2
-    symbol = params.eps * k2 * k2 + k2 + omega
+    symbol = state.symbol(params.eps, 1.0, omega)
     mass0 = state.quadratic_norms()[0]
     progress = _Progress("petviashvili", config, tol)
     for it in range(1, config.max_iters + 1):
@@ -431,19 +513,20 @@ def _petviashvili_state(
         if lp <= 0:
             raise VanishingError("nonlinearity vanished; iterate collapsed")
         nl_spec = raw_nl * _filter_mask(state) if config.filter else raw_nl
-        res = math.sqrt(
-            state.spec_norm_sq(symbol * state.spec - nl_spec) / state.spec_norm_sq(nl_spec)
-        )
+        res = state.residual_ratio(symbol, nl_spec)
         progress.update(it, res)
         if residual_trace is not None:
             residual_trace.append(res)
         if res <= tol:
             return state, res, it, progress.warnings(), ((mass, grad, bilap), lp, raw_nl)
         stabilizer = (params.eps * bilap + grad + omega * mass) / lp
-        new_spec = stabilizer**gamma * (nl_spec / symbol)
+        new_spec = np.divide(nl_spec, symbol, out=state.next)
+        new_spec *= stabilizer**gamma
         if config.relaxation < 1.0:
-            new_spec = (1.0 - config.relaxation) * state.spec + config.relaxation * new_spec
-        state.spec = new_spec
+            new_spec *= config.relaxation
+            state.spec *= 1.0 - config.relaxation
+            new_spec += state.spec
+        state.advance()
     progress.exhausted()
 
 
@@ -457,23 +540,23 @@ def _el_residual_spectral(state: _SpectralIterate, params: Params, sweep: tuple)
     (alpha/bilap) lap^2 u - (beta/grad) lap u + ((p-2)/mass) u = (p/lp) |u|^(p-2) u
     is exactly invariant under amplitude/box rescaling, so this equals the
     residual of the unit-normalized optimizer candidate.  ``sweep`` is what
-    the inner solve computed for ``state`` (see ``_petviashvili_state``).
+    the inner solve computed for ``state`` (see ``_petviashvili_state``); its
+    ``nl_spec`` is scaled in place.
     """
     ep = params.exponents()
     p = params.p
     (mass, grad, bilap), lp, nl_spec = sweep
     if lp <= 0 or grad <= 0 or bilap <= 0:
         raise VanishingError("degenerate iterate in quotient residual")
-    k2 = state.k2
-    symbol = (ep.alpha / bilap) * k2 * k2 + (ep.beta / grad) * k2 + (p - 2.0) / mass
-    rhs = (p / lp) * nl_spec
-    return math.sqrt(state.spec_norm_sq(symbol * state.spec - rhs) / state.spec_norm_sq(rhs))
+    symbol = state.symbol(ep.alpha / bilap, ep.beta / grad, (p - 2.0) / mass)
+    nl_spec *= p / lp
+    return state.residual_ratio(symbol, nl_spec)
 
 
 def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tuple:
     """Shoot on omega until the fixed-omega ground state is the optimizer.
 
-    Returns (state, residual, total inner iterations); the state is the
+    Returns (field, residual, total inner iterations); the field is the
     converged fixed-omega solution whose exact rescalings are the optimizer
     and the constructed critical-mass state.
 
@@ -538,7 +621,7 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
     for _ in range(120):
         if el <= config.tol_residual:
             if inner_res <= inner_floor:
-                return state, el, total
+                return state.field(), el, total
             solve(omega_at, inner_floor)  # the polish
             el_history.append(el)
             continue
@@ -589,9 +672,11 @@ def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
     returned state's residual.  A pipeline solves once here and derives the
     rest: ``compute_constants`` and the ``K_numeric`` seed take the result.
     """
-    state, res, iters = _weinstein_state(params, grid, config)
-    v = lambda_normalize(state.field())
+    u, res, iters = _weinstein_state(params, grid, config)
+    v = lambda_normalize(u)
+    del u  # each rescaling step holds one field, not the whole chain
     q_field, omega = construct_Q(v, params)
+    del v
     if not (math.isfinite(omega) and omega > 0):
         raise DivergenceError(f"constructed frequency {omega} is not positive", last_residual=res)
     return _finish(q_field, params, iters, "weinstein_Q", res)
@@ -619,16 +704,37 @@ def mass_constrained_flow(
     """
     c = params.require_mass()
     _require_field_grid(params, grid)
+    u, iters, rel, warn = _mass_flow_state(params, grid, config, c, energy_trace)
+    return _finish(u, params, iters, "mass_flow", rel, warn)
+
+
+def _mass_flow_state(
+    params: Params, grid: BoxGrid, config: SolverConfig, c: float, energy_trace: list | None
+) -> tuple:
+    """The descent loop of :func:`mass_constrained_flow`: (field, iterations, residual, warnings).
+
+    The line-search trial is written into the iterate's ``next`` array and
+    becomes the iterate by :meth:`_SpectralIterate.advance`; its physical field
+    and the accepted one trade places between ``trial_phys`` and ``u_phys``.
+    """
     p = params.p
     state = _SpectralIterate(normalize_to_mass(initial_field(grid, config), c))
     k2 = state.k2
     vol = grid.cell_volume
+    d_spec = np.empty_like(state.spec)
+
+    def symbol(sigma):
+        return state.symbol(params.eps, 1.0, sigma, out=state.scratch(k2.shape))
 
     def energy_parts(spec, phys):
         _, grad, bilap = state.quadratic_norms(spec)
-        return grad, bilap, vol * float(np.sum(np.abs(phys) ** p))
+        powered = state.scratch(phys.shape)
+        np.abs(phys, out=powered)
+        powered **= p
+        return grad, bilap, vol * float(np.sum(powered))
 
-    u_phys = state.physical()
+    u_phys = state.physical().copy()  # the norms below overwrite physical()'s array
+    trial_phys = np.empty_like(u_phys)
     grad, bilap, lp = energy_parts(state.spec, u_phys)
     e_now = 0.5 * params.eps * bilap + 0.5 * grad - lp / p
     if energy_trace is not None:
@@ -637,32 +743,43 @@ def mass_constrained_flow(
     progress = _Progress("mass flow", config, config.tol_residual)
     for it in range(1, config.max_iters + 1):
         omega_k = (lp - params.eps * bilap - grad) / c
-        nl_spec = np.fft.rfftn(np.abs(u_phys) ** (p - 2.0) * u_phys)
+        nl = state.scratch(u_phys.shape)
+        np.abs(u_phys, out=nl)
+        nl **= p - 2.0
+        nl *= u_phys
+        nl_spec = _rfftn(nl, grid.dim, out=state.next)
         if config.filter:
             nl_spec *= _filter_mask(state)
-        r_spec = (params.eps * k2 * k2 + k2 + omega_k) * state.spec - nl_spec
+        sym = symbol(omega_k)
+        r_spec = np.multiply(sym, state.spec, out=d_spec)
+        r_spec -= nl_spec
         scale_q = params.eps * bilap + grad + abs(omega_k) * c
         rel = math.sqrt(state.spec_norm_sq(r_spec) * c) / scale_q
         progress.update(it, rel)
         if rel <= config.tol_residual:
-            return _finish(state.field(), params, it, "mass_flow", rel, progress.warnings())
-        d_spec = r_spec / (params.eps * k2 * k2 + k2 + max(omega_k, 1e-2))
+            warn = progress.warnings()
+            break
+        if omega_k < 1e-2:
+            sym = symbol(1e-2)
+        d_spec /= sym
         accepted = False
         for _ in range(60):
-            trial = state.spec - tau * d_spec
-            trial_phys = np.fft.irfftn(trial, s=state.grid.shape, axes=range(state.grid.dim))
-            m_t = vol * float(np.sum(trial_phys**2))
+            trial = np.multiply(tau, d_spec, out=state.next)
+            np.subtract(state.spec, trial, out=trial)
+            _irfftn(trial, grid.dim, state.work, out=trial_phys)
+            squares = state.scratch(trial_phys.shape)
+            m_t = vol * float(np.sum(np.multiply(trial_phys, trial_phys, out=squares)))
             if m_t <= 0:
                 tau *= 0.5
                 continue
             amp = math.sqrt(c / m_t)
-            trial = amp * trial
-            trial_phys = amp * trial_phys
+            trial *= amp
+            trial_phys *= amp
             t_grad, t_bilap, t_lp = energy_parts(trial, trial_phys)
             e_t = 0.5 * params.eps * t_bilap + 0.5 * t_grad - t_lp / p
             if e_t <= e_now:
-                state.spec = trial
-                u_phys = trial_phys
+                state.advance()
+                u_phys, trial_phys = trial_phys, u_phys
                 grad, bilap, lp = t_grad, t_bilap, t_lp
                 e_now = e_t
                 if energy_trace is not None:
@@ -673,30 +790,19 @@ def mass_constrained_flow(
             tau *= 0.5
         spread = boundary_amplitude_ratio(u_phys)
         if spread > 1e-2:
-            return _finish(
-                state.field(),
-                params,
-                it,
-                "mass_flow",
-                rel,
-                progress.warnings()
-                + (
-                    "no-minimizer outcome: iterate is spreading toward the box "
-                    f"boundary (boundary ratio {spread:.2e}); the constrained "
-                    "infimum appears not to be attained at this mass",
-                ),
+            warn = progress.warnings() + (
+                "no-minimizer outcome: iterate is spreading toward the box "
+                f"boundary (boundary ratio {spread:.2e}); the constrained "
+                "infimum appears not to be attained at this mass",
             )
+            break
         if not accepted:
-            return _finish(
-                state.field(),
-                params,
-                it,
-                "mass_flow",
-                rel,
-                progress.warnings()
-                + (
-                    f"energy descent stalled at relative residual {rel:.2e} "
-                    f"(tolerance {config.tol_residual:.1e})",
-                ),
+            warn = progress.warnings() + (
+                f"energy descent stalled at relative residual {rel:.2e} "
+                f"(tolerance {config.tol_residual:.1e})",
             )
-    progress.exhausted()
+            break
+    else:
+        progress.exhausted()
+    del u_phys, trial_phys, d_spec  # free them before the field is copied out
+    return state.field(), it, rel, warn

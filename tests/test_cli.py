@@ -123,6 +123,25 @@ class TestGroundStateCommand:
         assert code == 0
         assert "mass=" in out
 
+    def test_loaded_state_gets_no_eps_notice(self, tmp_path, capsys, caplog):
+        import logging
+
+        code, _, _ = run(
+            capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "1",
+            *FAST, "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        path = str(tmp_path / "ground_state_critical_mass.bnls")
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="bnls"):
+            assert run(capsys, "ground-state", "--load", path)[0] == 0
+            code, _, _ = run(
+                capsys, "verify", "--energy-state", path, *FAST, "--samples", "20",
+                "--skip-k-numeric", "--out-dir", str(tmp_path),
+            )
+        assert code == 0
+        assert not any("defaulting to eps" in r.message for r in caplog.records)
+
     def test_load_corrupted_magic_exit_2_with_offset(self, tmp_path, capsys):
         path = tmp_path / "bad.bnls"
         good = struct.pack("<4sIIId", b"BNLS", 1, 1, 32, 1.0) + b"\x00" * (32 * 8)

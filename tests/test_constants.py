@@ -153,18 +153,26 @@ class TestKAscent:
 
     def test_transform_budget_and_sharpness(self, params, grid, config, q_state,
                                              constants_report, monkeypatch):
-        calls = []
-        for name in ("rfftn", "irfftn"):
-            original = getattr(np.fft, name)
+        import bnls.grid
+        import bnls.solvers
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
+        calls = {"kernel": 0, "numpy n-dimensional": 0}
+        patches = [(module, name, "kernel") for module in (bnls.grid, bnls.solvers)
+                   for name in ("_rfftn", "_irfftn")]
+        patches += [(np.fft, name, "numpy n-dimensional") for name in ("rfftn", "irfftn")]
+        for module, name, kind in patches:
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _kind=kind, **kwargs):
+                calls[_kind] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(module, name, counted)
         k = K_numeric(params, grid, config, q_state.field)
-        # nine starts run to stagnation as one batch, not 400 sweeps each
-        assert len(calls) <= 400
+        # nine starts run to stagnation as one batch, not 400 sweeps each; every
+        # transform goes through the grid module's pair
+        assert 0 < calls["kernel"] <= 400
+        assert calls["numpy n-dimensional"] == 0
         assert abs(k / constants_report.K - 1.0) <= 1e-14
 
     def test_bit_identical_at_any_thread_count(self, params, grid, config, q_state, monkeypatch):

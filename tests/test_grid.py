@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnls import grid as grid_module
 from bnls.errors import InvalidFieldError, SingularOperatorError
@@ -148,6 +150,39 @@ class TestNorms:
         for u in rng_fields(g, 500, seed=2000):
             mass, grad, bilap = quadratic_norms(u)
             assert grad**2 <= mass * bilap * (1 + 1e-12)
+
+
+class TestTransformPair:
+    """grid._rfftn/_irfftn, the one transform path: bit-equal to numpy's n-dimensional pair."""
+
+    @given(
+        dim=st.integers(1, 3),
+        batch=st.sampled_from([(), (1,), (3,)]),
+        m=st.sampled_from([2, 6, 8, 32]),
+        supplied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_numpy_and_inputs_untouched(self, dim, batch, m, supplied, seed):
+        x = np.random.default_rng(seed).standard_normal(batch + (m,) * dim)
+        x_before = x.copy()
+        axes = tuple(range(-dim, 0))
+        spec_shape = x.shape[:-1] + (m // 2 + 1,)
+        out = np.empty(spec_shape, dtype=complex) if supplied else None
+        spec = grid_module._rfftn(x, dim, out=out)
+        assert spec.tobytes() == np.fft.rfftn(x, axes=axes).tobytes()
+        assert x.tobytes() == x_before.tobytes()
+        assert out is None or spec is out
+
+        spec_before = spec.copy()
+        work = np.empty_like(spec) if supplied else None
+        real = np.empty(x.shape) if supplied else None
+        back = grid_module._irfftn(spec, dim, work, out=real)
+        expected = np.fft.irfftn(spec_before, s=(m,) * dim, axes=axes)
+        assert back.shape == x.shape
+        assert back.tobytes() == expected.tobytes()
+        assert spec.tobytes() == spec_before.tobytes()
+        assert real is None or back is real
 
 
 class TestOperators:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,33 @@ class TestMassFlow:
         assert any("no-minimizer" in w for w in gs.warnings)
         # the constrained infimum is zero from above at subcritical mass
         assert energy(gs.nt, params) > -1e-8
+
+
+class TestMemoryBudget:
+    """The spectral kernel reuses its arrays: peak traced memory stays at or below its
+    level before the in-place transforms and iterate buffers (numpy 2.4, bytes)."""
+
+    SOLVE_PEAK = 2_041_795
+    FLOW_PEAK = 3_142_354
+
+    def test_3d_route_q_and_mass_flow(self):
+        from bnls.grid import _spectral_tables
+
+        params = Params(bigN=3, p=4.0, eps=1.0)
+        grid = BoxGrid(3, 32, 20.0)
+        config = SolverConfig(tol_residual=1e-6)
+        _spectral_tables.cache_clear()  # count the tables, as a fresh process would
+        tracemalloc.start()
+        try:
+            q = route_Q(params, grid, config)
+            _, solve_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            mass_constrained_flow(params.with_mass(2.0 * q.nt.mass), grid, config)
+            _, flow_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solve_peak <= self.SOLVE_PEAK
+        assert flow_peak <= self.FLOW_PEAK
 
 
 class TestGroundStateSidecar:
