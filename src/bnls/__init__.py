@@ -11,19 +11,15 @@ from .errors import (
     InvalidFieldError,
     PreconditionError,
     RegimeError,
-    SingularOperatorError,
     VanishingError,
 )
 from .grid import (
     BoxGrid,
-    BoxAdequacyWarning,
     Field,
     NormTuple,
     bilaplacian,
     boundary_amplitude_ratio,
     center_and_align,
-    check_box_adequacy,
-    inverse_operator,
     laplacian,
     norms,
     regrid,
@@ -60,6 +56,7 @@ from .solvers import (
     pde_residual,
     petviashvili,
     random_bandlimited,
+    random_bandlimited_blocks,
     route_Q,
 )
 from .constants import (

@@ -27,7 +27,7 @@ from .errors import DegenerateQuotientError, RegimeError
 from .functionals import Params, weinstein
 from .grid import BoxGrid, Field, norms
 from .scalings import lambda_normalize
-from .solvers import GroundState, SolverConfig, _SpectralIterate, random_bandlimited
+from .solvers import GroundState, SolverConfig, _SpectralIterate, random_bandlimited_blocks
 
 STAGNATION_RTOL = 1e-12
 STAGNATION_WINDOW = 10
@@ -177,9 +177,10 @@ def K_numeric(
     params.exponents()
     if not seed_field.samples.any():
         raise DegenerateQuotientError("the quotient is undefined at the zero seed field")
+    seeds = [config.seed + 101 * (k + 1) for k in range(n_starts)]
     starts = [Field(grid, seed_field.samples)]
-    for k in range(n_starts):
-        starts.append(random_bandlimited(grid, config.seed + 101 * (k + 1)))
+    for block in random_bandlimited_blocks(grid, seeds):
+        starts += [Field(grid, row) for row in block]
     state = _SpectralIterate(starts)
     best = 0.0
     recent = np.full((len(starts), STAGNATION_WINDOW), np.inf)  # each row's last quotients

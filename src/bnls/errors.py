@@ -9,10 +9,6 @@ class InvalidFieldError(BnlsError, ValueError):
     """Field samples are non-finite or inconsistent with their grid."""
 
 
-class SingularOperatorError(BnlsError, ValueError):
-    """A Fourier-multiplier inverse was requested with a symbol that can vanish."""
-
-
 class RegimeError(BnlsError, ValueError):
     """Parameters fall outside the admissible exponent window."""
 

@@ -1,8 +1,8 @@
 """Uniform periodic grids, spectral operators, and the norms behind every functional.
 
 The box [-L/2, L/2)^d is the computational stand-in for all of R^d: fields of
-interest decay fast enough that the periodic wrap is negligible, and a warning
-is raised when it is not (see :func:`check_box_adequacy`).
+interest decay fast enough that the periodic wrap is negligible, and a solve
+records a warning when it is not (see :func:`boundary_amplitude_ratio`).
 
 Transform conventions: the forward real FFT is unnormalized and the inverse
 carries the 1/M^d factor (numpy's default "backward" norm).  Physical-space
@@ -31,24 +31,16 @@ which cost more than the arithmetic on 3D grids.  The ``out=`` argument of
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidFieldError, SingularOperatorError
+from .errors import InvalidFieldError
 
-# Fields whose boundary amplitude exceeds this fraction of their peak are
-# probably feeling the periodic wrap.
-BOUNDARY_WARN_RATIO = 1e-8
-
-# Target rows per block of regrid's dense basis; bounds its temporaries to MiBs.
+# Target rows per block of regrid's basis (and rows of its offset table); bounds
+# its temporaries to MiBs.
 REGRID_BLOCK = 128
-
-
-class BoxAdequacyWarning(UserWarning):
-    """The field has visible amplitude at the box boundary."""
 
 
 @dataclass(frozen=True)
@@ -202,38 +194,50 @@ def _irfftn(
     return np.fft.irfft(src, n=2 * (spec.shape[-1] - 1), axis=-1, out=out)
 
 
+def norm_sums(grid: BoxGrid, samples: np.ndarray, exponents=()) -> tuple:
+    """(mass, grad, bilap, *power sums) over the last ``grid.dim`` axes of samples.
+
+    ``samples`` is one field's array or a (rows, *grid.shape) block; each
+    entry is then a 0-d or a per-row array.  mass and the power sums
+    h^d sum |u|^q, one per q in ``exponents``, are physical-space quadrature;
+    grad and bilap are spectral sums with the |k|^2 and |k|^4 multipliers.
+    A row's sums are bit-equal to those of its field alone.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    vol = grid.cell_volume
+    mass = vol * np.sum(samples * samples, axis=axes)
+    k2, k4, weight = _spectral_tables(grid)
+    spec = _rfftn(samples, grid.dim)
+    power = np.square(spec.real)  # weight * (re^2 + im^2), in two arrays
+    other = np.square(spec.imag)
+    del spec
+    power += other
+    power *= weight
+    scale = vol / grid.size
+    grad = scale * np.sum(np.multiply(k2, power, out=other), axis=axes)
+    bilap = scale * np.sum(np.multiply(k4, power, out=other), axis=axes)
+    del power, other
+    sums = [mass, grad, bilap]
+    if exponents:
+        mag = np.empty_like(samples)
+        for q in exponents:
+            np.abs(samples, out=mag)
+            mag **= q  # the same power path as |u| ** q
+            sums.append(vol * np.sum(mag, axis=axes))
+    return tuple(sums)
+
+
 def quadratic_norms(u: Field) -> tuple:
     """(mass, grad, bilap) of a field; the p-independent part of :func:`norms`."""
-    g = u.grid
-    mass = g.cell_volume * float(np.sum(u.samples * u.samples))
-    k2, k4, weight = _spectral_tables(g)
-    spec = _rfftn(u.samples, g.dim)
-    power = weight * (spec.real**2 + spec.imag**2)
-    scale = g.cell_volume / g.size
-    grad = scale * float(np.sum(k2 * power))
-    bilap = scale * float(np.sum(k4 * power))
-    return mass, grad, bilap
+    return tuple(float(s) for s in norm_sums(u.grid, u.samples))
 
 
 def norms(u: Field, p: float) -> NormTuple:
-    """All four norms of a field at exponent p > 2.
-
-    mass and lp are physical-space quadrature; grad and bilap are spectral
-    sums with the |k|^2 and |k|^4 multipliers.
-    """
+    """All four norms of a field at exponent p > 2 (see :func:`norm_sums`)."""
     if not p > 2:
         raise ValueError(f"norms requires p > 2, got {p}")
-    mass, grad, bilap = quadratic_norms(u)
-    lp = u.grid.cell_volume * float(np.sum(np.abs(u.samples) ** p))
+    mass, grad, bilap, lp = (float(s) for s in norm_sums(u.grid, u.samples, (p,)))
     return NormTuple(mass=mass, grad=grad, bilap=bilap, lp=lp, p=float(p))
-
-
-def spectral_mass(u: Field) -> float:
-    """||u||_2^2 evaluated on the Fourier side; equals the quadrature mass."""
-    g = u.grid
-    _, _, weight = _spectral_tables(g)
-    spec = _rfftn(u.samples, g.dim)
-    return g.cell_volume / g.size * float(np.sum(weight * (spec.real**2 + spec.imag**2)))
 
 
 def _apply_symbol(u: Field, symbol: np.ndarray) -> Field:
@@ -250,25 +254,6 @@ def laplacian(u: Field) -> Field:
 def bilaplacian(u: Field) -> Field:
     _, k4, _ = _spectral_tables(u.grid)
     return _apply_symbol(u, k4)
-
-
-def forward_operator(u: Field, a: float, b: float, w: float) -> Field:
-    """(a*lap^2 - b*lap + w) u as a diagonal Fourier multiplier."""
-    k2, _, _ = _spectral_tables(u.grid)
-    return _apply_symbol(u, a * k2 * k2 + b * k2 + w)
-
-
-def inverse_operator(u: Field, a: float, b: float, w: float) -> Field:
-    """Solve (a*lap^2 - b*lap + w) v = u exactly in Fourier space.
-
-    Requires w > 0 so the symbol a|k|^4 + b|k|^2 + w is bounded below by w.
-    """
-    if a < 0 or b < 0:
-        raise ValueError(f"operator coefficients must be nonnegative, got a={a}, b={b}")
-    if not w > 0:
-        raise SingularOperatorError(f"zero-order coefficient must be positive, got w={w}")
-    k2, _, _ = _spectral_tables(u.grid)
-    return _apply_symbol(u, 1.0 / (a * k2 * k2 + b * k2 + w))
 
 
 def shift_field(u: Field, shifts) -> Field:
@@ -364,19 +349,6 @@ def spectral_tail_ratio(u: Field) -> float:
     return float(np.max(amplitude[k2 > (0.9 * u.grid.k_max()) ** 2])) / peak
 
 
-def check_box_adequacy(u: Field, warn_ratio: float = BOUNDARY_WARN_RATIO) -> float:
-    """Warn when the field does not decay into the box boundary; returns the ratio."""
-    ratio = boundary_amplitude_ratio(u)
-    if ratio > warn_ratio:
-        warnings.warn(
-            f"boundary amplitude is {ratio:.2e} of the peak (threshold {warn_ratio:.0e}); "
-            "the box may be too small for this state",
-            BoxAdequacyWarning,
-            stacklevel=2,
-        )
-    return ratio
-
-
 def regrid(u: Field, target: BoxGrid) -> Field:
     """Evaluate the periodic trigonometric interpolant of u on another grid.
 
@@ -393,15 +365,21 @@ def regrid(u: Field, target: BoxGrid) -> Field:
     m = g.points_per_axis
     k = 2.0 * np.pi * np.fft.fftfreq(m, d=g.spacing)
     x = target.axis_coordinates() + u.grid.box_length / 2.0
+    # The targets are uniform, exp(i k x_j) = exp(i k x_lo) exp(i k (j - lo) h),
+    # so a block's basis is one exponential row times this offset table.  The
+    # contraction is einsum's own loop, not a threaded BLAS product, whose
+    # worker threads keep spinning on a CPU after each call.
+    offsets = np.exp(1j * np.outer(target.spacing * np.arange(min(REGRID_BLOCK, x.size)), k))
+    memory = np.empty_like(offsets)  # every block's basis, written in place
     out = np.fft.fftn(u.samples) / g.size
     for axis in range(g.dim):
         src = np.ascontiguousarray(np.moveaxis(out, axis, 0))
         out = np.empty((x.size,) + src.shape[1:], dtype=complex)
         for lo in range(0, x.size, REGRID_BLOCK):
             xb = x[lo : lo + REGRID_BLOCK]
-            basis = np.exp(1j * np.outer(xb, k))
+            basis = np.multiply(np.exp(1j * x[lo] * k), offsets[: xb.size], out=memory[: xb.size])
             basis[:, m // 2] = np.cos(k[m // 2] * xb)
-            out[lo : lo + REGRID_BLOCK] = np.tensordot(basis, src, axes=1)
+            out[lo : lo + REGRID_BLOCK] = np.einsum("ij,j...->i...", basis, src)
         out = np.moveaxis(out, 0, axis)
     return Field(target, out.real)
 

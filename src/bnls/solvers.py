@@ -77,6 +77,9 @@ BURN_IN = 10
 # to FIRST_INNER_TOL.
 INNER_FORCING = 1e-2
 FIRST_INNER_TOL = 1e-4
+# Bytes of samples per block of random_bandlimited_blocks: one block at 256
+# points in 1D, a few rows at 256^2, one row at 256^3.
+SAMPLER_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -152,40 +155,67 @@ class GroundState:
 # initial guesses
 
 
+def _radius_sq(grid: BoxGrid) -> np.ndarray:
+    """|x|^2 on the grid, summed axis by axis from broadcast axis coordinates."""
+    axes = np.meshgrid(*[grid.axis_coordinates()] * grid.dim, indexing="ij", sparse=True)
+    r2 = np.zeros(grid.shape)
+    for x in axes:
+        r2 += x * x
+    return r2
+
+
 def gaussian_bump(grid: BoxGrid, width: float | None = None, amplitude: float = 1.0) -> Field:
     """Centered Gaussian bump; the default initial guess (width L/10)."""
     width = grid.box_length / 10.0 if width is None else width
-    r2 = np.zeros(grid.shape)
-    for x in grid.coordinates():
-        r2 += x * x
-    return Field(grid, amplitude * np.exp(-r2 / (2.0 * width**2)))
+    return Field(grid, amplitude * np.exp(-_radius_sq(grid) / (2.0 * width**2)))
+
+
+def random_bandlimited_blocks(grid: BoxGrid, seeds, modes: int = 20, width_frac: float = 0.125):
+    """Yield the random fields of ``seeds``, in order, as (rows, *grid.shape) blocks.
+
+    Each field is ``default_rng(seed)`` white noise, low-passed by exp(-|k|^2/kc^2)
+    with the cutoff kc at ``modes`` fundamental wavenumbers (the same physical
+    band at any resolution), times a Gaussian envelope of width ``width_frac``
+    L that keeps it well inside the box, and divided by its peak |u|.  The band
+    filter and the envelope are built once per call; a block costs one batched
+    transform pair, and its rows come from the SAMPLER_BLOCK_BYTES budget.
+    """
+    seeds = list(seeds)
+    k2, _, _ = _spectral_tables(grid)
+    kc = modes * 2.0 * np.pi / grid.box_length
+    band = np.negative(k2)  # exp(-k2 / kc^2), written in place
+    band /= kc * kc
+    np.exp(band, out=band)
+    sigma = width_frac * grid.box_length
+    envelope = _radius_sq(grid)  # exp(-r2 / (2 sigma^2)), written in place
+    np.negative(envelope, out=envelope)
+    envelope /= 2.0 * sigma**2
+    np.exp(envelope, out=envelope)
+    axes = tuple(range(-grid.dim, 0))
+    rows = max(1, SAMPLER_BLOCK_BYTES // (8 * grid.size))
+    for lo in range(0, len(seeds), rows):
+        chunk = seeds[lo : lo + rows]
+        block = np.empty((len(chunk),) + grid.shape)
+        for row, seed in zip(block, chunk):
+            np.random.default_rng(seed).standard_normal(out=row)
+        spec = _rfftn(block, grid.dim)
+        spec *= band
+        _irfftn(spec, grid.dim, spec, out=block)  # the complex passes overwrite spec
+        del spec
+        block *= envelope
+        # max |u| per row, with no |u| array
+        top = np.max(block, axis=axes, keepdims=True)
+        peak = np.maximum(top, -np.min(block, axis=axes, keepdims=True))
+        block /= np.where(peak > 0, peak, 1.0)
+        yield block
 
 
 def random_bandlimited(
     grid: BoxGrid, seed: int, modes: int = 20, width_frac: float = 0.125
 ) -> Field:
-    """Seed-deterministic random field: low-pass noise under a Gaussian envelope.
-
-    The cutoff is ``modes`` fundamental wavenumbers, so the band is the same
-    physical one at any resolution, and the envelope keeps the sample
-    localized well inside the box.  Peak amplitude is normalized to 1.
-    """
-    rng = np.random.default_rng(seed)
-    white = rng.standard_normal(grid.shape)
-    spec = _rfftn(white, grid.dim)
-    k2, _, _ = _spectral_tables(grid)
-    kc = modes * 2.0 * np.pi / grid.box_length
-    spec *= np.exp(-k2 / (kc * kc))
-    smooth = _irfftn(spec, grid.dim)
-    r2 = np.zeros(grid.shape)
-    for x in grid.coordinates():
-        r2 += x * x
-    sigma = width_frac * grid.box_length
-    samples = smooth * np.exp(-r2 / (2.0 * sigma**2))
-    peak = np.max(np.abs(samples))
-    if peak > 0:
-        samples = samples / peak
-    return Field(grid, samples)
+    """The one-seed case of :func:`random_bandlimited_blocks`; peak |u| is 1."""
+    (block,) = random_bandlimited_blocks(grid, [seed], modes, width_frac)
+    return Field(grid, block[0])
 
 
 def initial_field(grid: BoxGrid, config: SolverConfig) -> Field:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,26 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnls import grid as grid_module
-from bnls.errors import InvalidFieldError, SingularOperatorError
+from bnls.errors import InvalidFieldError
+from bnls.functionals import Params
 from bnls.grid import (
-    BoxAdequacyWarning,
     BoxGrid,
     Field,
     bilaplacian,
     boundary_amplitude_ratio,
     center_and_align,
-    check_box_adequacy,
-    forward_operator,
-    inverse_operator,
     laplacian,
     norms,
     quadratic_norms,
     regrid,
     relative_l2_distance,
     shift_field,
-    spectral_mass,
 )
-from bnls.solvers import random_bandlimited
+from bnls.solvers import _finish, _SpectralIterate, random_bandlimited
 
 from conftest import rng_fields
 
@@ -141,9 +136,15 @@ class TestNorms:
         assert nt.bilap == pytest.approx(k**4 * nt.mass, rel=1e-12)
 
     def test_parseval_consistency(self):
+        # the iterate's spectral mass equals the quadrature mass, one field or a batch
         g = BoxGrid(1, 64, 40.0)
-        for u in rng_fields(g, 50, seed=100):
-            assert spectral_mass(u) == pytest.approx(norms(u, 4.0).mass, rel=1e-12)
+        fields = rng_fields(g, 50, seed=100)
+        batch = _SpectralIterate(fields)
+        masses = batch.spec_norm_sq(batch.spec).ravel()
+        for u, batch_mass in zip(fields, masses):
+            lone = _SpectralIterate(u)
+            assert lone.spec_norm_sq(lone.spec) == pytest.approx(norms(u, 4.0).mass, rel=1e-12)
+            assert batch_mass == pytest.approx(norms(u, 4.0).mass, rel=1e-12)
 
     def test_interpolation_inequality_500_fields(self):
         g = BoxGrid(1, 64, 40.0)
@@ -207,28 +208,6 @@ class TestOperators:
     def test_bilaplacian_constant_is_zero(self):
         out = bilaplacian(Field(GRID, np.full(256, 2.5)))
         assert np.max(np.abs(out.samples)) < 1e-12
-
-    def test_inverse_operator_sine(self):
-        # symbol at |k| = 1 with a = b = w = 1 is 3
-        u = sine(1)
-        out = inverse_operator(u, a=1.0, b=1.0, w=1.0)
-        np.testing.assert_allclose(out.samples, u.samples / 3.0, rtol=1e-12, atol=1e-14)
-
-    def test_inverse_of_forward_roundtrip(self):
-        u = random_bandlimited(BoxGrid(1, 256, 40.0), seed=5)
-        fwd = forward_operator(u, a=0.3, b=1.7, w=2.2)
-        back = inverse_operator(fwd, a=0.3, b=1.7, w=2.2)
-        np.testing.assert_allclose(back.samples, u.samples, rtol=1e-12, atol=1e-13)
-
-    def test_inverse_rejects_nonpositive_w(self):
-        with pytest.raises(SingularOperatorError):
-            inverse_operator(sine(), a=1.0, b=1.0, w=0.0)
-        with pytest.raises(SingularOperatorError):
-            inverse_operator(sine(), a=1.0, b=1.0, w=-1.0)
-
-    def test_inverse_rejects_negative_coefficients(self):
-        with pytest.raises(ValueError):
-            inverse_operator(sine(), a=-1.0, b=0.0, w=1.0)
 
 
 class TestCenterAndAlign:
@@ -318,6 +297,13 @@ class TestRegrid:
         assert out.grid == target
         np.testing.assert_allclose(out.samples, dense_regrid(u, target), rtol=0, atol=1e-13)
 
+    def test_roundoff_box_matches_dense(self):
+        # route_Q's state sits on a box that differs from the grid's by roundoff
+        source, target = BoxGrid(1, 1024, 40.0), BoxGrid(1, 1024, 40.00000000104746)
+        u = random_bandlimited(source, 7)
+        out = regrid(u, target)
+        np.testing.assert_allclose(out.samples, dense_regrid(u, target), rtol=0, atol=1e-13)
+
     def test_refine_bandlimited_exact(self):
         fine = BoxGrid(1, 512, 2.0 * np.pi)
         out = regrid(sine(3), fine)
@@ -340,15 +326,14 @@ class TestBoxAdequacy:
     def test_ratio_of_centered_bump_small(self):
         assert boundary_amplitude_ratio(bump(width=2.0)) < 1e-8
 
+    # a solve's state records the boundary warning
     def test_warning_raised_for_wide_field(self):
-        wide = bump(width=15.0)
-        with pytest.warns(BoxAdequacyWarning):
-            check_box_adequacy(wide)
+        wide = _finish(bump(width=15.0), Params(bigN=1, p=8.0, eps=1.0), 0, "test", 0.0)
+        assert any(w.startswith("boundary amplitude") for w in wide.warnings)
 
     def test_no_warning_for_narrow_field(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            check_box_adequacy(bump(width=2.0))
+        narrow = _finish(bump(width=2.0), Params(bigN=1, p=8.0, eps=1.0), 0, "test", 0.0)
+        assert not any(w.startswith("boundary amplitude") for w in narrow.warnings)
 
 
 def test_relative_l2_distance():

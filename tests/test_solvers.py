@@ -29,6 +29,7 @@ from bnls.solvers import (
     pde_residual,
     petviashvili,
     random_bandlimited,
+    random_bandlimited_blocks,
     route_Q,
 )
 from bnls.scalings import lambda_normalize
@@ -81,6 +82,52 @@ class TestInitialFields:
         u = gaussian_bump(g)
         assert u.samples[64] == pytest.approx(1.0)
         assert u.samples[64] == u.samples.max()
+
+
+def reference_random_field(grid, seed, modes=20, width_frac=0.125):
+    """The one-field-at-a-time sampler that the batched generator replaced,
+    on numpy's n-dimensional transform pair."""
+    white = np.random.default_rng(seed).standard_normal(grid.shape)
+    axes = tuple(range(grid.dim))
+    spec = np.fft.rfftn(white, axes=axes)
+    k_full = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+    k_half = 2.0 * np.pi * np.fft.rfftfreq(grid.points_per_axis, d=grid.spacing)
+    k2 = np.zeros(spec.shape)
+    for k in np.meshgrid(*([k_full] * (grid.dim - 1) + [k_half]), indexing="ij"):
+        k2 += k * k
+    kc = modes * 2.0 * np.pi / grid.box_length
+    spec *= np.exp(-k2 / (kc * kc))
+    smooth = np.fft.irfftn(spec, s=grid.shape, axes=axes)
+    r2 = np.zeros(grid.shape)
+    for x in grid.coordinates():
+        r2 += x * x
+    sigma = width_frac * grid.box_length
+    samples = smooth * np.exp(-r2 / (2.0 * sigma**2))
+    peak = np.max(np.abs(samples))
+    return samples / peak if peak > 0 else samples
+
+
+class TestSampler:
+    """random_bandlimited_blocks: per-seed fields bit for bit, in blocks from the byte budget."""
+
+    @pytest.mark.parametrize(
+        "grid", [BoxGrid(1, 64, 40.0), BoxGrid(2, 32, 40.0), BoxGrid(3, 32, 20.0)]
+    )
+    def test_blocks_reproduce_each_seed(self, grid, monkeypatch):
+        # a budget of three rows splits seven seeds into 3 + 3 + 1
+        monkeypatch.setattr(bnls.solvers, "SAMPLER_BLOCK_BYTES", 3 * 8 * grid.size)
+        seeds = [5, 6, 7, 8, 40, 41, 1000]
+        blocks = list(random_bandlimited_blocks(grid, seeds))
+        assert [len(b) for b in blocks] == [3, 3, 1]
+        rows = np.concatenate(blocks)
+        for row, seed in zip(rows, seeds):
+            expected = reference_random_field(grid, seed)
+            assert row.tobytes() == expected.tobytes()
+            assert random_bandlimited(grid, seed).samples.tobytes() == expected.tobytes()
+
+    def test_default_budget_takes_desk_samples_in_one_block(self):
+        blocks = list(random_bandlimited_blocks(BoxGrid(1, 256, 40.0), range(500)))
+        assert [b.shape for b in blocks] == [(500, 256)]
 
 
 class TestPetviashvili:

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +175,39 @@ class TestVerifyGnRandom:
         by_name = {c.name: c for c in out.checks}
         assert by_name["gn.degenerate_samples"].skipped
         assert "1 degenerate" in by_name["gn.degenerate_samples"].detail
+
+    def test_fields_list_matches_generated_samples(self, params, full_run):
+        _, states = full_run
+        cr = states["constants"]
+        g = BoxGrid(1, 64, 40.0)
+        generated = verify_gn_random(params, cr.C, cr.K, n_samples=7, seed=30, grid=g)
+        listed = [random_bandlimited(g, 30 + k) for k in range(7)]
+        assert verify_gn_random(params, cr.C, cr.K, fields=listed) == generated
+
+    def test_transform_budget(self, params, full_run, monkeypatch):
+        # the default 500 samples on the 256-point sampler grid cost one batched
+        # transform pair per block for the fields and one transform per block for
+        # their norms; one field at a time took 1000 + 500
+        import bnls.grid
+        import bnls.solvers
+
+        _, states = full_run
+        cr = states["constants"]
+        calls = {bnls.grid: 0, bnls.solvers: 0}
+        for module in calls:
+            for name in ("_rfftn", "_irfftn"):
+                original = getattr(module, name)
+
+                def counted(*args, _original=original, _module=module, **kwargs):
+                    calls[_module] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        out = verify_gn_random(params, cr.C, cr.K)
+        assert out.passed
+        blocks = math.ceil(500 / max(1, bnls.solvers.SAMPLER_BLOCK_BYTES // (8 * 256)))
+        assert 0 < calls[bnls.solvers] <= 2 * blocks
+        assert calls[bnls.solvers] + calls[bnls.grid] <= 3 * blocks
 
     def test_all_degenerate_rejected(self, params, full_run):
         _, states = full_run
