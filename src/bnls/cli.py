@@ -30,7 +30,7 @@ from .errors import (
 )
 from .functionals import Params
 from .grid import BoxGrid, norms
-from .fieldio import file_sha256, read_field, read_sidecar, sidecar_path, write_field
+from .fieldio import read_field, read_sidecar, sidecar_path, write_field
 from .solvers import (
     GroundState,
     SolverConfig,
@@ -125,7 +125,7 @@ def load_state(path) -> GroundState:
     A sidecar that records the field file's sha256 must match it; one written
     before the hash was recorded still loads.
     """
-    field = read_field(path)
+    field, actual = read_field(path, with_sha256=True)
     side_path = sidecar_path(path)
     side = read_sidecar(path) if side_path.exists() else {}
     pdoc = side.get("params", {})
@@ -136,7 +136,7 @@ def load_state(path) -> GroundState:
         raise ConfigurationError(
             f"{path}: the sidecar is absent or lacks params {missing}; only it records (N, p, eps)"
         )
-    recorded, actual = side.get("sha256"), file_sha256(path)
+    recorded = side.get("sha256")
     if recorded is not None and recorded != actual:
         raise ConfigurationError(
             f"{path} does not match its sidecar {side_path}: the sidecar records "
@@ -270,15 +270,8 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _sweep_row(task) -> dict:
-    n, p, eps, cfg = task
-    params = Params(bigN=n, p=p, eps=eps)
-    grid = BoxGrid(dim=n, points_per_axis=int(cfg["points"]), box_length=float(cfg["box"]))
-    solver = SolverConfig(
-        max_iters=int(cfg["max_iters"]),
-        tol_residual=float(cfg["tol_residual"]),
-        seed=int(cfg["seed"]),
-    )
+def _sweep_row(problem) -> dict:
+    params, grid, solver = problem
     from .functionals import nehari_residual, pohozaev, quadratic_scale
 
     gs = route_Q(params, grid, solver)
@@ -294,9 +287,9 @@ def _sweep_row(task) -> dict:
         and abs(gs.nt.mass - report.c_eps) / report.c_eps <= 1e-4
     )
     return {
-        "N": n,
-        "p": p,
-        "eps": eps,
+        "N": params.bigN,
+        "p": params.p,
+        "eps": params.eps,
         "C": report.C,
         "c_eps": report.c_eps,
         "omega": report.omega_eps,
@@ -329,14 +322,12 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     if args.print_config:
         print(json.dumps(cfg, indent=2, sort_keys=True))
-    n = int(cfg["N"])
     p_grid = [float(x) for x in args.p_grid.split(",")] if args.p_grid else [float(cfg["p"])]
     eps_grid = (
         [float(x) for x in args.eps_grid.split(",")] if args.eps_grid else [float(cfg["eps"])]
     )
-    tasks = [(n, p, eps, cfg) for p in p_grid for eps in eps_grid]
-    for _, p, eps, _ in tasks:
-        Params(bigN=n, p=p, eps=eps)  # fail fast on regime violations
+    # every row's problem is built, and checked, before any solve starts
+    tasks = [build_problem(dict(cfg, p=p, eps=eps)) for p in p_grid for eps in eps_grid]
     workers = int(os.environ.get("BNLS_THREADS", "0")) or min(len(tasks), os.cpu_count() or 1)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(_sweep_row, tasks))

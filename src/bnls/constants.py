@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import DegenerateQuotientError, RegimeError
 from .functionals import Params, weinstein
-from .grid import BoxGrid, Field, norms
-from .scalings import lambda_normalize
+from .grid import BoxGrid, Field
 from .solvers import GroundState, SolverConfig, _SpectralIterate, random_bandlimited_blocks
 
 STAGNATION_RTOL = 1e-12
@@ -208,21 +207,24 @@ def K_numeric(
 def compute_constants(q: GroundState, k_numeric: float | None = None) -> ConstantsReport:
     """Assemble the constants chain from the critical-mass state ``q`` of ``route_Q``.
 
-    No solve runs here: ``q`` is an exact rescaling of the quotient optimizer
-    v = lambda_normalize(q.field), which gives C = 1/W_p(v) and v_mass.
-    ``k_numeric`` is the :func:`K_numeric` cross-check, if it was run.
+    No solve or measurement runs here: ``q`` is an exact amplitude and
+    dilation rescaling of the quotient optimizer, and W_p is invariant under
+    both, so C = 1/W_p(q.nt); the optimizer's mass at grad = bilap = 1 is
+    v_mass = mass * bilap / grad^2 of q.nt.  ``k_numeric`` is the
+    :func:`K_numeric` cross-check, if it was run.
     """
     params = q.params
-    nt_v = norms(lambda_normalize(q.field), params.p)
-    c_best = 1.0 / weinstein(nt_v, params)
+    nt = q.nt
+    c_best = 1.0 / weinstein(nt, params)
+    v_mass = nt.mass * nt.bilap / nt.grad**2
     c_eps = c_eps_formula(c_best, params)
     return ConstantsReport(
         C=c_best,
         K=K_from_c_eps(c_eps, params),
         c_eps=c_eps,
         eps_c=eps_c_formula(c_eps, c_best, params),
-        omega_eps=omega_formula(nt_v.mass, params),
-        v_mass=nt_v.mass,
+        omega_eps=omega_formula(v_mass, params),
+        v_mass=v_mass,
         K_numeric=k_numeric,
         provenance={
             "C": "numeric (quotient minimization)",

@@ -54,9 +54,10 @@ def write_field(path, field: Field, sidecar: dict | None = None) -> Path:
     The sidecar also records the field file's ``sha256``, which pairs the two.
     """
     path = Path(path)
-    path.write_bytes(field_to_bytes(field))
+    raw = field_to_bytes(field)
+    path.write_bytes(raw)
     if sidecar is not None:
-        doc = dict(sidecar, sha256=file_sha256(path))
+        doc = dict(sidecar, sha256=hashlib.sha256(raw).hexdigest())
         sidecar_path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -94,8 +95,12 @@ def field_from_bytes(raw: bytes) -> Field:
     return Field(grid, samples)
 
 
-def read_field(path) -> Field:
-    return field_from_bytes(Path(path).read_bytes())
+def read_field(path, with_sha256: bool = False):
+    """The field stored at ``path``; with ``with_sha256``, the pair (field, the
+    file's sha256), both from one read."""
+    raw = Path(path).read_bytes()
+    field = field_from_bytes(raw)
+    return (field, hashlib.sha256(raw).hexdigest()) if with_sha256 else field
 
 
 def read_sidecar(path) -> dict:

@@ -1,7 +1,8 @@
 """Scalar functionals as pure algebra over a NormTuple.
 
-One quadrature pass per field (grid.norms) and everything here is exact
-arithmetic on the four scalars, which is what makes the scaling-law tests
+One measurement per field (grid.norms: Parseval sums for the quadratic norms
+and a quadrature for lp), or exact scaling laws for a rescaled field
+(scalings), and everything here is exact arithmetic on the four scalars, which is what makes the scaling-law tests
 sharp.  Residual-style quantities come with a relative normalization helper
 since all identities involved are homogeneous.
 """

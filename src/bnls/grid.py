@@ -10,9 +10,11 @@ sums are weighted by the cell volume h^d, so Parseval reads
 
     h^d * sum(u**2) == (h^d / M^d) * sum(w * |rfftn(u)|**2)
 
-where w doubles the interior modes of the half-spectrum axis.  The derivative
-seminorms are the same spectral sums weighted by |k|^2 and |k|^4, with the
+where w doubles the interior modes of the half-spectrum axis.  Every
+quadratic norm is such a spectral sum, computed by :func:`_parseval_sums`:
+the mass, and the derivative seminorms weighted by |k|^2 and |k|^4, with the
 full symmetric wavenumber (including Nyquist) entering the even symbols.
+Only ||u||_p^p is a physical-space sum.
 
 Every real transform runs through one pair, :func:`_rfftn` and :func:`_irfftn`.
 They do numpy's n-dimensional real transforms as one-axis passes written in
@@ -88,9 +90,11 @@ class BoxGrid:
         axes = [self.axis_coordinates()] * self.dim
         return np.meshgrid(*axes, indexing="ij")
 
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers 2*pi*wrap(m)/L along one full-spectrum axis."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+    def wavenumbers(self, half: bool = False) -> np.ndarray:
+        """Angular wavenumbers 2*pi*wrap(m)/L along one full-spectrum axis, or
+        along the half-spectrum (last, rfft) axis when ``half``."""
+        freq = np.fft.rfftfreq if half else np.fft.fftfreq
+        return 2.0 * np.pi * freq(self.points_per_axis, d=self.spacing)
 
     def k_max(self) -> float:
         """Magnitude of the per-axis Nyquist wavenumber, pi/h."""
@@ -144,10 +148,8 @@ class NormTuple:
 @lru_cache(maxsize=64)
 def _spectral_tables(grid: BoxGrid):
     """Cached |k|^2 and |k|^4 = k2*k2 arrays and Parseval weights on the rfftn spectrum layout."""
-    m = grid.points_per_axis
-    k_full = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
-    k_half = 2.0 * np.pi * np.fft.rfftfreq(m, d=grid.spacing)
-    axes = [k_full] * (grid.dim - 1) + [k_half]
+    k_half = grid.wavenumbers(half=True)
+    axes = [grid.wavenumbers()] * (grid.dim - 1) + [k_half]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     k2 = np.zeros(np.broadcast_shapes(*(k.shape for k in mesh)))
     for k in mesh:
@@ -194,36 +196,47 @@ def _irfftn(
     return np.fft.irfft(src, n=2 * (spec.shape[-1] - 1), axis=-1, out=out)
 
 
+def _parseval_sums(grid: BoxGrid, spec: np.ndarray, moments: int = 3, pair=None, keepdims=False):
+    """The Parseval sums (mass, grad, bilap)[:moments] of the rfftn spectrum ``spec``.
+
+    Forms weight * |spec|^2 and sums it, times h^d / M^d, over the last
+    ``grid.dim`` axes against 1, |k|^2 and |k|^4.  ``pair``, two real arrays
+    of spec's shape, receives the weighted power and the weighted products
+    (fresh ones when omitted); ``keepdims`` keeps the summed axes, as a batch
+    broadcasting on spec needs.
+    """
+    k2, k4, weight = _spectral_tables(grid)
+    power, other = pair if pair is not None else (np.empty(spec.shape), np.empty(spec.shape))
+    np.multiply(spec.real, spec.real, out=power)  # weight * (re^2 + im^2), in two arrays
+    np.multiply(spec.imag, spec.imag, out=other)
+    power += other
+    power *= weight
+    axes = tuple(range(-grid.dim, 0))
+    scale = grid.cell_volume / grid.size
+    sums = [scale * np.sum(power, axis=axes, keepdims=keepdims)]
+    for table in (k2, k4)[: moments - 1]:
+        weighted = np.multiply(table, power, out=other)
+        sums.append(scale * np.sum(weighted, axis=axes, keepdims=keepdims))
+    return tuple(sums)
+
+
 def norm_sums(grid: BoxGrid, samples: np.ndarray, exponents=()) -> tuple:
     """(mass, grad, bilap, *power sums) over the last ``grid.dim`` axes of samples.
 
     ``samples`` is one field's array or a (rows, *grid.shape) block; each
-    entry is then a 0-d or a per-row array.  mass and the power sums
-    h^d sum |u|^q, one per q in ``exponents``, are physical-space quadrature;
-    grad and bilap are spectral sums with the |k|^2 and |k|^4 multipliers.
-    A row's sums are bit-equal to those of its field alone.
+    entry is then a 0-d or a per-row array.  mass, grad and bilap are the
+    :func:`_parseval_sums` of the spectrum; the power sums h^d sum |u|^q, one
+    per q in ``exponents``, are physical-space quadrature.  A row's sums are
+    bit-equal to those of its field alone.
     """
-    axes = tuple(range(-grid.dim, 0))
-    vol = grid.cell_volume
-    mass = vol * np.sum(samples * samples, axis=axes)
-    k2, k4, weight = _spectral_tables(grid)
-    spec = _rfftn(samples, grid.dim)
-    power = np.square(spec.real)  # weight * (re^2 + im^2), in two arrays
-    other = np.square(spec.imag)
-    del spec
-    power += other
-    power *= weight
-    scale = vol / grid.size
-    grad = scale * np.sum(np.multiply(k2, power, out=other), axis=axes)
-    bilap = scale * np.sum(np.multiply(k4, power, out=other), axis=axes)
-    del power, other
-    sums = [mass, grad, bilap]
+    sums = list(_parseval_sums(grid, _rfftn(samples, grid.dim)))
     if exponents:
+        axes = tuple(range(-grid.dim, 0))
         mag = np.empty_like(samples)
         for q in exponents:
             np.abs(samples, out=mag)
             mag **= q  # the same power path as |u| ** q
-            sums.append(vol * np.sum(mag, axis=axes))
+            sums.append(grid.cell_volume * np.sum(mag, axis=axes))
     return tuple(sums)
 
 
@@ -272,10 +285,7 @@ def shift_field(u: Field, shifts) -> Field:
     for axis, s in enumerate(shifts):
         if s == 0.0:
             continue
-        if axis == g.dim - 1:
-            k = 2.0 * np.pi * np.fft.rfftfreq(m, d=g.spacing)
-        else:
-            k = 2.0 * np.pi * np.fft.fftfreq(m, d=g.spacing)
+        k = g.wavenumbers(half=axis == g.dim - 1)
         phase = np.exp(1j * k * s)
         nyq = k.size - 1 if axis == g.dim - 1 else m // 2
         phase[nyq] = np.cos(k[nyq] * s)
@@ -363,7 +373,7 @@ def regrid(u: Field, target: BoxGrid) -> Field:
         return u
     g = u.grid
     m = g.points_per_axis
-    k = 2.0 * np.pi * np.fft.fftfreq(m, d=g.spacing)
+    k = g.wavenumbers()
     x = target.axis_coordinates() + u.grid.box_length / 2.0
     # The targets are uniform, exp(i k x_j) = exp(i k x_lo) exp(i k (j - lo) h),
     # so a block's basis is one exponential row times this offset table.  The

@@ -2,7 +2,8 @@
 
 Field-level rescaling is grid reinterpretation (change box_length, keep
 samples), which transforms the norms exactly; nothing is ever interpolated
-here.  When two fields must live on one grid afterwards, use grid.regrid.
+here, and a rescaled field's norms come from those laws, not from measuring
+it again.  When two fields must live on one grid afterwards, use grid.regrid.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import BoxGrid, Field, NormTuple, norms, quadratic_norms
+from .grid import BoxGrid, Field, NormTuple, quadratic_norms
 from .functionals import Params
-
-# How far grad and bilap may sit from 1 before construct_Q refuses its input.
-UNIT_NORM_TOL = 1e-6
 
 
 def mass_preserving_scale_laws(nt: NormTuple, t: float, params: Params) -> NormTuple:
@@ -53,13 +51,35 @@ def resample(u: Field, mu: float) -> Field:
     """Realize x -> mu*x by shrinking the box: same samples on box L/mu.
 
     This reinterprets the grid rather than interpolating, so the norm laws
-    mass, lp *= mu^-d and grad *= mu^(2-d), bilap *= mu^(4-d) hold exactly.
+    of :func:`rescale_laws` (with amplitude 1) hold exactly.
     """
     if not mu > 0:
         raise ValueError(f"resample factor must be positive, got {mu}")
     g = u.grid
     new_grid = BoxGrid(dim=g.dim, points_per_axis=g.points_per_axis, box_length=g.box_length / mu)
     return Field(new_grid, u.samples)
+
+
+def rescale_laws(nt: NormTuple, amp: float, mu: float, dim: int) -> NormTuple:
+    """Norms of amp * u(mu x) in dimension dim, as :func:`resample` realizes it:
+    mass *= amp^2 mu^-d, grad *= amp^2 mu^(2-d), bilap *= amp^2 mu^(4-d),
+    lp *= amp^p mu^-d."""
+    a2 = amp * amp
+    return replace(
+        nt,
+        mass=a2 * mu**-dim * nt.mass,
+        grad=a2 * mu ** (2 - dim) * nt.grad,
+        bilap=a2 * mu ** (4 - dim) * nt.bilap,
+        lp=abs(amp) ** nt.p * mu**-dim * nt.lp,
+    )
+
+
+def _unit_scales(grad: float, bilap: float, dim: int) -> tuple:
+    """(L1, L2) with L1 * u(L2 x) at grad = bilap = 1, for u with these norms."""
+    if grad <= 0 or bilap <= 0:
+        raise PreconditionError("cannot normalize a field with vanishing derivative norms")
+    lam1 = grad ** ((dim - 4) / 4.0) / bilap ** ((dim - 2) / 4.0)
+    return lam1, math.sqrt(grad / bilap)
 
 
 def lambda_normalize(v: Field) -> Field:
@@ -69,35 +89,33 @@ def lambda_normalize(v: Field) -> Field:
     L2 = sqrt(grad / bilap); leaves the Weinstein quotient unchanged.
     """
     _, grad, bilap = quadratic_norms(v)
-    if grad <= 0 or bilap <= 0:
-        raise PreconditionError("cannot normalize a field with vanishing derivative norms")
-    n = v.grid.dim
-    lam1 = grad ** ((n - 4) / 4.0) / bilap ** ((n - 2) / 4.0)
-    lam2 = math.sqrt(grad / bilap)
+    lam1, lam2 = _unit_scales(grad, bilap, v.grid.dim)
     out = resample(v, lam2)
     return Field(out.grid, lam1 * out.samples)
 
 
-def construct_Q(v: Field, params: Params) -> tuple:
-    """Scale a unit-normalized optimizer into a solution of the stationary PDE.
+def construct_Q(u: Field, nt: NormTuple, params: Params) -> tuple:
+    """Scale a quotient optimizer u with norms nt into a solution of the stationary PDE.
 
-    Q(x) = lam * v(mu x) with mu = sqrt(alpha/(beta*eps)) and
-    lam = (p*alpha / (beta^2*eps*lp(v)))^(1/(p-2)); returns (Q, omega) where
-    omega = (p-2)*alpha / (beta^2*eps*mass(v)) is the frequency Q solves at.
+    With v = lambda_normalize(u), Q(x) = lam * v(mu x) for mu = sqrt(alpha/(beta*eps))
+    and lam = (p*alpha / (beta^2*eps*lp(v)))^(1/(p-2)), built as one amplitude
+    and box rescale of u.  Returns (Q, norms of Q, omega), the norms by
+    :func:`rescale_laws` and omega = (p-2)*alpha / (beta^2*eps*mass(v)) the
+    frequency Q solves at.
     """
-    nt = norms(v, params.p)
-    if abs(nt.grad - 1.0) > UNIT_NORM_TOL or abs(nt.bilap - 1.0) > UNIT_NORM_TOL:
-        raise PreconditionError(
-            f"construct_Q needs grad = bilap = 1 within {UNIT_NORM_TOL}; "
-            f"got grad = {nt.grad}, bilap = {nt.bilap}"
-        )
+    if not (nt.mass > 0 and nt.lp > 0):
+        raise PreconditionError(f"construct_Q needs positive mass and lp; got {nt}")
+    n = u.grid.dim
+    lam1, lam2 = _unit_scales(nt.grad, nt.bilap, n)
+    nt_v = rescale_laws(nt, lam1, lam2, n)
     ep = params.exponents()
     eps = params.eps
     mu = math.sqrt(ep.alpha / (ep.beta * eps))
-    lam = (params.p * ep.alpha / (ep.beta**2 * eps * nt.lp)) ** (1.0 / (params.p - 2.0))
-    omega = (params.p - 2.0) * ep.alpha / (ep.beta**2 * eps * nt.mass)
-    scaled = resample(v, mu)
-    return Field(scaled.grid, lam * scaled.samples), omega
+    lam = (params.p * ep.alpha / (ep.beta**2 * eps * nt_v.lp)) ** (1.0 / (params.p - 2.0))
+    omega = (params.p - 2.0) * ep.alpha / (ep.beta**2 * eps * nt_v.mass)
+    amp, dilation = lam * lam1, mu * lam2
+    scaled = resample(u, dilation)
+    return Field(scaled.grid, amp * scaled.samples), rescale_laws(nt, amp, dilation, n), omega
 
 
 def t_eps(nt: NormTuple, params: Params) -> float:

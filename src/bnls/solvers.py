@@ -13,11 +13,12 @@ Three routes:
   INNER_FORCING times the last Euler-Lagrange residual (an inexact-Newton
   forcing rule), and once that residual meets the tolerance the last inner
   solve is polished at its omega to the tight inner floor and the residual
-  checked again.  Exact rescalings of the converged state give the unit-norm
-  optimizer and the critical-mass state, from which a pipeline derives all
-  its constants.  (Per-sweep renormalized Euler-Lagrange sweeps were tried
-  first and rejected: the renormalization shrinks the box until the tails
-  wrap, which feeds a slow width instability.)
+  checked again.  The converged state is measured once; one exact rescaling
+  gives the critical-mass state, whose norms follow by the scaling laws, and
+  a pipeline derives all its constants from them.  (Per-sweep renormalized
+  Euler-Lagrange sweeps were tried first and rejected: the renormalization
+  shrinks the box until the tails wrap, which feeds a slow width
+  instability.)
 * ``mass_constrained_flow`` descends the energy on the fixed-mass sphere with
   a preconditioned, multiplier-shifted projected gradient; its fixed points
   are exact critical points and every accepted step is non-increasing in
@@ -41,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,17 +57,16 @@ from .grid import (
     Field,
     NormTuple,
     _irfftn,
+    _parseval_sums,
     _rfftn,
     _spectral_tables,
-    bilaplacian,
     boundary_amplitude_ratio,
-    laplacian,
     norms,
     spectral_tail_ratio,
 )
-from .scalings import construct_Q, lambda_normalize
+from .scalings import construct_Q
 
-INIT_MODES = ("gaussian_bump", "stored_field", "random_bandlimited")
+INIT_MODES = ("gaussian_bump", "random_bandlimited")
 
 # Iterations without a new best residual before a run is declared stalled.
 STALL_WINDOW = 60
@@ -89,7 +89,6 @@ class SolverConfig:
     relaxation: float = 1.0
     seed: int = 0
     init: str = "gaussian_bump"
-    init_field: Field | None = None
     filter: bool = False
     petviashvili_gamma: float | None = None
 
@@ -102,8 +101,6 @@ class SolverConfig:
             raise ConfigurationError(f"relaxation must lie in (0, 1], got {self.relaxation}")
         if self.init not in INIT_MODES:
             raise ConfigurationError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.init == "stored_field" and self.init_field is None:
-            raise ConfigurationError("init = 'stored_field' needs init_field")
 
     def config_hash(self) -> str:
         blob = {
@@ -221,30 +218,21 @@ def random_bandlimited(
 def initial_field(grid: BoxGrid, config: SolverConfig) -> Field:
     if config.init == "gaussian_bump":
         return gaussian_bump(grid)
-    if config.init == "random_bandlimited":
-        return random_bandlimited(grid, config.seed)
-    field = config.init_field
-    if field.grid != grid:
-        raise ConfigurationError("stored initial field lives on a different grid")
-    return field
+    return random_bandlimited(grid, config.seed)
 
 
 # ---------------------------------------------------------------------------
 # physical-field diagnostics (also used on loaded states)
 
 
-def _l2(u: Field) -> float:
-    return math.sqrt(u.grid.cell_volume * float(np.sum(u.samples**2)))
-
-
 def pde_residual(u: Field, params: Params, omega: float) -> float:
-    """||eps*lap^2 u - lap u + omega u - |u|^(p-2)u||_2 / |||u|^(p-2)u||_2."""
-    nl = np.abs(u.samples) ** (params.p - 2.0) * u.samples
-    lin = params.eps * bilaplacian(u).samples - laplacian(u).samples + omega * u.samples
-    denom = _l2(Field(u.grid, nl))
-    if denom == 0.0:
-        return math.inf
-    return _l2(Field(u.grid, lin - nl)) / denom
+    """||eps*lap^2 u - lap u + omega u - |u|^(p-2)u||_2 / |||u|^(p-2)u||_2 (inf if u = 0).
+
+    Measured on the Fourier side by the iteration kernel, in three transforms.
+    """
+    state = _SpectralIterate(u)
+    _lp, nl_spec = state.nonlinearity(params.p)
+    return state.residual_ratio(state.symbol(params.eps, 1.0, omega), nl_spec)
 
 
 def extract_omega(nt: NormTuple, params: Params) -> float:
@@ -295,8 +283,7 @@ class _SpectralIterate:
     def __init__(self, fields):
         self.batched = not isinstance(fields, Field)
         self.grid = fields[0].grid if self.batched else fields.grid
-        self._scale = self.grid.cell_volume / self.grid.size  # Parseval factor
-        self.k2, self.k4, self._weight = _spectral_tables(self.grid)
+        self.k2 = _spectral_tables(self.grid)[0]
         self._axes = tuple(range(-self.grid.dim, 0))
         samples = np.stack([f.samples for f in fields]) if self.batched else fields.samples
         self.spec = _rfftn(samples, self.grid.dim)
@@ -328,31 +315,19 @@ class _SpectralIterate:
         total = np.sum(arr, axis=self._axes, keepdims=self.batched)
         return total if self.batched else float(total)
 
-    def _power_pair(self) -> tuple:
-        shape = self.spec.shape
-        return _carve(self._block, shape), _carve(self._block, shape, self.spec.size)
-
-    def _weighted_power(self, spec: np.ndarray) -> np.ndarray:
-        """weight * (re^2 + im^2) of spec, in the first array of the power pair."""
-        power, other = self._power_pair()
-        np.multiply(spec.real, spec.real, out=power)
-        np.multiply(spec.imag, spec.imag, out=other)
-        power += other
-        power *= self._weight
-        return power
+    def _parseval(self, spec: np.ndarray, moments: int) -> tuple:
+        """:func:`grid._parseval_sums` of spec in the power pair: floats, or per-row arrays."""
+        pair = (_carve(self._block, spec.shape), _carve(self._block, spec.shape, spec.size))
+        sums = _parseval_sums(self.grid, spec, moments, pair, keepdims=self.batched)
+        return sums if self.batched else tuple(float(s) for s in sums)
 
     def spec_norm_sq(self, arr: np.ndarray):
         """Parseval ||.||_2^2 of a spectrum on the grid."""
-        return self._scale * self._sum(self._weighted_power(arr))
+        return self._parseval(arr, 1)[0]
 
     def quadratic_norms(self, spec: np.ndarray | None = None) -> tuple:
         """(mass, grad, bilap) of the iterate, or of another spectrum on the grid."""
-        power = self._weighted_power(self.spec if spec is None else spec)
-        weighted = self._power_pair()[1]
-        mass = self._scale * self._sum(power)
-        grad = self._scale * self._sum(np.multiply(self.k2, power, out=weighted))
-        bilap = self._scale * self._sum(np.multiply(self.k4, power, out=weighted))
-        return mass, grad, bilap
+        return self._parseval(self.spec if spec is None else spec, 3)
 
     def symbol(self, a, b, c, out: np.ndarray | None = None) -> np.ndarray:
         """The Fourier symbol a|k|^4 + b|k|^2 + c, per row in a batch, into ``out`` or a new array.
@@ -367,28 +342,24 @@ class _SpectralIterate:
         return out
 
     def residual_ratio(self, symbol: np.ndarray, rhs: np.ndarray) -> float:
-        """||symbol * spec - rhs|| / ||rhs|| of a lone iterate, the difference in ``work``."""
+        """||symbol * spec - rhs|| / ||rhs|| of a lone iterate (inf for a zero rhs),
+        the difference in ``work``."""
         diff = np.multiply(symbol, self.spec, out=self.work)
         diff -= rhs
-        return math.sqrt(self.spec_norm_sq(diff) / self.spec_norm_sq(rhs))
+        num, den = self.spec_norm_sq(diff), self.spec_norm_sq(rhs)
+        return math.sqrt(num / den) if den > 0 else math.inf
 
     def nonlinearity(self, p: float) -> tuple:
         """(lp, nl_spec) = (||u||_p^p, rfftn(|u|^(p-2) u)) from one irfftn; nl_spec is ``next``.
 
-        A lone iterate sums |u|^p for lp, which keeps solves bit-identical to
-        their stored references; a batch sums nl * u and saves that pass.
+        lp is h^d sum(nl * u), which needs no |u|^p pass of its own.
         """
         u = self.physical()
         nl = self.scratch(u.shape)
-        if not self.batched:  # |u|^p first, in the memory nl takes next
-            np.abs(u, out=nl)
-            nl **= p
-            lp = self.grid.cell_volume * self._sum(nl)
         np.abs(u, out=nl)
         nl **= p - 2.0
         nl *= u
-        if self.batched:
-            lp = self.grid.cell_volume * self._sum(np.multiply(nl, u, out=u))
+        lp = self.grid.cell_volume * self._sum(np.multiply(nl, u, out=u))
         return lp, _rfftn(nl, self.grid.dim, out=self.next)
 
     def field(self) -> Field:
@@ -694,22 +665,22 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
 
 
 def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
-    """Optimizer solve, unit normalization, then the constructive rescale.
+    """Optimizer solve, then the constructive rescale to the critical-mass state.
 
     The state solves the stationary PDE at the frequency fixed by the
-    optimizer's mass, and its own mass is the critical one.  All three steps
-    after the solve are exact rescalings, so the solver-state residual is the
-    returned state's residual.  A pipeline solves once here and derives the
-    rest: ``compute_constants`` and the ``K_numeric`` seed take the result.
+    optimizer's mass, and its own mass is the critical one.  The solved state
+    is measured once, on the solver grid; the rescale is exact, so its norms
+    follow by the scaling laws, and the residual and the boundary and tail
+    ratios, which the rescale leaves unchanged, carry over.  A pipeline solves
+    once here and derives the rest: ``compute_constants`` and the
+    ``K_numeric`` seed take the result.
     """
     u, res, iters = _weinstein_state(params, grid, config)
-    v = lambda_normalize(u)
-    del u  # each rescaling step holds one field, not the whole chain
-    q_field, omega = construct_Q(v, params)
-    del v
+    solved = _finish(u, params, iters, "weinstein_Q", res)
+    q_field, nt, omega = construct_Q(solved.field, solved.nt, params)
     if not (math.isfinite(omega) and omega > 0):
         raise DivergenceError(f"constructed frequency {omega} is not positive", last_residual=res)
-    return _finish(q_field, params, iters, "weinstein_Q", res)
+    return replace(solved, field=q_field, nt=nt, omega_extracted=extract_omega(nt, params))
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,32 @@ class TestSweepCommand:
         # the c_eps column reflects each exponent's own scaling constants
         assert all(float(r["c_eps"]) > 0 for r in rows)
 
+    def test_rows_take_every_solver_flag(self, tmp_path, capsys, monkeypatch):
+        import bnls.cli
+        from bnls.errors import DivergenceError
+
+        seen = []
+
+        def spy(params, grid, solver):
+            seen.append((params, grid, solver))
+            raise DivergenceError("spy: no solve needed")
+
+        monkeypatch.setattr(bnls.cli, "route_Q", spy)
+        code, _, _ = run(
+            capsys, "sweep", "--N", "1", "--p-grid", "8", "--eps", "1", *FAST,
+            "--init", "random_bandlimited", "--filter", "--relaxation", "0.7",
+            "--gamma", "1.5", "--relaxed", "--seed", "5", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        (params, grid, solver), = seen
+        assert params.relaxed is True
+        assert (grid.points_per_axis, grid.box_length) == (512, 40.0)
+        assert solver.init == "random_bandlimited"
+        assert solver.filter is True
+        assert solver.relaxation == 0.7
+        assert solver.petviashvili_gamma == 1.5
+        assert (solver.seed, solver.tol_residual) == (5, 1e-9)
+
     def test_regime_violation_fails_fast(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "sweep", "--N", "1", "--p-grid", "5,8",

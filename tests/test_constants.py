@@ -148,6 +148,32 @@ class TestPipeline:
         assert cr.provenance["K_numeric"].startswith("numeric")
 
 
+class TestComputeConstants:
+    """compute_constants reads C and v_mass off the state's norms by the exact
+    scaling laws; the reference measures the unit-normalized optimizer."""
+
+    @pytest.mark.parametrize(
+        "params, grid, tol",
+        [
+            (Params(bigN=1, p=8.0, eps=1.0), (1, 512, 40.0), 1e-9),
+            (Params(bigN=2, p=5.0, eps=1.0), (2, 64, 24.0), 1e-8),
+            (Params(bigN=3, p=4.0, eps=1.0), (3, 32, 20.0), 1e-6),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_matches_normalized_optimizer(self, params, grid, tol):
+        from bnls.functionals import weinstein
+        from bnls.grid import BoxGrid, norms
+        from bnls.scalings import lambda_normalize
+        from bnls.solvers import SolverConfig, route_Q
+
+        q = route_Q(params, BoxGrid(*grid), SolverConfig(tol_residual=tol))
+        cr = compute_constants(q)
+        nt_v = norms(lambda_normalize(q.field), params.p)
+        assert cr.C == pytest.approx(1.0 / weinstein(nt_v, params), rel=1e-13)
+        assert cr.v_mass == pytest.approx(nt_v.mass, rel=1e-13)
+
+
 class TestKAscent:
     """The batched K ascent: its transform budget, determinism, and 2D sharpness."""
 

@@ -64,6 +64,9 @@ class TestBoxGrid:
             assert k[j] == -k[m - j]
         # Nyquist index has no positive partner
         assert k[m // 2] == pytest.approx(-GRID.k_max())
+        # the half-spectrum axis is the full axis's nonnegative part, bit for bit
+        half = GRID.wavenumbers(half=True)
+        assert np.array_equal(half, np.append(k[: m // 2], -k[m // 2]))
 
 
 class TestField:
@@ -136,15 +139,18 @@ class TestNorms:
         assert nt.bilap == pytest.approx(k**4 * nt.mass, rel=1e-12)
 
     def test_parseval_consistency(self):
-        # the iterate's spectral mass equals the quadrature mass, one field or a batch
+        # the spectral mass of norms and of the iterate, one field or a batch,
+        # equals the physical quadrature mass
         g = BoxGrid(1, 64, 40.0)
         fields = rng_fields(g, 50, seed=100)
         batch = _SpectralIterate(fields)
         masses = batch.spec_norm_sq(batch.spec).ravel()
         for u, batch_mass in zip(fields, masses):
+            quadrature = g.cell_volume * float(np.sum(u.samples**2))
             lone = _SpectralIterate(u)
-            assert lone.spec_norm_sq(lone.spec) == pytest.approx(norms(u, 4.0).mass, rel=1e-12)
-            assert batch_mass == pytest.approx(norms(u, 4.0).mass, rel=1e-12)
+            assert lone.spec_norm_sq(lone.spec) == pytest.approx(quadrature, rel=1e-12)
+            assert batch_mass == pytest.approx(quadrature, rel=1e-12)
+            assert norms(u, 4.0).mass == pytest.approx(quadrature, rel=1e-12)
 
     def test_interpolation_inequality_500_fields(self):
         g = BoxGrid(1, 64, 40.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestConstructQ:
         nt = norms(v, 8.0)
         for eps in (1.0, 0.25, 4.0):
             pm = Params(bigN=1, p=8.0, eps=eps)
-            q, omega = construct_Q(v, pm)
+            q, _, omega = construct_Q(v, nt, pm)
             assert omega == pytest.approx(6.0 / (eps * nt.mass), rel=1e-12)
             mu = eps**-0.5
             assert q.grid.box_length == pytest.approx(v.grid.box_length / mu, rel=1e-12)
@@ -145,20 +146,43 @@ class TestConstructQ:
     def test_mu_one_when_eps_matches_exponent_ratio(self):
         v = self.normalized_bump()
         pm = Params(bigN=1, p=8.0, eps=1.0)  # alpha/beta = 1 here
-        q, _ = construct_Q(v, pm)
+        # v's tuple with grad = bilap = 1 exactly, so only mu could move the box
+        unit = replace(norms(v, 8.0), grad=1.0, bilap=1.0)
+        q, _, _ = construct_Q(v, unit, pm)
         assert q.grid.box_length == v.grid.box_length
 
     def test_formulas_n2_p5(self):
         v = self.normalized_bump(dim=2, m=64, box=20.0)
         nt = norms(v, 5.0)
         pm = Params(bigN=2, p=5.0, eps=1.0)
-        _, omega = construct_Q(v, pm)
+        _, _, omega = construct_Q(v, nt, pm)
         assert omega == pytest.approx(3.0 / nt.mass, rel=1e-12)
 
-    def test_precondition_enforced(self):
-        g = BoxGrid(1, 512, 40.0)
+    @pytest.mark.parametrize(
+        "dim, m, box, p", [(1, 512, 40.0, 8.0), (2, 64, 20.0, 5.0), (3, 32, 16.0, 3.5)]
+    )
+    def test_any_optimizer_scale_gives_the_same_state(self, dim, m, box, p):
+        # construct_Q takes the optimizer at any amplitude and dilation: from
+        # an unnormalized u it builds Q = construct_Q(lambda_normalize(u)) and
+        # returns Q's measured norms by the exact laws
+        u = gaussian_bump(BoxGrid(dim, m, box), width=box / 8.0, amplitude=1.7)
+        v = lambda_normalize(u)
+        pm = Params(bigN=dim, p=p, eps=1.0)
+        q, nt, omega = construct_Q(u, norms(u, p), pm)
+        ref, _, ref_omega = construct_Q(v, norms(v, p), pm)
+        assert q.grid.box_length == pytest.approx(ref.grid.box_length, rel=1e-12)
+        np.testing.assert_allclose(q.samples, ref.samples, rtol=1e-12)
+        assert omega == pytest.approx(ref_omega, rel=1e-12)
+        measured = norms(q, p)
+        for name in ("mass", "grad", "bilap", "lp"):
+            assert getattr(nt, name) == pytest.approx(getattr(measured, name), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["mass", "grad", "bilap", "lp"])
+    def test_degenerate_norms_refused(self, name):
+        v = self.normalized_bump()
+        nt = replace(norms(v, 8.0), **{name: 0.0})
         with pytest.raises(PreconditionError):
-            construct_Q(gaussian_bump(g), Params(bigN=1, p=8.0, eps=1.0))
+            construct_Q(v, nt, Params(bigN=1, p=8.0, eps=1.0))
 
 
 class TestHProfile:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,10 @@ from bnls.functionals import (
 )
 from bnls.grid import (
     BoxGrid,
+    Field,
+    bilaplacian,
     center_and_align,
+    laplacian,
     norms,
     quadratic_norms,
     regrid,
@@ -241,6 +245,73 @@ class TestRouteQ:
 
     def test_physical_residual_small(self, q_state, params):
         assert pde_residual(q_state.field, params, q_state.omega_extracted) <= 1e-6
+
+
+def reference_pde_residual(u, params, omega):
+    """The physical-space residual pde_residual computed before it moved onto the
+    spectral kernel: two operator applications and quadrature norms."""
+    nl = np.abs(u.samples) ** (params.p - 2.0) * u.samples
+    lin = params.eps * bilaplacian(u).samples - laplacian(u).samples + omega * u.samples
+    denom = math.sqrt(u.grid.cell_volume * float(np.sum(nl**2)))
+    if denom == 0.0:
+        return math.inf
+    return math.sqrt(u.grid.cell_volume * float(np.sum((lin - nl) ** 2))) / denom
+
+
+class TestPdeResidual:
+    @pytest.mark.parametrize(
+        "params, grid",
+        [
+            (Params(bigN=1, p=8.0, eps=1.0), BoxGrid(1, 256, 40.0)),
+            (Params(bigN=2, p=5.0, eps=0.5), BoxGrid(2, 64, 20.0)),
+            (Params(bigN=3, p=4.0, eps=2.0), BoxGrid(3, 32, 16.0)),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_matches_physical_formula(self, params, grid):
+        fields = [gaussian_bump(grid, amplitude=1.5), random_bandlimited(grid, 3)]
+        for u in fields:
+            for omega in (0.3, 2.0):
+                expected = reference_pde_residual(u, params, omega)
+                assert pde_residual(u, params, omega) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_field_is_infinite(self, params):
+        zero = Field(BoxGrid(1, 64, 10.0), np.zeros(64))
+        assert pde_residual(zero, params, 1.0) == math.inf
+
+
+class TestMeasuredOnce:
+    """route_Q measures the solved state once, on the solver grid, and
+    compute_constants reads its norms; no rescaled grid enters the table cache."""
+
+    def test_one_table_set_and_transform_counts(self, params, grid, config, monkeypatch):
+        from bnls import grid as grid_module
+        from bnls.constants import compute_constants
+
+        calls = {"rfftn": 0}
+        original_rfftn = grid_module._rfftn
+
+        def counted(*args, **kwargs):
+            calls["rfftn"] += 1
+            return original_rfftn(*args, **kwargs)
+
+        original_solve = bnls.solvers._weinstein_state
+
+        def solve(*args, **kwargs):
+            result = original_solve(*args, **kwargs)
+            calls["rfftn"] = 0  # count only what follows the solve
+            return result
+
+        monkeypatch.setattr(grid_module, "_rfftn", counted)
+        monkeypatch.setattr(bnls.solvers, "_rfftn", counted)
+        monkeypatch.setattr(bnls.solvers, "_weinstein_state", solve)
+        grid_module._spectral_tables.cache_clear()
+        q = route_Q(params, grid, config)
+        assert calls["rfftn"] == 2  # the state's norms and its spectral tail
+        calls["rfftn"] = 0
+        compute_constants(q)
+        assert calls["rfftn"] == 0
+        assert grid_module._spectral_tables.cache_info().currsize == 1
 
 
 class TestShooting:
