@@ -182,7 +182,7 @@ def cmd_constants(args) -> int:
     params, grid, solver = build_problem(cfg)
     q = route_Q(params, grid, solver)
     report = compute_constants(
-        q, K_numeric(params, grid, solver, q.field) if args.k_numeric else None
+        q, K_numeric(params, grid, solver) if args.k_numeric else None
     )
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)

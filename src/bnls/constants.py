@@ -23,13 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateQuotientError, RegimeError
+from .errors import RegimeError
 from .functionals import Params, weinstein
 from .grid import BoxGrid, Field
 from .solvers import GroundState, SolverConfig, _SpectralIterate, random_bandlimited_blocks
 
 STAGNATION_RTOL = 1e-12
 STAGNATION_WINDOW = 10
+# Anderson mixing of the K ascent: each start mixes its last ANDERSON_DEPTH
+# steps, and restarts that history after a sweep that moved its quotient by
+# more than ANDERSON_GATE, relatively (or that grew its residual).
+ANDERSON_DEPTH = 3
+ANDERSON_GATE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -152,34 +157,30 @@ def omega_formula(v_mass: float, params: Params) -> float:
     return (params.p - 2.0) * ep.alpha / (ep.beta**2 * params.eps * v_mass)
 
 
-def K_numeric(
-    params: Params,
-    grid: BoxGrid,
-    config: SolverConfig,
-    seed_field: Field,
-    n_starts: int = 8,
-) -> float:
-    """Best-effort supremum of the non-homogeneous quotient by multi-start ascent.
+def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int = 8) -> float:
+    """Independent estimate of the supremum of the non-homogeneous quotient by multi-start ascent.
 
-    Each start runs a normalized (Petviashvili-type) fixed point on the
-    quotient's stationarity equation; the best quotient value over all
-    iterates of all starts is returned.  ``seed_field``, the critical-mass
-    state of the pipeline's ``route_Q`` solve, is one start, with its samples
-    taken on ``grid`` (its box equals grid's up to roundoff); the supremum is
-    attained there, which makes the estimate sharp.  The other starts are
-    random fields on ``grid``.  All starts advance as one batch on one thread,
-    one transform pair per sweep, so the result is the same at any thread
-    count.  A start retires once its quotient moved by at most STAGNATION_RTOL,
-    relatively, over STAGNATION_WINDOW sweeps, and after 400 sweeps at most.
+    Each start is a random field on ``grid`` (seeds ``config.seed + 101 k``,
+    k = 1..n_starts) and runs a normalized (Petviashvili-type) fixed point on
+    the quotient's stationarity equation; the best quotient value over all
+    iterates of all starts is returned.  No start is taken from a solved
+    state, so the estimate checks the closed-form K from the random starts
+    alone.  The fixed point converges only linearly, so each start is
+    Anderson-mixed over its last ANDERSON_DEPTH steps
+    (:meth:`_SpectralIterate.mix`).  A start whose quotient moved by more
+    than ANDERSON_GATE, relatively, in the last sweep restarts its history,
+    as does one whose residual grew, so starts mix only once they settle
+    near a critical point: mixed from the first sweep with no restart, some
+    starts end on a critical point far below K.  All starts advance as one
+    batch on one thread, one transform pair per sweep, so the result is the
+    same at any thread count.  A start retires once its quotient moved by at
+    most STAGNATION_RTOL, relatively, over STAGNATION_WINDOW sweeps, and
+    after 400 sweeps at most.
     """
     p = params.p
     params.exponents()
-    if not seed_field.samples.any():
-        raise DegenerateQuotientError("the quotient is undefined at the zero seed field")
     seeds = [config.seed + 101 * (k + 1) for k in range(n_starts)]
-    starts = [Field(grid, seed_field.samples)]
-    for block in random_bandlimited_blocks(grid, seeds):
-        starts += [Field(grid, row) for row in block]
+    starts = [Field(grid, row) for block in random_bandlimited_blocks(grid, seeds) for row in block]
     state = _SpectralIterate(starts)
     best = 0.0
     recent = np.full((len(starts), STAGNATION_WINDOW), np.inf)  # each row's last quotients
@@ -197,6 +198,7 @@ def K_numeric(
         nl_spec /= symbol
         # quotient is amplitude-invariant; renormalize mass to stop drift
         nl_spec /= np.sqrt(state.spec_norm_sq(nl_spec))
+        state.mix(ANDERSON_DEPTH, np.abs(quotient - recent[:, -1]) > ANDERSON_GATE * quotient)
         state.advance()
         if not live.all():
             state.keep(live)

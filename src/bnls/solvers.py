@@ -258,6 +258,12 @@ def _carve(memory: np.ndarray, shape: tuple, start: int = 0) -> np.ndarray:
     return memory[start : start + math.prod(shape)].reshape(shape)
 
 
+def _real_rows(spec: np.ndarray, lead: int) -> np.ndarray:
+    """The real and imaginary parts of a complex array, flat past ``lead`` axes: a view, so
+    writes reach ``spec`` (reshaping raises where it would have to copy)."""
+    return np.reshape(spec, spec.shape[:lead] + (-1,), copy=False).view(np.float64)
+
+
 class _SpectralIterate:
     """Iterate kept as an rfftn spectrum on a fixed grid, with the arrays its sweeps reuse.
 
@@ -276,6 +282,9 @@ class _SpectralIterate:
       every quadratic norm or the physical field :meth:`physical` writes, so
       that field lasts only until the next norm.
 
+    A batch that :meth:`mix` drives also owns its mixing history, allocated
+    by the first call.
+
     Each array is computed with the same ufuncs, in the same order, as the
     expression it replaces, so results stay bit-identical.
     """
@@ -290,6 +299,8 @@ class _SpectralIterate:
         self.next = np.empty_like(self.spec)
         self.work = np.empty_like(self.spec)
         self._block = np.empty(2 * self.spec.size)
+        self._history = None  # mix()'s per-row arrays
+        self._slot = 0  # the history slot mix() writes next
 
     def advance(self):
         """Make ``next`` the iterate; the old spectrum's memory is written next."""
@@ -300,6 +311,54 @@ class _SpectralIterate:
         self.spec = self.spec[rows]
         self.next = self.next[: len(self.spec)]
         self.work = self.work[: len(self.spec)]
+        if self._history is not None:
+            kept = np.flatnonzero(rows)  # ascending, so each row moves to or below itself
+            for arr in self._history:
+                for dst, src in enumerate(kept):
+                    arr[dst] = arr[src]
+            self._history = [arr[: len(kept)] for arr in self._history]
+
+    def mix(self, depth: int, restart: np.ndarray):
+        """Anderson-mix each batch row's fixed-point step, in place in ``next``.
+
+        ``next`` holds g = G(spec), the map's image of the iterate, whose
+        residual is f = g - spec.  Each row keeps the differences of its last
+        ``depth`` residuals and images (dF, dG); the mixed spectrum is
+        g - dG gamma, with gamma the least-squares fit of f by dF over the real
+        and imaginary parts, from one batched Gram solve
+        (Anderson, J. ACM 12, 1965; Walker and Ni, SIAM J. Numer. Anal. 49,
+        2011).  A row drops its history, so that its step is g itself, on the
+        first call, where ``restart`` flags it, and where its residual grew in
+        the last sweep.  The history is allocated once, written slot by slot
+        in turn, and trimmed by :meth:`keep`.
+        """
+        g = self.next
+        f = np.subtract(g, self.spec, out=self.work)
+        if self._history is None:
+            shape = (len(g), depth) + g.shape[1:]
+            self._history = [f.copy(), g.copy(), np.zeros(shape, complex),
+                             np.zeros(shape, complex), np.zeros((len(g), depth, depth)),
+                             np.zeros(len(g), dtype=int)]
+            return
+        f_last, g_last, df, dg, gram, count = self._history
+        slot = self._slot
+        self._slot = (slot + 1) % depth
+        np.subtract(f, f_last, out=df[:, slot])
+        np.subtract(g, g_last, out=dg[:, slot])
+        f_last[...] = f
+        g_last[...] = g
+        df_re, f_re = _real_rows(df, 2), _real_rows(f, 1)
+        gram[:, slot] = gram[:, :, slot] = np.einsum("rn,rjn->rj", df_re[:, slot], df_re)
+        rhs = np.einsum("rn,rjn->rj", f_re, df_re)
+        # |f|^2 - |f_last|^2 = 2 f.df - |df|^2 with df = f - f_last
+        grew = 2.0 * rhs[:, slot] > gram[:, slot, slot]
+        count[...] = np.where(restart | grew, 0, np.minimum(count + 1, depth))
+        # a row fits its newest count slots, less any exactly zero difference
+        used = ((slot - np.arange(depth)) % depth < count[:, None]) & (gram.diagonal(0, 1, 2) > 0)
+        system = np.where(used[:, :, None] & used[:, None, :], gram, np.eye(depth))
+        gamma = np.linalg.solve(system, np.where(used, rhs, 0.0)[..., None])[..., 0]
+        g_re = _real_rows(g, 1)
+        g_re -= np.einsum("rj,rjn->rn", gamma, _real_rows(dg, 2), out=f_re)
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A float array of ``shape``, at most the physical or the spectrum's size, in ``work``."""
@@ -672,8 +731,7 @@ def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
     is measured once, on the solver grid; the rescale is exact, so its norms
     follow by the scaling laws, and the residual and the boundary and tail
     ratios, which the rescale leaves unchanged, carry over.  A pipeline solves
-    once here and derives the rest: ``compute_constants`` and the
-    ``K_numeric`` seed take the result.
+    once here and derives the rest: ``compute_constants`` takes the result.
     """
     u, res, iters = _weinstein_state(params, grid, config)
     solved = _finish(u, params, iters, "weinstein_Q", res)

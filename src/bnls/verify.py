@@ -730,8 +730,9 @@ def full_verification(
     """Run every check family against fresh or supplied states.
 
     One ``route_Q`` solve always runs, even when an energy state is supplied,
-    and the constants and the K-ascent seed come from it: a supplied state is
-    never checked against constants derived from itself.  Missing states are
+    and the constants come from it: a supplied state is never checked against
+    constants derived from itself.  The K ascent runs from random starts only,
+    so ``const.k_numeric_close`` checks the closed-form K independently.  Missing states are
     solved fresh (the action state by an independent Petviashvili solve).
     Deterministic given the inputs; the report's provenance hashes both states
     and names the sampler seed.
@@ -742,7 +743,7 @@ def full_verification(
     import hashlib
 
     q = route_Q(params, grid, config)
-    k_numeric = K_numeric(params, grid, config, q.field) if with_k_numeric else None
+    k_numeric = K_numeric(params, grid, config) if with_k_numeric else None
     cr = compute_constants(q, k_numeric)
     gs_energy = energy_state if energy_state is not None else q
     gs_action = (

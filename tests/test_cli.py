@@ -275,6 +275,17 @@ class TestVerifyCommand:
         assert doc["counts"]["failed"] == 0
         assert "PASS" in out
 
+    def test_fresh_2d_runs_every_check(self, tmp_path, capsys):
+        # the K ascent runs too: 39 checks, const.k_numeric_close among them
+        code, out, _ = run(
+            capsys, "verify", "--fresh", "--N", "2", "--p", "5", "--eps", "1",
+            "--points", "128", "--box", "40", "--samples", "50", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "verify_report.json").read_text())
+        assert doc["counts"] == {"failed": 0, "passed": 39, "skipped": 0, "total": 39}
+        assert "PASS: 39 passed" in out
+
     def test_verify_stored_states(self, tmp_path, capsys):
         for cmd in ("ground-state", "action-gss"):
             code, _, _ = run(

@@ -400,6 +400,60 @@ class TestMassFlow:
         assert energy(gs.nt, params) > -1e-8
 
 
+class TestAndersonMix:
+    """_SpectralIterate.mix on a linear contraction G(x) = x* + A (x - x*), A diagonal in k
+    with rates from 0.1 to 0.95, one fixed point x* per batch row."""
+
+    grid = BoxGrid(1, 64, 10.0)
+    rate = np.linspace(0.1, 0.95, 33)
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.fields = [Field(self.grid, rng.standard_normal(64)) for _ in range(3)]
+        self.target = np.fft.rfft(rng.standard_normal((3, 64)))
+
+    def sweep(self, state, target, mixing, restart=None):
+        """One step of G into ``next``, mixed unless ``mixing`` is False; returns G's image."""
+        np.subtract(state.spec, target, out=state.next)
+        state.next *= self.rate
+        state.next += target
+        image = state.next.copy()
+        if mixing:
+            state.mix(3, np.zeros(len(target), bool) if restart is None else restart)
+        return image
+
+    def run(self, state, target, sweeps, mixing=True, retire=None):
+        """Sweeps of G; ``retire`` = (sweep, rows kept) retires rows before that sweep."""
+        for it in range(sweeps):
+            if retire is not None and it == retire[0]:
+                state.keep(retire[1])
+                target = target[retire[1]]
+            self.sweep(state, target, mixing)
+            state.advance()
+        return np.abs(state.spec - target).max()
+
+    def test_mixing_beats_the_plain_fixed_point(self):
+        plain = self.run(bnls.solvers._SpectralIterate(self.fields), self.target, 30, mixing=False)
+        mixed = self.run(bnls.solvers._SpectralIterate(self.fields), self.target, 30)
+        assert mixed < 1e-2 * plain
+
+    def test_keep_trims_history_with_retired_rows(self):
+        kept = np.array([True, False, True])
+        batch = bnls.solvers._SpectralIterate(self.fields)
+        self.run(batch, self.target, 12, retire=(5, kept))
+        pair = bnls.solvers._SpectralIterate([self.fields[0], self.fields[2]])
+        self.run(pair, self.target[kept], 12)
+        # rows mix independently, so the survivors match a batch run without them
+        assert np.array_equal(batch.spec, pair.spec)
+
+    def test_restarted_row_takes_the_plain_step(self):
+        state = bnls.solvers._SpectralIterate(self.fields)
+        self.run(state, self.target, 4)
+        image = self.sweep(state, self.target, True, restart=np.array([False, True, False]))
+        assert np.array_equal(state.next[1], image[1])
+        assert not np.array_equal(state.next[0], image[0])
+
+
 class TestMemoryBudget:
     """The spectral kernel reuses its arrays: peak traced memory stays at or below its
     level before the in-place transforms and iterate buffers (numpy 2.4, bytes)."""
@@ -425,6 +479,20 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert solve_peak <= self.SOLVE_PEAK
         assert flow_peak <= self.FLOW_PEAK
+
+    def test_k_ascent_history_fits_a_mebibyte(self, params, grid, config):
+        # eight 1D desk starts: the mixing history is 8 spectra a row, 0.53 MB,
+        # and the whole ascent peaked at 0.59 MB before mixing
+        from bnls.constants import K_numeric
+
+        K_numeric(params, grid, config)  # the tables, as every later ascent finds them
+        tracemalloc.start()
+        try:
+            K_numeric(params, grid, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestGroundStateSidecar:
