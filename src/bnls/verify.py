@@ -732,8 +732,9 @@ def full_verification(
     One ``route_Q`` solve always runs, even when an energy state is supplied,
     and the constants come from it: a supplied state is never checked against
     constants derived from itself.  The K ascent runs from random starts only,
-    so ``const.k_numeric_close`` checks the closed-form K independently.  Missing states are
-    solved fresh (the action state by an independent Petviashvili solve).
+    so ``const.k_numeric_close`` checks the closed-form K independently.
+    Missing states are solved fresh (the action state by an independent
+    Petviashvili solve).
     Deterministic given the inputs; the report's provenance hashes both states
     and names the sampler seed.
     """

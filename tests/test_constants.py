@@ -255,7 +255,8 @@ class TestKAscent:
     ):
         # mixed with no restart at all, the start of rng seed 102 ends on a
         # critical point at 0.18 K, and at 0.48 K when only a falling quotient
-        # restarts; rng seed 506 failed that way in an earlier mixing scheme
+        # restarts; the start of rng seed 506 is the second one kept, although
+        # it reaches K here even unguarded
         from dataclasses import replace
 
         k = K_numeric(params, grid, replace(config, seed=seed), n_starts=1)
