@@ -10,6 +10,7 @@ Writes into --out-dir:
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
 from bnls.constants import compute_constants
@@ -43,6 +44,8 @@ def main():
     gs_action = petviashvili(
         params.with_omega(cr.omega_eps), grid, config, residual_trace=residuals
     )
+    for warning in gs_energy.warnings + gs_action.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
     common = BoxGrid(args.N, args.points, max(gs_energy.field.grid.box_length, args.box))
     ue = center_and_align(regrid(gs_energy.field, common))

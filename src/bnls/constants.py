@@ -26,10 +26,16 @@ import numpy as np
 from .errors import RegimeError
 from .functionals import Params, weinstein
 from .grid import BoxGrid, Field
-from .solvers import GroundState, SolverConfig, _SpectralIterate, random_bandlimited_blocks
+from .solvers import (
+    GroundState,
+    SolverConfig,
+    _by_real,
+    _SpectralIterate,
+    random_bandlimited_blocks,
+)
 
 STAGNATION_RTOL = 1e-12
-STAGNATION_WINDOW = 10
+STAGNATION_WINDOW = 3
 # Anderson mixing of the K ascent: each start mixes its last ANDERSON_DEPTH
 # steps, and restarts that history after a sweep that moved its quotient by
 # more than ANDERSON_GATE, relatively (or that grew its residual).
@@ -195,7 +201,7 @@ def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int
             break
         symbol = state.symbol(2.0 * params.eps / quad, 2.0 / quad, (p - 2.0) / mass)
         nl_spec *= p / lp
-        nl_spec /= symbol
+        _by_real(np.divide, nl_spec, symbol, nl_spec)
         # quotient is amplitude-invariant; renormalize mass to stop drift
         nl_spec /= np.sqrt(state.spec_norm_sq(nl_spec))
         state.mix(ANDERSON_DEPTH, np.abs(quotient - recent[:, -1]) > ANDERSON_GATE * quotient)

@@ -146,24 +146,15 @@ class NormTuple:
 
 
 @lru_cache(maxsize=64)
-def _spectral_tables(grid: BoxGrid):
-    """Cached |k|^2 and |k|^4 = k2*k2 arrays and Parseval weights on the rfftn spectrum layout."""
-    k_half = grid.wavenumbers(half=True)
-    axes = [grid.wavenumbers()] * (grid.dim - 1) + [k_half]
+def _k2_table(grid: BoxGrid):
+    """Cached |k|^2 array on the rfftn spectrum layout."""
+    axes = [grid.wavenumbers()] * (grid.dim - 1) + [grid.wavenumbers(half=True)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     k2 = np.zeros(np.broadcast_shapes(*(k.shape for k in mesh)))
     for k in mesh:
         k2 += k * k
-    k4 = k2 * k2
-    # Half-spectrum double counting: interior modes of the last axis stand for
-    # a conjugate pair; m=0 and Nyquist do not.
-    weight = np.full(k_half.shape, 2.0)
-    weight[0] = 1.0
-    weight[-1] = 1.0
-    weight = weight.reshape((1,) * (grid.dim - 1) + (-1,))
-    for table in (k2, k4, weight):
-        table.setflags(write=False)
-    return k2, k4, weight
+    k2.setflags(write=False)
+    return k2
 
 
 def _rfftn(x: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -196,27 +187,29 @@ def _irfftn(
     return np.fft.irfft(src, n=2 * (spec.shape[-1] - 1), axis=-1, out=out)
 
 
-def _parseval_sums(grid: BoxGrid, spec: np.ndarray, moments: int = 3, pair=None, keepdims=False):
+def _parseval_sums(grid: BoxGrid, spec: np.ndarray, moments: int = 3, power=None, keepdims=False):
     """The Parseval sums (mass, grad, bilap)[:moments] of the rfftn spectrum ``spec``.
 
     Forms weight * |spec|^2 and sums it, times h^d / M^d, over the last
-    ``grid.dim`` axes against 1, |k|^2 and |k|^4.  ``pair``, two real arrays
-    of spec's shape, receives the weighted power and the weighted products
-    (fresh ones when omitted); ``keepdims`` keeps the summed axes, as a batch
-    broadcasting on spec needs.
+    ``grid.dim`` axes; then multiplies it by |k|^2 in place and sums again,
+    twice, for the |k|^2 and |k|^4 moments.  ``power``, a real array of
+    spec's shape, holds it all (a fresh one when omitted); ``keepdims`` keeps
+    the summed axes, as a batch broadcasting on spec needs.
     """
-    k2, k4, weight = _spectral_tables(grid)
-    power, other = pair if pair is not None else (np.empty(spec.shape), np.empty(spec.shape))
-    np.multiply(spec.real, spec.real, out=power)  # weight * (re^2 + im^2), in two arrays
-    np.multiply(spec.imag, spec.imag, out=other)
-    power += other
-    power *= weight
+    k2 = _k2_table(grid)
+    power = np.abs(spec, out=power)  # weight * |spec|^2, in one array
+    power *= power
+    # Half-spectrum double counting: interior modes of the last axis stand for
+    # a conjugate pair; m=0 and Nyquist do not.  (Scalar factors of 2, so exact.)
+    power *= 2.0
+    power[..., 0] *= 0.5
+    power[..., -1] *= 0.5
     axes = tuple(range(-grid.dim, 0))
     scale = grid.cell_volume / grid.size
     sums = [scale * np.sum(power, axis=axes, keepdims=keepdims)]
-    for table in (k2, k4)[: moments - 1]:
-        weighted = np.multiply(table, power, out=other)
-        sums.append(scale * np.sum(weighted, axis=axes, keepdims=keepdims))
+    for _ in range(moments - 1):
+        power *= k2
+        sums.append(scale * np.sum(power, axis=axes, keepdims=keepdims))
     return tuple(sums)
 
 
@@ -260,13 +253,13 @@ def _apply_symbol(u: Field, symbol: np.ndarray) -> Field:
 
 
 def laplacian(u: Field) -> Field:
-    k2, _, _ = _spectral_tables(u.grid)
+    k2 = _k2_table(u.grid)
     return _apply_symbol(u, -k2)
 
 
 def bilaplacian(u: Field) -> Field:
-    _, k4, _ = _spectral_tables(u.grid)
-    return _apply_symbol(u, k4)
+    k2 = _k2_table(u.grid)
+    return _apply_symbol(u, k2 * k2)
 
 
 def shift_field(u: Field, shifts) -> Field:
@@ -351,7 +344,7 @@ def spectral_tail_ratio(u: Field) -> float:
     The grid's counterpart of :func:`boundary_amplitude_ratio`: the Fourier
     coefficients of a resolved field decay to roundoff before the Nyquist.
     """
-    k2, _, _ = _spectral_tables(u.grid)
+    k2 = _k2_table(u.grid)
     amplitude = np.abs(_rfftn(u.samples, u.grid.dim))
     peak = float(np.max(amplitude))
     if peak == 0.0:

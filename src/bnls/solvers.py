@@ -3,7 +3,8 @@
 Three routes:
 
 * ``petviashvili`` solves the stationary PDE at fixed omega > 0 with the
-  classic stabilized fixed point u <- S^gamma * L^-1 N(u).
+  classic stabilized fixed point u <- S^gamma * L^-1 N(u), each step
+  Anderson-mixed with the one before it.
 * ``route_Q`` locates the optimizer of the scale-invariant quotient by
   shooting on the frequency: the fixed-omega ground state is the optimizer
   exactly when its norms satisfy grad = (beta/alpha) * eps * bilap, and that
@@ -57,9 +58,9 @@ from .grid import (
     Field,
     NormTuple,
     _irfftn,
+    _k2_table,
     _parseval_sums,
     _rfftn,
-    _spectral_tables,
     boundary_amplitude_ratio,
     norms,
     spectral_tail_ratio,
@@ -77,6 +78,10 @@ BURN_IN = 10
 # to FIRST_INNER_TOL.
 INNER_FORCING = 1e-2
 FIRST_INNER_TOL = 1e-4
+# Anderson mixing of every Petviashvili sweep mixes the last step only: on 64^3
+# depths 2 and 3 took 43 and 51 shooting sweeps against 54, for a spectrum
+# pair (4 MiB there) each.
+PETVIASHVILI_DEPTH = 1
 # Bytes of samples per block of random_bandlimited_blocks: one block at 256
 # points in 1D, a few rows at 256^2, one row at 256^3.
 SAMPLER_BLOCK_BYTES = 1 << 22
@@ -178,7 +183,7 @@ def random_bandlimited_blocks(grid: BoxGrid, seeds, modes: int = 20, width_frac:
     transform pair, and its rows come from the SAMPLER_BLOCK_BYTES budget.
     """
     seeds = list(seeds)
-    k2, _, _ = _spectral_tables(grid)
+    k2 = _k2_table(grid)
     kc = modes * 2.0 * np.pi / grid.box_length
     band = np.negative(k2)  # exp(-k2 / kc^2), written in place
     band /= kc * kc
@@ -270,37 +275,35 @@ class _SpectralIterate:
     Built from a list of fields on one grid, ``spec`` gets a leading batch axis
     (retire rows with :meth:`keep`) and each norm is a (rows, 1, ...) array.
 
-    Besides ``spec`` the iterate owns three spectrum-sized arrays that every
-    sweep overwrites instead of allocating temporaries:
+    Besides ``spec`` the iterate owns two spectrum-sized arrays and a
+    half-sized one that every sweep overwrites instead of allocating
+    temporaries:
 
-    * ``next``, the spectrum being written next: :meth:`nonlinearity` puts the
-      forward transform there, a sweep turns it into the new iterate in place
-      and :meth:`advance` swaps it with ``spec``;
+    * ``next``, the spectrum being written next: :meth:`physical` writes the
+      physical field there, :meth:`nonlinearity` then puts the forward
+      transform there, a sweep turns it into the new iterate in place and
+      :meth:`advance` swaps it with ``spec``;
     * ``work``, the complex work array of the inverse transform, which between
       transforms holds one physical-space or residual array (:meth:`scratch`);
-    * a real block holding either the (power, weighted power) pair behind
-      every quadratic norm or the physical field :meth:`physical` writes, so
-      that field lasts only until the next norm.
+    * a real array of the spectrum's shape for the weighted power behind
+      every quadratic norm.
 
-    A batch that :meth:`mix` drives also owns its mixing history, allocated
+    An iterate that :meth:`mix` drives also owns its mixing history, allocated
     by the first call.
-
-    Each array is computed with the same ufuncs, in the same order, as the
-    expression it replaces, so results stay bit-identical.
     """
 
     def __init__(self, fields):
         self.batched = not isinstance(fields, Field)
         self.grid = fields[0].grid if self.batched else fields.grid
-        self.k2 = _spectral_tables(self.grid)[0]
+        self.k2 = _k2_table(self.grid)
         self._axes = tuple(range(-self.grid.dim, 0))
         samples = np.stack([f.samples for f in fields]) if self.batched else fields.samples
         self.spec = _rfftn(samples, self.grid.dim)
         self.next = np.empty_like(self.spec)
         self.work = np.empty_like(self.spec)
-        self._block = np.empty(2 * self.spec.size)
-        self._history = None  # mix()'s per-row arrays
-        self._slot = 0  # the history slot mix() writes next
+        self._power = np.empty(self.spec.size)
+        self._history = None  # mix()'s residual and image slots, Gram matrices, counts
+        self._slot = 0  # the history slot holding the last (f, g) pair
 
     def advance(self):
         """Make ``next`` the iterate; the old spectrum's memory is written next."""
@@ -313,61 +316,83 @@ class _SpectralIterate:
         self.work = self.work[: len(self.spec)]
         if self._history is not None:
             kept = np.flatnonzero(rows)  # ascending, so each row moves to or below itself
-            for arr in self._history:
+            residuals, images, gram, count = self._history
+            for arr in residuals + images + [gram, count]:
                 for dst, src in enumerate(kept):
                     arr[dst] = arr[src]
-            self._history = [arr[: len(kept)] for arr in self._history]
+            n = len(kept)
+            self._history = ([a[:n] for a in residuals], [a[:n] for a in images], gram[:n], count[:n])
 
-    def mix(self, depth: int, restart: np.ndarray):
-        """Anderson-mix each batch row's fixed-point step, in place in ``next``.
+    def mix(self, depth: int, restart):
+        """Anderson-mix the fixed-point step in ``next``, per batch row, in place.
 
         ``next`` holds g = G(spec), the map's image of the iterate, whose
-        residual is f = g - spec.  Each row keeps the differences of its last
-        ``depth`` residuals and images (dF, dG); the mixed spectrum is
-        g - dG gamma, with gamma the least-squares fit of f by dF over the real
-        and imaginary parts, from one batched Gram solve
-        (Anderson, J. ACM 12, 1965; Walker and Ni, SIAM J. Numer. Anal. 49,
-        2011).  A row drops its history, so that its step is g itself, on the
-        first call, where ``restart`` flags it, and where its residual grew in
-        the last sweep.  The history is allocated once, written slot by slot
-        in turn, and trimmed by :meth:`keep`.
+        residual is f = g - spec.  The mixed step is g - dG gamma, with gamma
+        the least-squares fit of f by the differences dF of the last ``depth``
+        residuals over the real and imaginary parts, from one batched Gram
+        solve, and dG the matching image differences (Anderson, J. ACM 12,
+        1965; Walker and Ni, SIAM J. Numer. Anal. 49, 2011).  A row drops its
+        history, so that its step is g itself, on the first call, where
+        ``restart`` flags it, and where its residual grew in the last sweep.
+
+        The history is ``depth`` residual slots and ``depth`` image slots per
+        row, allocated once: the last (f, g) pair and the depth - 1
+        differences before it.  A call turns the last pair into the newest
+        difference in place and fits f by all ``depth`` differences; then f is
+        copied over the oldest difference and the mixed step is built in the
+        oldest image slot, which trades places with ``next``, so that slot
+        keeps g.  Only the newest difference's Gram row is computed.
         """
         g = self.next
         f = np.subtract(g, self.spec, out=self.work)
         if self._history is None:
-            shape = (len(g), depth) + g.shape[1:]
-            self._history = [f.copy(), g.copy(), np.zeros(shape, complex),
-                             np.zeros(shape, complex), np.zeros((len(g), depth, depth)),
-                             np.zeros(len(g), dtype=int)]
+            residuals = [f.copy()] + [np.zeros_like(f) for _ in range(depth - 1)]
+            images = [g.copy()] + [np.zeros_like(g) for _ in range(depth - 1)]
+            rows = len(g) if self.batched else 1
+            self._history = (residuals, images, np.zeros((rows, depth, depth)),
+                             np.zeros(rows, dtype=int))
+            self._slot = 0
             return
-        f_last, g_last, df, dg, gram, count = self._history
-        slot = self._slot
-        self._slot = (slot + 1) % depth
-        np.subtract(f, f_last, out=df[:, slot])
-        np.subtract(g, g_last, out=dg[:, slot])
-        f_last[...] = f
-        g_last[...] = g
-        df_re, f_re = _real_rows(df, 2), _real_rows(f, 1)
-        gram[:, slot] = gram[:, :, slot] = np.einsum("rn,rjn->rj", df_re[:, slot], df_re)
-        rhs = np.einsum("rn,rjn->rj", f_re, df_re)
+        residuals, images, gram, count = self._history
+        rowed = (lambda arr: arr) if self.batched else (lambda arr: arr[np.newaxis])
+        new = self._slot
+        oldest = (new + 1) % depth
+        np.subtract(f, residuals[new], out=residuals[new])
+        np.subtract(g, images[new], out=images[new])
+        f_re = _real_rows(rowed(f), 1)
+        df_re = [_real_rows(rowed(df), 1) for df in residuals]
+        rhs = np.empty(gram.shape[:2])
+        for j, df in enumerate(df_re):
+            gram[:, new, j] = gram[:, j, new] = np.einsum("rn,rn->r", df_re[new], df)
+            rhs[:, j] = np.einsum("rn,rn->r", f_re, df)
         # |f|^2 - |f_last|^2 = 2 f.df - |df|^2 with df = f - f_last
-        grew = 2.0 * rhs[:, slot] > gram[:, slot, slot]
+        grew = 2.0 * rhs[:, new] > gram[:, new, new]
         count[...] = np.where(restart | grew, 0, np.minimum(count + 1, depth))
         # a row fits its newest count slots, less any exactly zero difference
-        used = ((slot - np.arange(depth)) % depth < count[:, None]) & (gram.diagonal(0, 1, 2) > 0)
+        used = ((new - np.arange(depth)) % depth < count[:, None]) & (gram.diagonal(0, 1, 2) > 0)
         system = np.where(used[:, :, None] & used[:, None, :], gram, np.eye(depth))
         gamma = np.linalg.solve(system, np.where(used, rhs, 0.0)[..., None])[..., 0]
-        g_re = _real_rows(g, 1)
-        g_re -= np.einsum("rj,rjn->rn", gamma, _real_rows(dg, 2), out=f_re)
+        # -gamma per row, broadcast on a row's spectrum (complex, so no casting buffer)
+        weights = np.negative(gamma).T.astype(complex).reshape((depth, -1) + (1,) * self.grid.dim)
+        residuals[oldest][...] = f  # work is free from here
+        step = rowed(images[oldest])
+        step *= weights[oldest]
+        for j in range(depth):
+            if j != oldest and used[:, j].any():
+                step += np.multiply(rowed(images[j]), weights[j], out=rowed(self.work))
+        step += rowed(g)
+        self.next, images[oldest] = images[oldest], g
+        self._slot = oldest
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A float array of ``shape``, at most the physical or the spectrum's size, in ``work``."""
         return _carve(self.work.view(np.float64).reshape(-1), shape)
 
     def physical(self) -> np.ndarray:
-        """The iterate in physical space, in memory the next norm or transform overwrites."""
+        """The iterate in physical space, in ``next``, which the next transform overwrites."""
         shape = self.spec.shape[:-1] + (self.grid.points_per_axis,)
-        return _irfftn(self.spec, self.grid.dim, self.work, out=_carve(self._block, shape))
+        memory = self.next.view(np.float64).reshape(-1)
+        return _irfftn(self.spec, self.grid.dim, self.work, out=_carve(memory, shape))
 
     def _sum(self, arr: np.ndarray):
         """Sum over the grid axes: a float, or per row an array that broadcasts on spec."""
@@ -375,9 +400,9 @@ class _SpectralIterate:
         return total if self.batched else float(total)
 
     def _parseval(self, spec: np.ndarray, moments: int) -> tuple:
-        """:func:`grid._parseval_sums` of spec in the power pair: floats, or per-row arrays."""
-        pair = (_carve(self._block, spec.shape), _carve(self._block, spec.shape, spec.size))
-        sums = _parseval_sums(self.grid, spec, moments, pair, keepdims=self.batched)
+        """:func:`grid._parseval_sums` of spec in the power array: floats, or per-row arrays."""
+        power = _carve(self._power, spec.shape)
+        sums = _parseval_sums(self.grid, spec, moments, power, keepdims=self.batched)
         return sums if self.batched else tuple(float(s) for s in sums)
 
     def spec_norm_sq(self, arr: np.ndarray):
@@ -391,19 +416,19 @@ class _SpectralIterate:
     def symbol(self, a, b, c, out: np.ndarray | None = None) -> np.ndarray:
         """The Fourier symbol a|k|^4 + b|k|^2 + c, per row in a batch, into ``out`` or a new array.
 
-        Formed as ((a k2) k2 + b k2) + c, with b k2 in the power pair's memory.
+        Formed as ((a k2) k2 + b k2) + c, with b k2 in the power array.
         """
         out = np.multiply(a, self.k2, out=out)
         out *= self.k2
         b_shape = np.broadcast_shapes(np.shape(b), self.k2.shape)
-        out += np.multiply(b, self.k2, out=_carve(self._block, b_shape))
+        out += np.multiply(b, self.k2, out=_carve(self._power, b_shape))
         out += c
         return out
 
     def residual_ratio(self, symbol: np.ndarray, rhs: np.ndarray) -> float:
         """||symbol * spec - rhs|| / ||rhs|| of a lone iterate (inf for a zero rhs),
         the difference in ``work``."""
-        diff = np.multiply(symbol, self.spec, out=self.work)
+        diff = _by_real(np.multiply, self.spec, symbol, self.work)
         diff -= rhs
         num, den = self.spec_norm_sq(diff), self.spec_norm_sq(rhs)
         return math.sqrt(num / den) if den > 0 else math.inf
@@ -422,7 +447,22 @@ class _SpectralIterate:
         return lp, _rfftn(nl, self.grid.dim, out=self.next)
 
     def field(self) -> Field:
+        """The iterate as a Field.  Taking it ends any mixing: the history is
+        freed first, so it does not stay live beside the copy."""
+        self._history = None
         return Field(self.grid, self.physical())
+
+
+def _by_real(op, spec: np.ndarray, real: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """op(spec, real) for a complex spectrum and a real array, into the complex ``out``.
+
+    Applied to the real and the imaginary parts in turn: a mixed complex-by-real
+    ufunc would cast through a 128 KiB buffer, which would set the peak memory
+    of a sweep.
+    """
+    op(spec.real, real, out=out.real)
+    op(spec.imag, real, out=out.imag)
+    return out
 
 
 def _filter_mask(state: _SpectralIterate) -> np.ndarray:
@@ -505,6 +545,28 @@ def _finish(
     )
 
 
+def _stall(label: str, u: Field, best: float, config: SolverConfig, history: list):
+    """The error for a residual floor above the tolerance, naming its likely cause.
+
+    Such a floor sits at the larger of the box-truncation and the resolution
+    error, so the message names whichever of the boundary and spectral-tail
+    ratios of ``u`` is larger.
+    """
+    boundary = boundary_amplitude_ratio(u)
+    tail = spectral_tail_ratio(u)
+    if tail > boundary:
+        cause = "the grid may under-resolve the state (use more points)"
+    else:
+        cause = "the box may be too small for these parameters (enlarge it)"
+    return DivergenceError(
+        f"{label} stalled at residual {best:.3e} "
+        f"(tolerance {config.tol_residual:.1e}); boundary amplitude ratio is "
+        f"{boundary:.2e} and spectral tail ratio is {tail:.2e}, so {cause}",
+        last_residual=history[-1],
+        history=history,
+    )
+
+
 def _require_field_grid(params: Params, grid: BoxGrid):
     if grid.dim != params.bigN:
         raise ConfigurationError(
@@ -521,7 +583,11 @@ def petviashvili(
 ) -> GroundState:
     """Stabilized fixed point for the stationary PDE at fixed omega > 0.
 
-    Pass a list as ``residual_trace`` to record the residual history.
+    Every step is Anderson-mixed at depth PETVIASHVILI_DEPTH
+    (:meth:`_SpectralIterate.mix`; Alvarez and Duran, Math. Comput. Simul.
+    123, 2016, accelerate Petviashvili iterations by extrapolation alike); a
+    solve restarts the history at its first sweep, since a new omega is a new
+    map.  Pass a list as ``residual_trace`` to record the residual history.
     """
     state, res, iters, warn, _sweep = _petviashvili_state(
         params, grid, config, residual_trace=residual_trace
@@ -580,12 +646,13 @@ def _petviashvili_state(
         if res <= tol:
             return state, res, it, progress.warnings(), ((mass, grad, bilap), lp, raw_nl)
         stabilizer = (params.eps * bilap + grad + omega * mass) / lp
-        new_spec = np.divide(nl_spec, symbol, out=state.next)
+        new_spec = _by_real(np.divide, nl_spec, symbol, state.next)
         new_spec *= stabilizer**gamma
-        if config.relaxation < 1.0:
+        if config.relaxation < 1.0:  # spec + relaxation * (new - spec)
+            new_spec -= state.spec
             new_spec *= config.relaxation
-            state.spec *= 1.0 - config.relaxation
             new_spec += state.spec
+        state.mix(PETVIASHVILI_DEPTH, it == 1)  # a new solve, so a new map
         state.advance()
     progress.exhausted()
 
@@ -707,20 +774,7 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
             stale += 1
             if stale > 12:
                 break
-    u = state.field()
-    boundary = boundary_amplitude_ratio(u)
-    tail = spectral_tail_ratio(u)
-    if tail > boundary:
-        cause = "the grid may under-resolve the state (use more points)"
-    else:
-        cause = "the box may be too small for these parameters (enlarge it)"
-    raise DivergenceError(
-        f"frequency shooting stalled at residual {best:.3e} "
-        f"(tolerance {config.tol_residual:.1e}); boundary amplitude ratio is "
-        f"{boundary:.2e} and spectral tail ratio is {tail:.2e}, so {cause}",
-        last_residual=el,
-        history=el_history,
-    )
+    raise _stall("frequency shooting", state.field(), best, config, el_history)
 
 
 def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
@@ -759,7 +813,10 @@ def mass_constrained_flow(
     For masses below the critical one the constrained infimum is not attained
     and the iterate spreads toward the box boundary; that is detected via the
     boundary-amplitude ratio and reported as a no-minimizer outcome (a warning
-    on the returned state), not as an error.
+    on the returned state), not as an error.  A line search that finds no
+    lower energy above the tolerance is a stall: it raises
+    :class:`DivergenceError` with the residual history and names the larger of
+    the boundary and spectral-tail ratios.
     """
     c = params.require_mass()
     _require_field_grid(params, grid)
@@ -810,7 +867,7 @@ def _mass_flow_state(
         if config.filter:
             nl_spec *= _filter_mask(state)
         sym = symbol(omega_k)
-        r_spec = np.multiply(sym, state.spec, out=d_spec)
+        r_spec = _by_real(np.multiply, state.spec, sym, d_spec)
         r_spec -= nl_spec
         scale_q = params.eps * bilap + grad + abs(omega_k) * c
         rel = math.sqrt(state.spec_norm_sq(r_spec) * c) / scale_q
@@ -820,7 +877,7 @@ def _mass_flow_state(
             break
         if omega_k < 1e-2:
             sym = symbol(1e-2)
-        d_spec /= sym
+        _by_real(np.divide, d_spec, sym, d_spec)
         accepted = False
         for _ in range(60):
             trial = np.multiply(tau, d_spec, out=state.next)
@@ -855,12 +912,8 @@ def _mass_flow_state(
                 "infimum appears not to be attained at this mass",
             )
             break
-        if not accepted:
-            warn = progress.warnings() + (
-                f"energy descent stalled at relative residual {rel:.2e} "
-                f"(tolerance {config.tol_residual:.1e})",
-            )
-            break
+        if not accepted:  # no step lowers the energy: a roundoff floor above the tolerance
+            raise _stall("energy descent", Field(grid, u_phys), rel, config, progress.history)
     else:
         progress.exhausted()
     del u_phys, trial_phys, d_spec  # free them before the field is copied out

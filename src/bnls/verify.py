@@ -618,12 +618,15 @@ def verify_constants(
         ),
     ]
     if cr.K_numeric is not None:
+        # an ascent, but held to the algebraic tier: its random starts reach K
+        # to 1.1e-11 on the 3D desk grid, where a half-cell shift of the
+        # optimizer lowers the discrete quotient, and to roundoff in 1D and 2D
         checks.append(
             _check(
                 "const.k_numeric_close",
                 "ascent supremum reaches the closed-form K",
                 abs(cr.K_numeric / cr.K - 1.0),
-                tol.route,
+                tol.algebraic,
             )
         )
     return VerificationReport(checks=tuple(checks))

@@ -243,6 +243,23 @@ class TestGroundStateCommand:
         assert code == 3
         assert "residual history" in err
 
+    def test_mass_flow_stall_exit_3_with_history(self, tmp_path, capsys):
+        # at twice the desk problem's critical mass the energy descent floors
+        # near 1.7e-9, where no step lowers the energy, above the default
+        # tolerance 1e-10; the state's spectral tail (3.9e-5) exceeds its
+        # boundary ratio, so the grid is named
+        code, out, err = run(
+            capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "1",
+            "--points", "1024", "--box", "40", "--mass", "7.5259022329534",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert "energy descent stalled" in err and "tolerance 1.0e-10" in err
+        assert "spectral tail ratio" in err and "under-resolve" in err
+        assert "residual history" in err
+        assert "mass=" not in out
+        assert not (tmp_path / "ground_state_mass_flow.bnls.json").exists()
+
 
 class TestActionGssCommand:
     def test_with_explicit_omega(self, tmp_path, capsys):

@@ -197,9 +197,9 @@ class TestKAscent:
             monkeypatch.setattr(module, name, counted)
         k = K_numeric(params, grid, config)
         # eight starts run to stagnation as one batch: 2 transforms make the
-        # starts, 1 the iterate and 2 each of the 40 sweeps, 83 in all; the gate
+        # starts, 1 the iterate and 2 each of the 33 sweeps, 69 in all; the gate
         # allows 3 sweeps more.  Every transform goes through the grid module's pair
-        assert 0 < calls["kernel"] <= 90
+        assert 0 < calls["kernel"] <= 75
         assert calls["numpy n-dimensional"] == 0
         assert abs(k / constants_report.K - 1.0) <= 1e-14
 
@@ -221,7 +221,7 @@ class TestKAscent:
         cr = compute_constants(q, K_numeric(params2, grid2, config))
         report = verify_constants(cr, params2)
         (check,) = [c for c in report.checks if c.name == "const.k_numeric_close"]
-        assert check.passed and check.tol == TolProfile().route
+        assert check.passed and check.tol == TolProfile().algebraic
 
     @pytest.mark.parametrize(
         "params, grid, tol",

@@ -34,6 +34,8 @@ def run_script(name, args, out_dir):
 def test_script_writes_csvs(name, args, outputs, tmp_path):
     done = run_script(name, args, tmp_path)
     assert done.returncode == 0, done.stderr
+    # the mixed fixed-frequency solve behind residuals.csv still descends
+    assert "not monotone" not in done.stderr
     for output in outputs:
         with (tmp_path / output).open() as handle:
             rows = list(csv.reader(handle))

@@ -305,25 +305,32 @@ class TestMeasuredOnce:
         monkeypatch.setattr(grid_module, "_rfftn", counted)
         monkeypatch.setattr(bnls.solvers, "_rfftn", counted)
         monkeypatch.setattr(bnls.solvers, "_weinstein_state", solve)
-        grid_module._spectral_tables.cache_clear()
+        grid_module._k2_table.cache_clear()
         q = route_Q(params, grid, config)
         assert calls["rfftn"] == 2  # the state's norms and its spectral tail
         calls["rfftn"] = 0
         compute_constants(q)
         assert calls["rfftn"] == 0
-        assert grid_module._spectral_tables.cache_info().currsize == 1
+        assert grid_module._k2_table.cache_info().currsize == 1
 
 
 class TestShooting:
     """Inexact inner solves: counts are deterministic, so they gate here."""
 
     def test_desk_problem_sweeps(self, q_state):
-        assert q_state.iters <= 110
+        assert q_state.iters <= 70
 
     def test_2d_sweeps(self):
         q = route_Q(Params(bigN=2, p=5.0, eps=1.0), BoxGrid(2, 128, 40.0), SolverConfig())
-        assert q.iters <= 160
+        assert q.iters <= 80
         assert q.residual_pde <= 1e-10
+
+    def test_3d_sweeps(self):
+        # the critical-mass solve of the ground-state-3d benchmark workload
+        config = SolverConfig(tol_residual=1e-8)
+        q = route_Q(Params(bigN=3, p=4.0, eps=1.0), BoxGrid(3, 64, 32.0), config)
+        assert q.iters <= 60
+        assert q.residual_pde <= 1e-8
 
     def test_returned_state_is_polished(self, params, grid, config, monkeypatch):
         inner = []
@@ -412,23 +419,23 @@ class TestAndersonMix:
         self.fields = [Field(self.grid, rng.standard_normal(64)) for _ in range(3)]
         self.target = np.fft.rfft(rng.standard_normal((3, 64)))
 
-    def sweep(self, state, target, mixing, restart=None):
+    def sweep(self, state, target, mixing, restart=False, depth=3):
         """One step of G into ``next``, mixed unless ``mixing`` is False; returns G's image."""
         np.subtract(state.spec, target, out=state.next)
         state.next *= self.rate
         state.next += target
         image = state.next.copy()
         if mixing:
-            state.mix(3, np.zeros(len(target), bool) if restart is None else restart)
+            state.mix(depth, restart)
         return image
 
-    def run(self, state, target, sweeps, mixing=True, retire=None):
+    def run(self, state, target, sweeps, mixing=True, retire=None, depth=3):
         """Sweeps of G; ``retire`` = (sweep, rows kept) retires rows before that sweep."""
         for it in range(sweeps):
             if retire is not None and it == retire[0]:
                 state.keep(retire[1])
                 target = target[retire[1]]
-            self.sweep(state, target, mixing)
+            self.sweep(state, target, mixing, depth=depth)
             state.advance()
         return np.abs(state.spec - target).max()
 
@@ -446,6 +453,41 @@ class TestAndersonMix:
         # rows mix independently, so the survivors match a batch run without them
         assert np.array_equal(batch.spec, pair.spec)
 
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_lone_iterate_matches_one_row_batch(self, depth):
+        # a fixed-frequency solve mixes a lone iterate, the K ascent a batch
+        lone = bnls.solvers._SpectralIterate(self.fields[0])
+        batch = bnls.solvers._SpectralIterate([self.fields[0]])
+        plain = bnls.solvers._SpectralIterate(self.fields[0])
+        error = self.run(lone, self.target[0], 20, depth=depth)
+        self.run(batch, self.target[:1], 20, depth=depth)
+        assert error < 0.1 * self.run(plain, self.target[0], 20, mixing=False)
+        assert lone.spec.tobytes() == batch.spec[0].tobytes()
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_history_holds_two_spectra_per_row_and_depth(self, depth):
+        # the last (f, g) pair and depth - 1 differences of each: 2 depth
+        # spectra a row, allocated by the first call and never again
+        grid = BoxGrid(1, 1024, 10.0)
+        rng = np.random.default_rng(5)
+        state = bnls.solvers._SpectralIterate([Field(grid, rng.standard_normal(1024))
+                                               for _ in range(3)])
+        target = np.fft.rfft(rng.standard_normal((3, 1024)))
+        rate = np.linspace(0.1, 0.95, 513)
+        tracemalloc.start()
+        try:
+            for _ in range(6):
+                np.subtract(state.spec, target, out=state.next)
+                state.next *= rate
+                state.next += target
+                state.mix(depth, False)
+                state.advance()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        spectra = held / state.spec[0].nbytes
+        assert 2 * depth * len(state.spec) <= spectra < 2 * depth * len(state.spec) + 0.5
+
     def test_restarted_row_takes_the_plain_step(self):
         state = bnls.solvers._SpectralIterate(self.fields)
         self.run(state, self.target, 4)
@@ -462,12 +504,12 @@ class TestMemoryBudget:
     FLOW_PEAK = 3_142_354
 
     def test_3d_route_q_and_mass_flow(self):
-        from bnls.grid import _spectral_tables
+        from bnls.grid import _k2_table
 
         params = Params(bigN=3, p=4.0, eps=1.0)
         grid = BoxGrid(3, 32, 20.0)
         config = SolverConfig(tol_residual=1e-6)
-        _spectral_tables.cache_clear()  # count the tables, as a fresh process would
+        _k2_table.cache_clear()  # count the tables, as a fresh process would
         tracemalloc.start()
         try:
             q = route_Q(params, grid, config)
@@ -481,8 +523,8 @@ class TestMemoryBudget:
         assert flow_peak <= self.FLOW_PEAK
 
     def test_k_ascent_history_fits_a_mebibyte(self, params, grid, config):
-        # eight 1D desk starts: the mixing history is 8 spectra a row, 0.53 MB,
-        # and the whole ascent peaked at 0.59 MB before mixing
+        # eight 1D desk starts: the depth-3 mixing history is 6 spectra a row,
+        # 0.39 MB, and the whole ascent peaked at 0.59 MB before mixing
         from bnls.constants import K_numeric
 
         K_numeric(params, grid, config)  # the tables, as every later ascent finds them
