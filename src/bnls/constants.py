@@ -188,6 +188,7 @@ def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int
     seeds = [config.seed + 101 * (k + 1) for k in range(n_starts)]
     starts = [Field(grid, row) for block in random_bandlimited_blocks(grid, seeds) for row in block]
     state = _SpectralIterate(starts)
+    symbols = np.empty(state.spec.shape)  # every sweep's symbol, on the live rows
     best = 0.0
     recent = np.full((len(starts), STAGNATION_WINDOW), np.inf)  # each row's last quotients
     for _ in range(max(60, min(400, config.max_iters))):
@@ -199,7 +200,8 @@ def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int
         live = np.abs(quotient - recent[:, 0]) > STAGNATION_RTOL * quotient
         if not live.any():
             break
-        symbol = state.symbol(2.0 * params.eps / quad, 2.0 / quad, (p - 2.0) / mass)
+        symbol = state.symbol(2.0 * params.eps / quad, 2.0 / quad, (p - 2.0) / mass,
+                              out=symbols[: len(state.spec)])
         nl_spec *= p / lp
         _by_real(np.divide, nl_spec, symbol, nl_spec)
         # quotient is amplitude-invariant; renormalize mass to stop drift

@@ -187,18 +187,31 @@ def _irfftn(
     return np.fft.irfft(src, n=2 * (spec.shape[-1] - 1), axis=-1, out=out)
 
 
-def _parseval_sums(grid: BoxGrid, spec: np.ndarray, moments: int = 3, power=None, keepdims=False):
-    """The Parseval sums (mass, grad, bilap)[:moments] of the rfftn spectrum ``spec``.
+def _parseval_sums(
+    grid: BoxGrid, spec: np.ndarray, moments: int = 3, power=None, keepdims=False,
+    other=None, scratch=None,
+):
+    """The Parseval sums (mass, grad, bilap)[:moments] of the rfftn spectrum ``spec``,
+    or, given the spectrum ``other``, the same sums of Re(spec conj(other)): the cross
+    terms (u, w), (grad u, grad w) and (lap u, lap w) of the two fields.
 
-    Forms weight * |spec|^2 and sums it, times h^d / M^d, over the last
-    ``grid.dim`` axes; then multiplies it by |k|^2 in place and sums again,
-    twice, for the |k|^2 and |k|^4 moments.  ``power``, a real array of
-    spec's shape, holds it all (a fresh one when omitted); ``keepdims`` keeps
-    the summed axes, as a batch broadcasting on spec needs.
+    Forms weight * |spec|^2 (or weight * Re(spec conj(other)), from the
+    products of the two spectra's real and imaginary parts in ``scratch``, a
+    float array of spec's shape with its last axis doubled) and sums it,
+    times h^d / M^d, over the last ``grid.dim`` axes; then multiplies it by
+    |k|^2 in place and sums again, twice, for the |k|^2 and |k|^4 moments.
+    ``power``, a real array of spec's shape, holds it all; both are fresh
+    when omitted.  ``keepdims`` keeps the summed axes, as a batch
+    broadcasting on spec needs.
     """
     k2 = _k2_table(grid)
-    power = np.abs(spec, out=power)  # weight * |spec|^2, in one array
-    power *= power
+    if other is None:
+        power = np.abs(spec, out=power)  # weight * |spec|^2, in one array
+        power *= power
+    else:
+        # the products of the interleaved real and imaginary parts, summed in pairs
+        prod = np.multiply(spec.view(np.float64), other.view(np.float64), out=scratch)
+        power = np.add(prod[..., 0::2], prod[..., 1::2], out=power)
     # Half-spectrum double counting: interior modes of the last axis stand for
     # a conjugate pair; m=0 and Nyquist do not.  (Scalar factors of 2, so exact.)
     power *= 2.0
@@ -213,16 +226,19 @@ def _parseval_sums(grid: BoxGrid, spec: np.ndarray, moments: int = 3, power=None
     return tuple(sums)
 
 
-def norm_sums(grid: BoxGrid, samples: np.ndarray, exponents=()) -> tuple:
+def norm_sums(grid: BoxGrid, samples: np.ndarray, exponents=(), spec=None) -> tuple:
     """(mass, grad, bilap, *power sums) over the last ``grid.dim`` axes of samples.
 
     ``samples`` is one field's array or a (rows, *grid.shape) block; each
     entry is then a 0-d or a per-row array.  mass, grad and bilap are the
-    :func:`_parseval_sums` of the spectrum; the power sums h^d sum |u|^q, one
-    per q in ``exponents``, are physical-space quadrature.  A row's sums are
-    bit-equal to those of its field alone.
+    :func:`_parseval_sums` of the spectrum (pass it as ``spec`` when it is at
+    hand); the power sums h^d sum |u|^q, one per q in ``exponents``, are
+    physical-space quadrature.  A row's sums are bit-equal to those of its
+    field alone.
     """
-    sums = list(_parseval_sums(grid, _rfftn(samples, grid.dim)))
+    if spec is None:
+        spec = _rfftn(samples, grid.dim)
+    sums = list(_parseval_sums(grid, spec))
     if exponents:
         axes = tuple(range(-grid.dim, 0))
         mag = np.empty_like(samples)
@@ -238,11 +254,12 @@ def quadratic_norms(u: Field) -> tuple:
     return tuple(float(s) for s in norm_sums(u.grid, u.samples))
 
 
-def norms(u: Field, p: float) -> NormTuple:
-    """All four norms of a field at exponent p > 2 (see :func:`norm_sums`)."""
+def norms(u: Field, p: float, spec: np.ndarray | None = None) -> NormTuple:
+    """All four norms of a field at exponent p > 2 (see :func:`norm_sums`); ``spec``
+    is the field's rfftn spectrum, when it is at hand."""
     if not p > 2:
         raise ValueError(f"norms requires p > 2, got {p}")
-    mass, grad, bilap, lp = (float(s) for s in norm_sums(u.grid, u.samples, (p,)))
+    mass, grad, bilap, lp = (float(s) for s in norm_sums(u.grid, u.samples, (p,), spec))
     return NormTuple(mass=mass, grad=grad, bilap=bilap, lp=lp, p=float(p))
 
 
@@ -338,14 +355,15 @@ def boundary_amplitude_ratio(u) -> float:
     return edge / peak
 
 
-def spectral_tail_ratio(u: Field) -> float:
+def spectral_tail_ratio(u: Field, spec: np.ndarray | None = None) -> float:
     """max |u_hat| over |k| > 0.9 k_max divided by max |u_hat| (0 for the zero field).
 
     The grid's counterpart of :func:`boundary_amplitude_ratio`: the Fourier
     coefficients of a resolved field decay to roundoff before the Nyquist.
+    ``spec`` is the field's rfftn spectrum, when it is at hand.
     """
     k2 = _k2_table(u.grid)
-    amplitude = np.abs(_rfftn(u.samples, u.grid.dim))
+    amplitude = np.abs(_rfftn(u.samples, u.grid.dim) if spec is None else spec)
     peak = float(np.max(amplitude))
     if peak == 0.0:
         return 0.0

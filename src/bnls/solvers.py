@@ -8,22 +8,27 @@ Three routes:
 * ``route_Q`` locates the optimizer of the scale-invariant quotient by
   shooting on the frequency: the fixed-omega ground state is the optimizer
   exactly when its norms satisfy grad = (beta/alpha) * eps * bilap, and that
-  mismatch is a smooth, monotone, scale-free function of omega.  A bracketed
-  secant iteration drives it to zero, warm-starting each inner solve from the
-  previous one.  The inner solves are inexact: each runs only to
-  INNER_FORCING times the last Euler-Lagrange residual (an inexact-Newton
-  forcing rule), and once that residual meets the tolerance the last inner
-  solve is polished at its omega to the tight inner floor and the residual
-  checked again.  The converged state is measured once; one exact rescaling
-  gives the critical-mass state, whose norms follow by the scaling laws, and
-  a pipeline derives all its constants from them.  (Per-sweep renormalized
-  Euler-Lagrange sweeps were tried first and rejected: the renormalization
-  shrinks the box until the tails wrap, which feeds a slow width
-  instability.)
+  mismatch is a smooth, monotone, scale-free function of omega.  Secant steps
+  through the two latest solves drive it to zero, safeguarded by a bracket
+  (Illinois regula falsi, or bisection, where a secant step would leave it),
+  warm-starting each inner solve from the previous one.  The inner solves are
+  inexact: each runs only to INNER_FORCING times the last Euler-Lagrange
+  residual (an inexact-Newton forcing rule), and once that residual meets
+  the tolerance the last inner solve is polished at its omega to the tight
+  inner floor and the residual checked again.  The converged state is
+  measured once; one exact rescaling gives the critical-mass state, whose
+  norms follow by the scaling laws, and a pipeline derives all its constants
+  from them.  (Per-sweep renormalized Euler-Lagrange sweeps were tried first
+  and rejected: the renormalization shrinks the box until the tails wrap,
+  which feeds a slow width instability.)
 * ``mass_constrained_flow`` descends the energy on the fixed-mass sphere with
   a preconditioned, multiplier-shifted projected gradient; its fixed points
   are exact critical points and every accepted step is non-increasing in
-  energy.
+  energy.  It starts from the Gaussian bump moved along its mass-preserving
+  fiber to the fiber's energy minimum, where that is negative, and its line
+  search sums each trial's energy change from exact quadratics in the step
+  and pointwise lp changes, so it resolves changes far below the roundoff
+  of the energy itself.
 
 The inner loops carry the iterate as its (real-to-complex) spectrum.  This is
 deliberate: materializing the field every sweep re-quantizes the tiny
@@ -52,7 +57,7 @@ from .errors import (
     DivergenceError,
     VanishingError,
 )
-from .functionals import Params
+from .functionals import Params, energy
 from .grid import (
     BoxGrid,
     Field,
@@ -65,7 +70,7 @@ from .grid import (
     norms,
     spectral_tail_ratio,
 )
-from .scalings import construct_Q
+from .scalings import construct_Q, mass_preserving_scale_laws
 
 INIT_MODES = ("gaussian_bump", "random_bandlimited")
 
@@ -85,6 +90,9 @@ PETVIASHVILI_DEPTH = 1
 # Bytes of samples per block of random_bandlimited_blocks: one block at 256
 # points in 1D, a few rows at 256^2, one row at 256^3.
 SAMPLER_BLOCK_BYTES = 1 << 22
+# Points per block of the mass flow's trial lp change (_power_change): an eighth
+# MiB of samples, so its temporaries stay small beside a 3D grid's arrays.
+POWER_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -399,10 +407,13 @@ class _SpectralIterate:
         total = np.sum(arr, axis=self._axes, keepdims=self.batched)
         return total if self.batched else float(total)
 
-    def _parseval(self, spec: np.ndarray, moments: int) -> tuple:
-        """:func:`grid._parseval_sums` of spec in the power array: floats, or per-row arrays."""
+    def _parseval(self, spec: np.ndarray, moments: int, other: np.ndarray | None = None) -> tuple:
+        """:func:`grid._parseval_sums` of spec (with ``other``, their cross sums, with
+        ``next`` as scratch) in the power array: floats, or per-row arrays."""
         power = _carve(self._power, spec.shape)
-        sums = _parseval_sums(self.grid, spec, moments, power, keepdims=self.batched)
+        scratch = None if other is None else self.next.view(np.float64)
+        sums = _parseval_sums(self.grid, spec, moments, power, keepdims=self.batched,
+                              other=other, scratch=scratch)
         return sums if self.batched else tuple(float(s) for s in sums)
 
     def spec_norm_sq(self, arr: np.ndarray):
@@ -412,6 +423,11 @@ class _SpectralIterate:
     def quadratic_norms(self, spec: np.ndarray | None = None) -> tuple:
         """(mass, grad, bilap) of the iterate, or of another spectrum on the grid."""
         return self._parseval(self.spec if spec is None else spec, 3)
+
+    def cross_norms(self, spec: np.ndarray) -> tuple:
+        """The (mass, grad, bilap) cross sums of the iterate and another spectrum on the grid,
+        the Parseval sums of Re(iterate conj(spec)); overwrites ``next``."""
+        return self._parseval(self.spec, 3, other=spec)
 
     def symbol(self, a, b, c, out: np.ndarray | None = None) -> np.ndarray:
         """The Fourier symbol a|k|^4 + b|k|^2 + c, per row in a batch, into ``out`` or a new array.
@@ -524,13 +540,14 @@ def _finish(
     residual: float,
     extra_warnings: tuple = (),
 ) -> GroundState:
-    nt = norms(u, params.p)
+    spec = _rfftn(u.samples, u.grid.dim)  # one transform for the norms and the tail
+    nt = norms(u, params.p, spec)
     omega_x = extract_omega(nt, params)
     warn = list(extra_warnings)
     ratio = boundary_amplitude_ratio(u)
     if ratio > 1e-8:
         warn.append(f"boundary amplitude is {ratio:.2e} of the peak; box may be too small")
-    tail = spectral_tail_ratio(u)
+    tail = spectral_tail_ratio(u, spec)
     if tail > 1e-8:
         warn.append(f"spectral tail is {tail:.2e} of the peak; grid may under-resolve the state")
     return GroundState(
@@ -701,6 +718,7 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
     inner_floor = min(1e-12, 0.1 * config.tol_residual)
     total = 0
     state = omega_at = inner_res = el = None
+    solved = []  # (omega, mismatch) of each solve; a polish replaces its omega's pair
 
     def solve(omega, inner_tol=None):
         """Inner solve at omega, by default forced by ``el``; sets ``el``, returns the mismatch."""
@@ -711,10 +729,14 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
             params.with_omega(omega), grid, config, warm=state, tol=inner_tol
         )
         total += its
-        omega_at = omega
         el = _el_residual_spectral(state, params, sweep)
         _mass, g, b = sweep[0]
-        return ep.beta * params.eps * b / (ep.alpha * g) - 1.0
+        mismatch = ep.beta * params.eps * b / (ep.alpha * g) - 1.0
+        if omega == omega_at:
+            solved.pop()
+        solved.append((omega, mismatch))
+        omega_at = omega
+        return mismatch
 
     # The mismatch is scale-free and increasing in omega; bracket a sign change
     # starting from the frequency the optimizer would have at unit mass.
@@ -737,10 +759,12 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
     if f_lo > 0 > f_hi:
         lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
 
-    # Illinois-damped regula falsi on the bracketed, monotone mismatch; stop
-    # on the actual Euler-Lagrange residual of the inner state.  That residual
-    # bottoms out at the larger of the box-truncation and the resolution
-    # error, so a stall names whichever of the two ratios is larger.
+    # Secant steps through the two latest (omega, mismatch) pairs while they
+    # land inside the bracket, else Illinois-damped regula falsi on the
+    # bracketed, monotone mismatch; stop on the actual Euler-Lagrange residual
+    # of the inner state.  That residual bottoms out at the larger of the
+    # box-truncation and the resolution error, so a stall names whichever of
+    # the two ratios is larger.
     el_history = [el]
     best = el
     stale = 0
@@ -752,8 +776,11 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
             solve(omega_at, inner_floor)  # the polish
             el_history.append(el)
             continue
-        denom = f_hi - f_lo
-        w = 0.5 * (lo + hi) if denom == 0 else hi - f_hi * (hi - lo) / denom
+        (w0, f0), (w1, f1) = solved[-2:]
+        w = math.nan if f1 == f0 else w1 - f1 * (w1 - w0) / (f1 - f0)
+        if not (min(lo, hi) < w < max(lo, hi)):
+            denom = f_hi - f_lo
+            w = 0.5 * (lo + hi) if denom == 0 else hi - f_hi * (hi - lo) / denom
         if not (min(lo, hi) < w < max(lo, hi)):
             w = 0.5 * (lo + hi)
         f_w = solve(w)
@@ -807,8 +834,17 @@ def mass_constrained_flow(
     The step direction is P^-1 (E'(u) + omega_k u) with omega_k the Nehari
     multiplier estimate (so fixed points solve the stationary PDE exactly) and
     P the positive operator eps*lap^2 - lap + sigma.  A backtracking line
-    search keeps the measured energy non-increasing at every accepted step;
-    pass a list as ``energy_trace`` to record the accepted energy values.
+    search accepts a step only where the energy does not increase; it decides
+    on the energy change itself, taken without cancellation (see
+    :func:`_mass_flow_state`), so it keeps descending below the roundoff of
+    the energy, and the flow reaches tolerances far below sqrt(machine eps).
+    Pass a list as ``energy_trace`` to record the energy of the start and of
+    every accepted step.
+
+    The default start (``init`` gaussian_bump) is the bump moved along its
+    mass-preserving fiber to the fiber's energy minimum, when that minimum is
+    negative (:func:`_fiber_start`); it needs no other solve.  Otherwise the
+    flow starts from the bump itself.
 
     For masses below the critical one the constrained infimum is not attained
     and the iterate spreads toward the box boundary; that is detected via the
@@ -824,97 +860,204 @@ def mass_constrained_flow(
     return _finish(u, params, iters, "mass_flow", rel, warn)
 
 
+def _fiber_start(grid: BoxGrid, params: Params, c: float) -> Field:
+    """The default bump at mass c, moved along its mass-preserving fiber to the fiber's
+    energy minimum where that minimum is negative, else the bump itself.
+
+    Along u_t(x) = t^(N/2) u(t x) the energy is eps B t^4/2 + G t^2/2 - P t^gamma/p,
+    with (G, B, P) the bump's grad, bilap and lp and gamma = N(p-2)/2, which
+    lies in (2, 4) in the mass-competition window.  Its interior minimum is the
+    larger root t* of 2 eps B t^2 + G = (gamma/p) P t^(gamma-2); the left side
+    over t^(gamma-2) falls and then rises, so the root is bisected above that
+    turning point.  A Gaussian's u_t is the Gaussian of width w/t, so the start
+    is the bump of width (L/10)/t* put back on the sphere.
+    """
+    bump = normalize_to_mass(gaussian_bump(grid), c)
+    gamma = params.bigN * (params.p - 2.0) / 2.0
+    if not (params.eps > 0 and 2.0 < gamma < 4.0):
+        return bump
+    nt = norms(bump, params.p)
+    two_eps_b = 2.0 * params.eps * nt.bilap
+    target = gamma / params.p * nt.lp
+
+    def excess(t):
+        return two_eps_b * t ** (4.0 - gamma) + nt.grad * t ** (2.0 - gamma) - target
+
+    lo = math.sqrt((gamma - 2.0) * nt.grad / ((4.0 - gamma) * two_eps_b))
+    if excess(lo) >= 0:
+        return bump  # the fiber energy has no interior minimum
+    hi = 2.0 * lo
+    while excess(hi) < 0:
+        hi *= 2.0
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+    if energy(mass_preserving_scale_laws(nt, hi, params), params) >= 0:
+        return bump
+    return normalize_to_mass(gaussian_bump(grid, grid.box_length / 10.0 / hi), c)
+
+
+def _power_change(u, v, tau, p, powered, block) -> float:
+    """sum(|u - tau v|^p - |u|^p), each point's change taken without cancellation.
+
+    ``powered`` holds |u|^p.  Where the step keeps the sign of u, x = -tau v / u
+    exceeds -1 and a point's change is |u|^p expm1(p log1p(x)), exact to a few
+    ulps of the change itself.  The rest, where the step flips the sign of u,
+    u is 0 or the power overflows, are tail points that carry a vanishing
+    share of lp; there the change is the direct difference.  The points go
+    through the float array ``block`` a block at a time, which bounds the
+    temporaries of the rest (all of a narrow start's underflowed tail).
+    """
+    u, v, powered = u.reshape(-1), v.reshape(-1), powered.reshape(-1)
+    total = 0.0
+    for lo in range(0, u.size, block.size):
+        u_b, v_b, powered_b = (a[lo : lo + block.size] for a in (u, v, powered))
+        with np.errstate(all="ignore"):  # the rest come out as nan or inf
+            x = np.divide(v_b, u_b, out=block[: u_b.size])
+            x *= -tau
+            np.log1p(x, out=x)
+            x *= p
+            np.expm1(x, out=x)
+            x *= powered_b
+        change = float(np.sum(x))
+        if not math.isfinite(change):  # the block holds some of the rest
+            rest = np.flatnonzero(~np.isfinite(x))
+            stepped = v_b[rest]
+            stepped *= -tau
+            stepped += u_b[rest]
+            np.abs(stepped, out=stepped)
+            stepped **= p
+            stepped -= powered_b[rest]
+            x[rest] = stepped
+            change = float(np.sum(x))
+        total += change
+    return total
+
+
 def _mass_flow_state(
     params: Params, grid: BoxGrid, config: SolverConfig, c: float, energy_trace: list | None
 ) -> tuple:
     """The descent loop of :func:`mass_constrained_flow`: (field, iterations, residual, warnings).
 
-    The line-search trial is written into the iterate's ``next`` array and
-    becomes the iterate by :meth:`_SpectralIterate.advance`; its physical field
-    and the accepted one trade places between ``trial_phys`` and ``u_phys``.
+    An iteration takes lp of the iterate (spectrum s, field u) from u, the
+    direction d and its field v = irfftn(d) once, and tries steps tau: the
+    trial is amp (s - tau d), with amp = sqrt(c / mass(s - tau d)), whose field
+    is amp (u - tau v), so a trial needs no transform.  Its energy change is
+    summed from changes that carry no cancellation: the mass, grad and bilap
+    of s - tau d differ from those of s by exact quadratics in tau, whose
+    coefficients are the Parseval cross sums (s, d) and (d, d); amp^2 - 1 and
+    amp^p - 1 follow from the mass change, relative to the iterate's own
+    mass (the start's measured mass differs from c by the roundoff of its
+    sum, which would put back an O(machine eps) energy change); and the lp
+    change is summed point by point (:func:`_power_change`).  The direct
+    difference of two energies cannot resolve a change below the roundoff of
+    the energy, which is O(residual^2) near the minimizer, so it would stall
+    the flow near a residual of sqrt(machine eps) (Nocedal and Wright,
+    Numerical Optimization, 2006, ch. 3).  The start's mass, grad and bilap
+    are measured; an accepted step's are amp^2 times its trial's, so no
+    iteration measures them again.
+
+    The arrays are reused: |u|^(p-2) u and then |u|^p sit in the iterate's
+    ``work``, the symbol in v's memory until v is formed, the inverse
+    transform's passes and each trial's block of point changes in ``next``,
+    and an accepted step is written into ``next`` and into v, which then
+    trade places with the iterate's spectrum and u.
     """
     p = params.p
-    state = _SpectralIterate(normalize_to_mass(initial_field(grid, config), c))
-    k2 = state.k2
+    eps = params.eps
+    state = _SpectralIterate(
+        _fiber_start(grid, params, c) if config.init == "gaussian_bump"
+        else normalize_to_mass(initial_field(grid, config), c)
+    )
     vol = grid.cell_volume
     d_spec = np.empty_like(state.spec)
+    u = state.physical().copy()  # physical() returns next, which the loop overwrites
+    v = np.empty_like(u)
 
     def symbol(sigma):
-        return state.symbol(params.eps, 1.0, sigma, out=state.scratch(k2.shape))
+        return state.symbol(eps, 1.0, sigma, out=_carve(v.reshape(-1), state.k2.shape))
 
-    def energy_parts(spec, phys):
-        _, grad, bilap = state.quadratic_norms(spec)
-        powered = state.scratch(phys.shape)
-        np.abs(phys, out=powered)
-        powered **= p
-        return grad, bilap, vol * float(np.sum(powered))
-
-    u_phys = state.physical().copy()  # the norms below overwrite physical()'s array
-    trial_phys = np.empty_like(u_phys)
-    grad, bilap, lp = energy_parts(state.spec, u_phys)
-    e_now = 0.5 * params.eps * bilap + 0.5 * grad - lp / p
-    if energy_trace is not None:
-        energy_trace.append(e_now)
+    mass, grad, bilap = state.quadratic_norms()
     tau = 1.0
     progress = _Progress("mass flow", config, config.tol_residual)
     for it in range(1, config.max_iters + 1):
-        omega_k = (lp - params.eps * bilap - grad) / c
-        nl = state.scratch(u_phys.shape)
-        np.abs(u_phys, out=nl)
-        nl **= p - 2.0
-        nl *= u_phys
-        nl_spec = _rfftn(nl, grid.dim, out=state.next)
+        powered = state.scratch(u.shape)  # |u|^(p-2) u, then |u|^p
+        np.abs(u, out=powered)
+        powered **= p - 2.0
+        powered *= u
+        nl_spec = _rfftn(powered, grid.dim, out=state.next)
+        powered *= u
+        lp = vol * float(np.sum(powered))
+        quad = 0.5 * eps * bilap + 0.5 * grad
+        if energy_trace is not None:
+            energy_trace.append(quad - lp / p)
         if config.filter:
             nl_spec *= _filter_mask(state)
+        omega_k = (lp - eps * bilap - grad) / c
         sym = symbol(omega_k)
         r_spec = _by_real(np.multiply, state.spec, sym, d_spec)
         r_spec -= nl_spec
-        scale_q = params.eps * bilap + grad + abs(omega_k) * c
+        scale_q = eps * bilap + grad + abs(omega_k) * c
         rel = math.sqrt(state.spec_norm_sq(r_spec) * c) / scale_q
-        progress.update(it, rel)
+        try:
+            progress.update(it, rel)
+        except DivergenceError:
+            if not math.isfinite(rel):
+                raise
+            # a residual floor above the tolerance: name its likely cause
+            raise _stall("energy descent", Field(grid, u), progress.best, config,
+                         progress.history) from None
         if rel <= config.tol_residual:
             warn = progress.warnings()
             break
-        if omega_k < 1e-2:
-            sym = symbol(1e-2)
-        _by_real(np.divide, d_spec, sym, d_spec)
-        accepted = False
-        for _ in range(60):
-            trial = np.multiply(tau, d_spec, out=state.next)
-            np.subtract(state.spec, trial, out=trial)
-            _irfftn(trial, grid.dim, state.work, out=trial_phys)
-            squares = state.scratch(trial_phys.shape)
-            m_t = vol * float(np.sum(np.multiply(trial_phys, trial_phys, out=squares)))
-            if m_t <= 0:
-                tau *= 0.5
-                continue
-            amp = math.sqrt(c / m_t)
-            trial *= amp
-            trial_phys *= amp
-            t_grad, t_bilap, t_lp = energy_parts(trial, trial_phys)
-            e_t = 0.5 * params.eps * t_bilap + 0.5 * t_grad - t_lp / p
-            if e_t <= e_now:
-                state.advance()
-                u_phys, trial_phys = trial_phys, u_phys
-                grad, bilap, lp = t_grad, t_bilap, t_lp
-                e_now = e_t
-                if energy_trace is not None:
-                    energy_trace.append(e_now)
-                tau = min(tau * 1.25, 16.0)
-                accepted = True
-                break
-            tau *= 0.5
-        spread = boundary_amplitude_ratio(u_phys)
-        if spread > 1e-2:
+        spread = boundary_amplitude_ratio(u)
+        if it > 1 and spread > 1e-2:
             warn = progress.warnings() + (
                 "no-minimizer outcome: iterate is spreading toward the box "
                 f"boundary (boundary ratio {spread:.2e}); the constrained "
                 "infimum appears not to be attained at this mass",
             )
             break
+        if omega_k < 1e-2:
+            sym = symbol(1e-2)
+        _by_real(np.divide, d_spec, sym, d_spec)
+        _irfftn(d_spec, grid.dim, state.next, out=v)
+        m_sd, g_sd, b_sd = state.cross_norms(d_spec)
+        m_dd, g_dd, b_dd = state.quadratic_norms(d_spec)
+        quad_sd, quad_dd = eps * b_sd + g_sd, 0.5 * (eps * b_dd + g_dd)
+        block = _carve(state.next.view(np.float64).reshape(-1), (min(u.size, POWER_BLOCK),))
+        accepted = False
+        for _ in range(60):
+            d_mass = tau * (tau * m_dd - 2.0 * m_sd)
+            if not mass + d_mass > 0:
+                tau *= 0.5
+                continue
+            d_quad = tau * (tau * quad_dd - quad_sd)
+            amp2_m1 = -d_mass / (mass + d_mass)  # amp^2 - 1
+            ampp_m1 = math.expm1(0.5 * p * math.log1p(amp2_m1))  # amp^p - 1
+            d_lp = vol * _power_change(u, v, tau, p, powered, block)
+            d_energy = (amp2_m1 * quad + (1.0 + amp2_m1) * d_quad
+                        - (ampp_m1 * lp + (1.0 + ampp_m1) * d_lp) / p)
+            if d_energy <= 0:
+                amp2 = c / (mass + d_mass)
+                mass, grad, bilap = (c, amp2 * (grad + tau * (tau * g_dd - 2.0 * g_sd)),
+                                     amp2 * (bilap + tau * (tau * b_dd - 2.0 * b_sd)))
+                amp = math.sqrt(amp2)
+                trial = np.multiply(d_spec, -tau, out=state.next)
+                trial += state.spec
+                trial *= amp
+                state.advance()
+                v *= -tau
+                v += u
+                v *= amp
+                u, v = v, u
+                tau = min(tau * 1.25, 16.0)
+                accepted = True
+                break
+            tau *= 0.5
         if not accepted:  # no step lowers the energy: a roundoff floor above the tolerance
-            raise _stall("energy descent", Field(grid, u_phys), rel, config, progress.history)
+            raise _stall("energy descent", Field(grid, u), rel, config, progress.history)
     else:
         progress.exhausted()
-    del u_phys, trial_phys, d_spec  # free them before the field is copied out
+    del u, v, d_spec  # free them before the field is copied out
     return state.field(), it, rel, warn

@@ -244,17 +244,17 @@ class TestGroundStateCommand:
         assert "residual history" in err
 
     def test_mass_flow_stall_exit_3_with_history(self, tmp_path, capsys):
-        # at twice the desk problem's critical mass the energy descent floors
-        # near 1.7e-9, where no step lowers the energy, above the default
-        # tolerance 1e-10; the state's spectral tail (3.9e-5) exceeds its
+        # at twice the desk problem's critical mass the energy descent reaches
+        # 1e-15 but floors near 5e-16, in double-precision roundoff, above a
+        # tolerance of 1e-16; the state's spectral tail (3.9e-5) exceeds its
         # boundary ratio, so the grid is named
         code, out, err = run(
             capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "1",
             "--points", "1024", "--box", "40", "--mass", "7.5259022329534",
-            "--out-dir", str(tmp_path),
+            "--tol", "1e-16", "--out-dir", str(tmp_path),
         )
         assert code == 3
-        assert "energy descent stalled" in err and "tolerance 1.0e-10" in err
+        assert "energy descent stalled" in err and "tolerance 1.0e-16" in err
         assert "spectral tail ratio" in err and "under-resolve" in err
         assert "residual history" in err
         assert "mass=" not in out
