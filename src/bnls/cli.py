@@ -55,11 +55,8 @@ CONFIG_KEYS = {
     "box": 40.0,
     "max_iters": 5000,
     "tol_residual": 1e-10,
-    "relaxation": 1.0,
     "seed": 0,
     "init": "gaussian_bump",
-    "filter": False,
-    "petviashvili_gamma": None,
     "out_dir": ".",
     "samples": 500,
 }
@@ -100,13 +97,8 @@ def build_problem(cfg) -> tuple:
     solver = SolverConfig(
         max_iters=int(cfg["max_iters"]),
         tol_residual=float(cfg["tol_residual"]),
-        relaxation=float(cfg["relaxation"]),
         seed=int(cfg["seed"]),
         init=str(cfg["init"]),
-        filter=bool(cfg["filter"]),
-        petviashvili_gamma=(
-            None if cfg["petviashvili_gamma"] is None else float(cfg["petviashvili_gamma"])
-        ),
     )
     return params, grid, solver
 
@@ -360,13 +352,8 @@ def _add_common(sub):
     sub.add_argument("--box", type=float, help="box side length L")
     sub.add_argument("--max-iters", dest="max_iters", type=int)
     sub.add_argument("--tol", dest="tol_residual", type=float, help="solver residual tolerance")
-    sub.add_argument("--relaxation", type=float)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--init", choices=["gaussian_bump", "random_bandlimited"])
-    sub.add_argument("--filter", action="store_const", const=True, default=None,
-                     help="low-pass the nonlinearity at 2/3 of the Nyquist radius")
-    sub.add_argument("--gamma", dest="petviashvili_gamma", type=float,
-                     help="stabilizing exponent (default (p-1)/(p-2))")
     sub.add_argument("--out-dir", dest="out_dir", help="output directory")
     sub.add_argument("--samples", type=int, help="random fields for inequality tests")
 

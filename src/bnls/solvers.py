@@ -5,22 +5,19 @@ Three routes:
 * ``petviashvili`` solves the stationary PDE at fixed omega > 0 with the
   classic stabilized fixed point u <- S^gamma * L^-1 N(u), each step
   Anderson-mixed with the one before it.
-* ``route_Q`` locates the optimizer of the scale-invariant quotient by
-  shooting on the frequency: the fixed-omega ground state is the optimizer
-  exactly when its norms satisfy grad = (beta/alpha) * eps * bilap, and that
-  mismatch is a smooth, monotone, scale-free function of omega.  Secant steps
-  through the two latest solves drive it to zero, safeguarded by a bracket
-  (Illinois regula falsi, or bisection, where a secant step would leave it),
-  warm-starting each inner solve from the previous one.  The inner solves are
-  inexact: each runs only to INNER_FORCING times the last Euler-Lagrange
-  residual (an inexact-Newton forcing rule), and once that residual meets
-  the tolerance the last inner solve is polished at its omega to the tight
-  inner floor and the residual checked again.  The converged state is
-  measured once; one exact rescaling gives the critical-mass state, whose
-  norms follow by the scaling laws, and a pipeline derives all its constants
-  from them.  (Per-sweep renormalized Euler-Lagrange sweeps were tried first
-  and rejected: the renormalization shrinks the box until the tails wrap,
-  which feeds a slow width instability.)
+* ``route_Q`` finds the optimizer of the scale-invariant quotient with the
+  same sweep, letting the frequency move: the fixed-omega ground state is the
+  optimizer exactly when its norms satisfy grad = (beta/alpha) * eps * bilap,
+  and that mismatch is a smooth, monotone, scale-free function of omega.  Each
+  sweep takes one Petviashvili step at the current omega and moves log omega
+  against the iterate's mismatch, and the pair (spectrum, log omega) is
+  Anderson-mixed as one fixed point; the loop stops on the scale-free
+  Euler-Lagrange residual.  The converged state is measured once; one exact
+  rescaling gives the critical-mass state, whose norms follow by the scaling
+  laws, and a pipeline derives all its constants from them.  (Per-sweep
+  renormalized Euler-Lagrange sweeps were tried first and rejected: the
+  renormalization shrinks the box until the tails wrap, which feeds a slow
+  width instability.)
 * ``mass_constrained_flow`` descends the energy on the fixed-mass sphere with
   a preconditioned, multiplier-shifted projected gradient; its fixed points
   are exact critical points and every accepted step is non-increasing in
@@ -76,17 +73,18 @@ INIT_MODES = ("gaussian_bump", "random_bandlimited")
 
 # Iterations without a new best residual before a run is declared stalled.
 STALL_WINDOW = 60
-# Residual growth after this many iterations is only a warning, not an error.
-BURN_IN = 10
-# Inexact frequency shooting: an inner solve runs to INNER_FORCING times the
-# last Euler-Lagrange residual; the first one, with no such residual yet, runs
-# to FIRST_INNER_TOL.
-INNER_FORCING = 1e-2
-FIRST_INNER_TOL = 1e-4
 # Anderson mixing of every Petviashvili sweep mixes the last step only: on 64^3
-# depths 2 and 3 took 43 and 51 shooting sweeps against 54, for a spectrum
-# pair (4 MiB there) each.
+# (L 32, p 4) depth 2 takes 30 optimizer sweeps against 34, for a spectrum pair
+# (4 MiB there) in the history.
 PETVIASHVILI_DEPTH = 1
+# The optimizer's sweep moves log omega by -OMEGA_STEP times the quotient
+# mismatch and mixes OMEGA_WEIGHT log omega beside the spectrum.  On the 1D
+# desk problem and 1D p 7 (1024 points, L 40), which take 28 sweeps each here,
+# a step of 1 stalls near 2.6e-4 on the first, steps of 1/8 and 1/2 take 30
+# and 27, and 30 and 39 sweeps, and a weight of 100, near the raw spectrum's
+# norm, takes 41 and 37; weights from 0.1 to 10 change a count by one at most.
+OMEGA_STEP = 0.25
+OMEGA_WEIGHT = 1.0
 # Bytes of samples per block of random_bandlimited_blocks: one block at 256
 # points in 1D, a few rows at 256^2, one row at 256^3.
 SAMPLER_BLOCK_BYTES = 1 << 22
@@ -99,19 +97,14 @@ POWER_BLOCK = 1 << 14
 class SolverConfig:
     max_iters: int = 5000
     tol_residual: float = 1e-10
-    relaxation: float = 1.0
     seed: int = 0
     init: str = "gaussian_bump"
-    filter: bool = False
-    petviashvili_gamma: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol_residual > 0:
             raise ConfigurationError(f"tol_residual must be positive, got {self.tol_residual}")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ConfigurationError(f"relaxation must lie in (0, 1], got {self.relaxation}")
         if self.init not in INIT_MODES:
             raise ConfigurationError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
@@ -119,11 +112,8 @@ class SolverConfig:
         blob = {
             "max_iters": self.max_iters,
             "tol_residual": self.tol_residual,
-            "relaxation": self.relaxation,
             "seed": self.seed,
             "init": self.init,
-            "filter": self.filter,
-            "petviashvili_gamma": self.petviashvili_gamma,
         }
         return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -324,14 +314,15 @@ class _SpectralIterate:
         self.work = self.work[: len(self.spec)]
         if self._history is not None:
             kept = np.flatnonzero(rows)  # ascending, so each row moves to or below itself
-            residuals, images, gram, count = self._history
-            for arr in residuals + images + [gram, count]:
+            residuals, images, extras, gram, count = self._history
+            for arr in residuals + images + [extras, gram, count]:
                 for dst, src in enumerate(kept):
                     arr[dst] = arr[src]
             n = len(kept)
-            self._history = ([a[:n] for a in residuals], [a[:n] for a in images], gram[:n], count[:n])
+            self._history = ([a[:n] for a in residuals], [a[:n] for a in images], extras[:n],
+                             gram[:n], count[:n])
 
-    def mix(self, depth: int, restart):
+    def mix(self, depth: int, restart, extra=(0.0, 0.0)):
         """Anderson-mix the fixed-point step in ``next``, per batch row, in place.
 
         ``next`` holds g = G(spec), the map's image of the iterate, whose
@@ -343,6 +334,10 @@ class _SpectralIterate:
         history, so that its step is g itself, on the first call, where
         ``restart`` flags it, and where its residual grew in the last sweep.
 
+        ``extra`` = (x, g) is one more real coordinate of each row's iterate
+        and of its image (floats for a lone iterate, else per-row arrays),
+        fitted and mixed with the spectrum; the mixed coordinate is returned.
+
         The history is ``depth`` residual slots and ``depth`` image slots per
         row, allocated once: the last (f, g) pair and the depth - 1
         differences before it.  A call turns the last pair into the newest
@@ -353,26 +348,34 @@ class _SpectralIterate:
         """
         g = self.next
         f = np.subtract(g, self.spec, out=self.work)
+        rows = len(g) if self.batched else 1
+        pair = np.empty((rows, 2))  # the extra coordinate's (f, g) per row
+        pair[:, 1] = extra[1]
+        pair[:, 0] = pair[:, 1] - extra[0]
         if self._history is None:
             residuals = [f.copy()] + [np.zeros_like(f) for _ in range(depth - 1)]
             images = [g.copy()] + [np.zeros_like(g) for _ in range(depth - 1)]
-            rows = len(g) if self.batched else 1
-            self._history = (residuals, images, np.zeros((rows, depth, depth)),
+            extras = np.zeros((rows, 2, depth))  # (f, g) slots of the extra coordinate
+            extras[:, :, 0] = pair
+            self._history = (residuals, images, extras, np.zeros((rows, depth, depth)),
                              np.zeros(rows, dtype=int))
             self._slot = 0
-            return
-        residuals, images, gram, count = self._history
+            return pair[:, 1] if self.batched else float(pair[0, 1])
+        residuals, images, extras, gram, count = self._history
         rowed = (lambda arr: arr) if self.batched else (lambda arr: arr[np.newaxis])
         new = self._slot
         oldest = (new + 1) % depth
         np.subtract(f, residuals[new], out=residuals[new])
         np.subtract(g, images[new], out=images[new])
+        np.subtract(pair, extras[:, :, new], out=extras[:, :, new])
         f_re = _real_rows(rowed(f), 1)
         df_re = [_real_rows(rowed(df), 1) for df in residuals]
+        df_extra = extras[:, 0]
         rhs = np.empty(gram.shape[:2])
         for j, df in enumerate(df_re):
-            gram[:, new, j] = gram[:, j, new] = np.einsum("rn,rn->r", df_re[new], df)
-            rhs[:, j] = np.einsum("rn,rn->r", f_re, df)
+            gram[:, new, j] = gram[:, j, new] = (np.einsum("rn,rn->r", df_re[new], df)
+                                                 + df_extra[:, new] * df_extra[:, j])
+            rhs[:, j] = np.einsum("rn,rn->r", f_re, df) + pair[:, 0] * df_extra[:, j]
         # |f|^2 - |f_last|^2 = 2 f.df - |df|^2 with df = f - f_last
         grew = 2.0 * rhs[:, new] > gram[:, new, new]
         count[...] = np.where(restart | grew, 0, np.minimum(count + 1, depth))
@@ -382,6 +385,8 @@ class _SpectralIterate:
         gamma = np.linalg.solve(system, np.where(used, rhs, 0.0)[..., None])[..., 0]
         # -gamma per row, broadcast on a row's spectrum (complex, so no casting buffer)
         weights = np.negative(gamma).T.astype(complex).reshape((depth, -1) + (1,) * self.grid.dim)
+        mixed = pair[:, 1] - np.einsum("rj,rj->r", gamma, extras[:, 1])
+        extras[:, :, oldest] = pair
         residuals[oldest][...] = f  # work is free from here
         step = rowed(images[oldest])
         step *= weights[oldest]
@@ -391,6 +396,7 @@ class _SpectralIterate:
         step += rowed(g)
         self.next, images[oldest] = images[oldest], g
         self._slot = oldest
+        return mixed if self.batched else float(mixed[0])
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A float array of ``shape``, at most the physical or the spectrum's size, in ``work``."""
@@ -481,22 +487,18 @@ def _by_real(op, spec: np.ndarray, real: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _filter_mask(state: _SpectralIterate) -> np.ndarray:
-    cutoff = (2.0 / 3.0) * np.pi * state.grid.points_per_axis / state.grid.box_length
-    return (state.k2 <= cutoff * cutoff).astype(np.float64)
-
-
 class _Progress:
-    """Best-residual tracking with stall detection and a monotonicity note."""
+    """Best-residual tracking: a non-finite residual is a divergence, and STALL_WINDOW
+    iterations without a new best are a stall, whose error names its likely cause
+    (:func:`_stall`, on the field that ``field()`` returns)."""
 
-    def __init__(self, label: str, config: SolverConfig, tol: float):
+    def __init__(self, label: str, config: SolverConfig, field):
         self.label = label
-        self.tol = tol
         self.config = config
+        self.field = field
         self.history = []
         self.best = math.inf
         self.best_iter = 0
-        self.non_monotone = False
 
     def update(self, it: int, res: float):
         self.history.append(res)
@@ -506,30 +508,18 @@ class _Progress:
                 last_residual=res,
                 history=self.history,
             )
-        if it > BURN_IN and res > 1.5 * self.best:
-            self.non_monotone = True
         if res < self.best:
             self.best, self.best_iter = res, it
         elif it - self.best_iter > STALL_WINDOW:
-            raise DivergenceError(
-                f"{self.label}: residual stopped decreasing near {self.best:.3e} "
-                f"(tolerance {self.tol:.1e})",
-                last_residual=res,
-                history=self.history,
-            )
+            raise _stall(self.label, self.field(), self.best, self.config, self.history)
 
     def exhausted(self):
         raise DivergenceError(
-            f"{self.label}: no convergence to {self.tol:.1e} "
+            f"{self.label}: no convergence to {self.config.tol_residual:.1e} "
             f"within {self.config.max_iters} iterations",
             last_residual=self.history[-1] if self.history else None,
             history=self.history,
         )
-
-    def warnings(self) -> tuple:
-        if self.non_monotone:
-            return (f"{self.label}: residual history was not monotone after burn-in",)
-        return ()
 
 
 def _finish(
@@ -592,56 +582,58 @@ def _require_field_grid(params: Params, grid: BoxGrid):
 
 
 # ---------------------------------------------------------------------------
-# fixed-frequency stabilized fixed point
+# the Petviashvili sweep, at fixed omega or jointly with omega
 
 
 def petviashvili(
     params: Params, grid: BoxGrid, config: SolverConfig, residual_trace: list | None = None
 ) -> GroundState:
-    """Stabilized fixed point for the stationary PDE at fixed omega > 0.
+    """Stabilized fixed point for the stationary PDE at fixed omega > 0 (:func:`_sweeps`).
 
-    Every step is Anderson-mixed at depth PETVIASHVILI_DEPTH
-    (:meth:`_SpectralIterate.mix`; Alvarez and Duran, Math. Comput. Simul.
-    123, 2016, accelerate Petviashvili iterations by extrapolation alike); a
-    solve restarts the history at its first sweep, since a new omega is a new
-    map.  Pass a list as ``residual_trace`` to record the residual history.
-    """
-    state, res, iters, warn, _sweep = _petviashvili_state(
-        params, grid, config, residual_trace=residual_trace
-    )
-    u = state.field()
-    del state, _sweep  # their buffers would otherwise stay live through _finish
-    return _finish(u, params, iters, "petviashvili", res, warn)
-
-
-def _petviashvili_state(
-    params: Params,
-    grid: BoxGrid,
-    config: SolverConfig,
-    warm: _SpectralIterate | None = None,
-    tol: float | None = None,
-    residual_trace: list | None = None,
-) -> tuple:
-    """Returns (state, residual, iterations, warnings, sweep).
-
-    ``sweep`` = ((mass, grad, bilap), lp, nl_spec) is what the last sweep
-    computed for the returned state (``nl_spec`` unfiltered, in the state's
-    ``next`` array until its next sweep), so a caller measuring that state
-    needs no further transform.
+    Pass a list as ``residual_trace`` to record the residual history.
     """
     omega = params.require_omega()
     if not omega > 0:
         raise ConfigurationError(f"petviashvili needs omega > 0, got {omega}")
+    u, res, iters = _sweeps(params, grid, config, omega, residual_trace=residual_trace)
+    return _finish(u, params, iters, "petviashvili", res)
+
+
+def _sweeps(
+    params: Params,
+    grid: BoxGrid,
+    config: SolverConfig,
+    omega: float,
+    optimize: bool = False,
+    residual_trace: list | None = None,
+) -> tuple:
+    """The Petviashvili sweep loop from the initial field: (field, residual, sweeps).
+
+    A sweep takes the stabilized step u <- S^gamma L^-1 N(u) at the current
+    omega, with L = eps lap^2 - lap + omega, N(u) = |u|^(p-2) u, S = <Lu, u> /
+    <N(u), u> and gamma = (p-1)/(p-2), and Anderson-mixes it at depth
+    PETVIASHVILI_DEPTH (:meth:`_SpectralIterate.mix`; Alvarez and Duran,
+    Math. Comput. Simul. 123, 2016, accelerate Petviashvili iterations by
+    extrapolation alike).  It stops on the residual of the PDE at omega.
+
+    With ``optimize`` omega moves too, from the given start: the same sweep
+    sets log omega <- log omega - OMEGA_STEP m, with m = beta eps bilap /
+    (alpha grad) - 1 the quotient mismatch of the iterate, which vanishes
+    exactly at the optimizer's frequency and grows with omega, and OMEGA_WEIGHT
+    log omega is mixed as one more coordinate beside the spectrum, so the mix
+    sees one map of (u, log omega).  The loop then stops on the
+    scale-free Euler-Lagrange residual (:func:`_el_residual_spectral`).
+    """
     _require_field_grid(params, grid)
-    tol = config.tol_residual if tol is None else tol
-    p = params.p
-    gamma = config.petviashvili_gamma
-    if gamma is None:
-        gamma = (p - 1.0) / (p - 2.0)
-    state = warm if warm is not None else _SpectralIterate(initial_field(grid, config))
-    symbol = state.symbol(params.eps, 1.0, omega)
+    p, eps = params.p, params.eps
+    ep = params.exponents() if optimize else None
+    gamma = (p - 1.0) / (p - 2.0)
+    state = _SpectralIterate(initial_field(grid, config))
+    lin = state.symbol(eps, 1.0, omega, out=np.empty(state.k2.shape))  # L's symbol
+    w_log_omega = OMEGA_WEIGHT * math.log(omega)
     mass0 = state.quadratic_norms()[0]
-    progress = _Progress("petviashvili", config, tol)
+    progress = _Progress("quotient optimizer" if optimize else "petviashvili", config,
+                         state.field)
     for it in range(1, config.max_iters + 1):
         mass, grad, bilap = state.quadratic_norms()
         if not math.isfinite(mass) or mass > 1e24 * max(mass0, 1.0):
@@ -652,156 +644,71 @@ def _petviashvili_state(
             )
         if mass < 1e-24 * mass0:
             raise VanishingError("iterate collapsed to zero")
-        lp, raw_nl = state.nonlinearity(p)
+        lp, nl_spec = state.nonlinearity(p)
         if lp <= 0:
             raise VanishingError("nonlinearity vanished; iterate collapsed")
-        nl_spec = raw_nl * _filter_mask(state) if config.filter else raw_nl
-        res = state.residual_ratio(symbol, nl_spec)
+        if optimize:  # the residual's symbol borrows L's array
+            res = _el_residual_spectral(state, ep, p, (mass, grad, bilap), lp, nl_spec, lin)
+            state.symbol(eps, 1.0, omega, out=lin)
+        else:
+            res = state.residual_ratio(lin, nl_spec)
         progress.update(it, res)
         if residual_trace is not None:
             residual_trace.append(res)
-        if res <= tol:
-            return state, res, it, progress.warnings(), ((mass, grad, bilap), lp, raw_nl)
-        stabilizer = (params.eps * bilap + grad + omega * mass) / lp
-        new_spec = _by_real(np.divide, nl_spec, symbol, state.next)
-        new_spec *= stabilizer**gamma
-        if config.relaxation < 1.0:  # spec + relaxation * (new - spec)
-            new_spec -= state.spec
-            new_spec *= config.relaxation
-            new_spec += state.spec
-        state.mix(PETVIASHVILI_DEPTH, it == 1)  # a new solve, so a new map
+        if res <= config.tol_residual:
+            del lin  # free it before the field is copied out
+            return state.field(), res, it
+        stabilizer = (eps * bilap + grad + omega * mass) / lp
+        _by_real(np.divide, nl_spec, lin, nl_spec)  # the step, in next
+        nl_spec *= stabilizer**gamma
+        if optimize:
+            mismatch = ep.beta * eps * bilap / (ep.alpha * grad) - 1.0
+            shift = OMEGA_WEIGHT * OMEGA_STEP * mismatch
+            w_log_omega = state.mix(PETVIASHVILI_DEPTH, False, (w_log_omega, w_log_omega - shift))
+            omega = math.exp(w_log_omega / OMEGA_WEIGHT)
+        else:
+            state.mix(PETVIASHVILI_DEPTH, False)
         state.advance()
     progress.exhausted()
 
 
-# ---------------------------------------------------------------------------
-# quotient optimizer by frequency shooting
-
-
-def _el_residual_spectral(state: _SpectralIterate, params: Params, sweep: tuple) -> float:
+def _el_residual_spectral(
+    state: _SpectralIterate, ep, p: float, quadratic: tuple, lp: float, nl_spec: np.ndarray,
+    out: np.ndarray,
+) -> float:
     """Relative residual of the self-normalized Euler-Lagrange equation.
 
     (alpha/bilap) lap^2 u - (beta/grad) lap u + ((p-2)/mass) u = (p/lp) |u|^(p-2) u
     is exactly invariant under amplitude/box rescaling, so this equals the
-    residual of the unit-normalized optimizer candidate.  ``sweep`` is what
-    the inner solve computed for ``state`` (see ``_petviashvili_state``); its
-    ``nl_spec`` is scaled in place.
+    residual of the unit-normalized optimizer candidate.  It is taken on the
+    equation times lp/p, against ``nl_spec`` = rfftn(|u|^(p-2) u) as it
+    stands, with the symbol in ``out``; ``quadratic`` is (mass, grad, bilap)
+    and ``ep`` the exponents of the problem.
     """
-    ep = params.exponents()
-    p = params.p
-    (mass, grad, bilap), lp, nl_spec = sweep
-    if lp <= 0 or grad <= 0 or bilap <= 0:
+    mass, grad, bilap = quadratic
+    if grad <= 0 or bilap <= 0:
         raise VanishingError("degenerate iterate in quotient residual")
-    symbol = state.symbol(ep.alpha / bilap, ep.beta / grad, (p - 2.0) / mass)
-    nl_spec *= p / lp
+    scale = lp / p
+    symbol = state.symbol(scale * ep.alpha / bilap, scale * ep.beta / grad,
+                          scale * (p - 2.0) / mass, out=out)
     return state.residual_ratio(symbol, nl_spec)
 
 
 def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tuple:
-    """Shoot on omega until the fixed-omega ground state is the optimizer.
+    """The quotient optimizer: (field, residual, sweeps), from :func:`_sweeps` with omega free.
 
-    Returns (field, residual, total inner iterations); the field is the
-    converged fixed-omega solution whose exact rescalings are the optimizer
-    and the constructed critical-mass state.
-
-    The inner solves are inexact (Eisenstat-Walker forcing): each runs only to
-    ``max(inner_floor, INNER_FORCING * el)``, with ``el`` the last
-    Euler-Lagrange residual (the first solve, before any, runs to
-    ``FIRST_INNER_TOL``): all but the last only supply a mismatch sign or a
-    secant point.  Once the EL residual meets the tolerance, the last inner
-    solve is polished at the same omega down to ``inner_floor`` and the EL
-    residual is checked again, so the returned state is converged as tightly
-    as a sequence of exact solves would leave it.
+    The field is a fixed-omega ground state whose norms satisfy grad =
+    (beta/alpha) eps bilap, so its exact rescalings are the optimizer and
+    the constructed critical-mass state.  Moving the frequency inside the
+    iteration is the spectral renormalization of Ablowitz and Musslimani
+    (Opt. Lett. 30, 2005).  The start is the initial field at the frequency
+    the optimizer would have at unit mass.  A residual floor above the
+    tolerance sits at the larger of the box-truncation and the resolution
+    error, so a stall names whichever of the two ratios is larger.
     """
-    _require_field_grid(params, grid)
     ep = params.exponents()
-    inner_floor = min(1e-12, 0.1 * config.tol_residual)
-    total = 0
-    state = omega_at = inner_res = el = None
-    solved = []  # (omega, mismatch) of each solve; a polish replaces its omega's pair
-
-    def solve(omega, inner_tol=None):
-        """Inner solve at omega, by default forced by ``el``; sets ``el``, returns the mismatch."""
-        nonlocal total, state, omega_at, inner_res, el
-        if inner_tol is None:
-            inner_tol = max(inner_floor, INNER_FORCING * el)
-        state, inner_res, its, _warn, sweep = _petviashvili_state(
-            params.with_omega(omega), grid, config, warm=state, tol=inner_tol
-        )
-        total += its
-        el = _el_residual_spectral(state, params, sweep)
-        _mass, g, b = sweep[0]
-        mismatch = ep.beta * params.eps * b / (ep.alpha * g) - 1.0
-        if omega == omega_at:
-            solved.pop()
-        solved.append((omega, mismatch))
-        omega_at = omega
-        return mismatch
-
-    # The mismatch is scale-free and increasing in omega; bracket a sign change
-    # starting from the frequency the optimizer would have at unit mass.
     omega0 = (params.p - 2.0) * ep.alpha / (ep.beta**2 * params.eps)
-    lo = hi = omega0
-    f_lo = f_hi = solve(omega0, FIRST_INNER_TOL)
-    for _ in range(80):
-        if f_lo < 0 < f_hi or f_lo > 0 > f_hi or f_lo == 0 or f_hi == 0:
-            break
-        if f_hi < 0:
-            hi *= 2.0
-            f_hi = solve(hi)
-        else:
-            lo *= 0.5
-            f_lo = solve(lo)
-    else:
-        raise DivergenceError(
-            "could not bracket the optimizer frequency", last_residual=f_hi
-        )
-    if f_lo > 0 > f_hi:
-        lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
-
-    # Secant steps through the two latest (omega, mismatch) pairs while they
-    # land inside the bracket, else Illinois-damped regula falsi on the
-    # bracketed, monotone mismatch; stop on the actual Euler-Lagrange residual
-    # of the inner state.  That residual bottoms out at the larger of the
-    # box-truncation and the resolution error, so a stall names whichever of
-    # the two ratios is larger.
-    el_history = [el]
-    best = el
-    stale = 0
-    last_side = 0
-    for _ in range(120):
-        if el <= config.tol_residual:
-            if inner_res <= inner_floor:
-                return state.field(), el, total
-            solve(omega_at, inner_floor)  # the polish
-            el_history.append(el)
-            continue
-        (w0, f0), (w1, f1) = solved[-2:]
-        w = math.nan if f1 == f0 else w1 - f1 * (w1 - w0) / (f1 - f0)
-        if not (min(lo, hi) < w < max(lo, hi)):
-            denom = f_hi - f_lo
-            w = 0.5 * (lo + hi) if denom == 0 else hi - f_hi * (hi - lo) / denom
-        if not (min(lo, hi) < w < max(lo, hi)):
-            w = 0.5 * (lo + hi)
-        f_w = solve(w)
-        if (f_w < 0) == (f_lo < 0):
-            if last_side == -1:
-                f_hi *= 0.5
-            lo, f_lo = w, f_w
-            last_side = -1
-        elif f_w != 0.0:
-            if last_side == +1:
-                f_lo *= 0.5
-            hi, f_hi = w, f_w
-            last_side = +1
-        el_history.append(el)
-        if el < 0.5 * best:
-            best, stale = el, 0
-        else:
-            stale += 1
-            if stale > 12:
-                break
-    raise _stall("frequency shooting", state.field(), best, config, el_history)
+    return _sweeps(params, grid, config, omega0, optimize=True)
 
 
 def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
@@ -979,7 +886,7 @@ def _mass_flow_state(
 
     mass, grad, bilap = state.quadratic_norms()
     tau = 1.0
-    progress = _Progress("mass flow", config, config.tol_residual)
+    progress = _Progress("energy descent", config, lambda: Field(grid, u))
     for it in range(1, config.max_iters + 1):
         powered = state.scratch(u.shape)  # |u|^(p-2) u, then |u|^p
         np.abs(u, out=powered)
@@ -991,28 +898,19 @@ def _mass_flow_state(
         quad = 0.5 * eps * bilap + 0.5 * grad
         if energy_trace is not None:
             energy_trace.append(quad - lp / p)
-        if config.filter:
-            nl_spec *= _filter_mask(state)
         omega_k = (lp - eps * bilap - grad) / c
         sym = symbol(omega_k)
         r_spec = _by_real(np.multiply, state.spec, sym, d_spec)
         r_spec -= nl_spec
         scale_q = eps * bilap + grad + abs(omega_k) * c
         rel = math.sqrt(state.spec_norm_sq(r_spec) * c) / scale_q
-        try:
-            progress.update(it, rel)
-        except DivergenceError:
-            if not math.isfinite(rel):
-                raise
-            # a residual floor above the tolerance: name its likely cause
-            raise _stall("energy descent", Field(grid, u), progress.best, config,
-                         progress.history) from None
+        progress.update(it, rel)
         if rel <= config.tol_residual:
-            warn = progress.warnings()
+            warn = ()
             break
         spread = boundary_amplitude_ratio(u)
         if it > 1 and spread > 1e-2:
-            warn = progress.warnings() + (
+            warn = (
                 "no-minimizer outcome: iterate is spreading toward the box "
                 f"boundary (boundary ratio {spread:.2e}); the constrained "
                 "infimum appears not to be attained at this mass",

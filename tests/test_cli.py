@@ -77,6 +77,22 @@ class TestConstantsCommand:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("key", ["relaxation", "filter", "petviashvili_gamma"])
+    def test_deleted_solver_key_rejected(self, key, tmp_path, capsys):
+        # the knobs that Anderson mixing made moot are gone; a config file that
+        # still names one is refused, not silently ignored
+        from bnls.cli import build_parser, resolve_config
+        from bnls.errors import ConfigurationError
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"N": 1, "p": 8.0, key: 1.0}))
+        args = build_parser().parse_args(["constants", "--config", str(cfg_path)])
+        with pytest.raises(ConfigurationError, match=key):
+            resolve_config(args)
+        code, _, err = run(capsys, "constants", "--config", str(cfg_path))
+        assert code == 2
+        assert key in err
+
 
 class TestGroundStateCommand:
     def test_solve_and_files(self, tmp_path, capsys):
@@ -351,6 +367,7 @@ class TestSweepCommand:
     def test_rows_take_every_solver_flag(self, tmp_path, capsys, monkeypatch):
         import bnls.cli
         from bnls.errors import DivergenceError
+        from bnls.solvers import SolverConfig
 
         seen = []
 
@@ -361,18 +378,15 @@ class TestSweepCommand:
         monkeypatch.setattr(bnls.cli, "route_Q", spy)
         code, _, _ = run(
             capsys, "sweep", "--N", "1", "--p-grid", "8", "--eps", "1", *FAST,
-            "--init", "random_bandlimited", "--filter", "--relaxation", "0.7",
-            "--gamma", "1.5", "--relaxed", "--seed", "5", "--out-dir", str(tmp_path),
+            "--init", "random_bandlimited", "--relaxed", "--seed", "5", "--max-iters", "77",
+            "--out-dir", str(tmp_path),
         )
         assert code == 3
         (params, grid, solver), = seen
         assert params.relaxed is True
         assert (grid.points_per_axis, grid.box_length) == (512, 40.0)
-        assert solver.init == "random_bandlimited"
-        assert solver.filter is True
-        assert solver.relaxation == 0.7
-        assert solver.petviashvili_gamma == 1.5
-        assert (solver.seed, solver.tol_residual) == (5, 1e-9)
+        assert solver == SolverConfig(max_iters=77, tol_residual=1e-9, seed=5,
+                                      init="random_bandlimited")
 
     def test_regime_violation_fails_fast(self, tmp_path, capsys):
         code, _, err = run(

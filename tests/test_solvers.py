@@ -56,8 +56,8 @@ class TestSolverConfig:
         [
             {"max_iters": 0},
             {"tol_residual": 0.0},
-            {"relaxation": 0.0},
-            {"relaxation": 1.5},
+            {"max_iters": -1},
+            {"tol_residual": float("nan")},
             {"init": "bogus"},
             {"init": "stored_field"},
         ],
@@ -182,11 +182,6 @@ class TestPetviashvili:
         scale = quadratic_scale(gs.nt, pm)
         assert abs(pohozaev(gs.nt, pm)) / scale <= 1e-6
 
-    def test_spectral_filter_mode_runs(self, grid):
-        pm = Params(bigN=1, p=8.0, eps=1.0, omega=2.0)
-        gs = petviashvili(pm, grid, SolverConfig(filter=True, tol_residual=1e-9))
-        assert gs.residual_pde <= 1e-9
-
 
 class TestWeinstein:
     def test_seed_independence(self, params, grid):
@@ -224,6 +219,15 @@ class TestWeinstein:
         assert "stalled" in message
         assert "boundary amplitude ratio" in message and "spectral tail ratio" in message
         assert cause in message
+
+    def test_2d_stall_names_the_grid(self):
+        # 128^2 at L 40 under-resolves the p 5.7 state (spectral tail 4e-4,
+        # boundary 5e-7); a 2/3-rule low-pass of the nonlinearity once hid that
+        # tail, and the stall blamed the box
+        with pytest.raises(DivergenceError) as err:
+            route_Q(Params(bigN=2, p=5.7, eps=1.0), GRID_2D, SolverConfig())
+        assert "stalled" in str(err.value)
+        assert "under-resolve" in str(err.value)
 
 
 class TestRouteQ:
@@ -325,38 +329,43 @@ def q_2d():
 
 
 class TestShooting:
-    """Inexact inner solves: counts are deterministic, so they gate here."""
+    """The joint (field, omega) sweep of the optimizer: its sweep counts are
+    deterministic, so they gate here (frequency shooting took 50, 57 and 43 in
+    1D, 2D and 3D)."""
 
     def test_desk_problem_sweeps(self, q_state):
-        assert q_state.iters <= 52
+        assert q_state.iters <= 30
 
     def test_2d_sweeps(self, q_2d):
-        assert q_2d.iters <= 64
+        assert q_2d.iters <= 47
         assert q_2d.residual_pde <= 1e-10
 
     def test_3d_sweeps(self):
         # the critical-mass solve of the ground-state-3d benchmark workload
         config = SolverConfig(tol_residual=1e-8)
         q = route_Q(Params(bigN=3, p=4.0, eps=1.0), BoxGrid(3, 64, 32.0), config)
-        assert q.iters <= 45
+        assert q.iters <= 36
         assert q.residual_pde <= 1e-8
 
-    def test_returned_state_is_polished(self, params, grid, config, monkeypatch):
-        inner = []
-        original = bnls.solvers._petviashvili_state
+    @pytest.mark.parametrize("p, gate", [(7.0, 30), (9.5, 27)])
+    def test_1d_exponent_sweeps(self, p, gate):
+        # frequency shooting took 44 sweeps at p 7 and 46 at p 9.5
+        q = route_Q(Params(bigN=1, p=p, eps=1.0), BoxGrid(1, 1024, 40.0), SolverConfig())
+        assert q.iters <= gate
+        assert q.residual_pde <= 1e-10
 
-        def recorded(*args, **kwargs):
-            out = original(*args, **kwargs)
-            inner.append((kwargs["tol"], out[1]))
-            return out
-
-        monkeypatch.setattr(bnls.solvers, "_petviashvili_state", recorded)
-        q = route_Q(params, grid, config)
-        inner_floor = min(1e-12, 0.1 * config.tol_residual)
-        # the early solves are loose, the state returned is converged to the floor
-        assert max(tol for tol, _ in inner) > 1e3 * inner_floor
-        assert inner[-1][1] <= inner_floor
-        assert q.residual_pde <= config.tol_residual
+    def test_returned_state_meets_the_tolerance(self, params, grid, config):
+        # the optimizer returns the iterate its stopping test measured, with no
+        # final fixed-omega solve after it: that state meets the tolerance and
+        # is the optimizer to it, and a rerun returns the same bytes
+        u, res, sweeps = bnls.solvers._weinstein_state(params, grid, config)
+        again = bnls.solvers._weinstein_state(params, grid, config)
+        assert res <= config.tol_residual
+        assert u.samples.tobytes() == again[0].samples.tobytes()
+        assert (res, sweeps) == again[1:]
+        ep = params.exponents()
+        _, g, b = quadratic_norms(u)
+        assert abs(ep.beta * params.eps * b / (ep.alpha * g) - 1.0) <= 100 * config.tol_residual
 
     def test_bit_identical_reruns(self, params, grid, config, q_state):
         again = route_Q(params, grid, config)
@@ -546,6 +555,25 @@ class TestAndersonMix:
             tracemalloc.stop()
         spectra = held / state.spec[0].nbytes
         assert 2 * depth * len(state.spec) <= spectra < 2 * depth * len(state.spec) + 0.5
+
+    def test_extra_coordinate_is_mixed_with_the_spectrum(self):
+        # the optimizer mixes w log omega as one more real coordinate: here a
+        # slow contraction x -> x* + 0.95 (x - x*) beside the spectrum's
+        x_star = 0.7
+        ends = {}
+        for kind in ("plain", "lone", "batch"):
+            state = bnls.solvers._SpectralIterate(
+                [self.fields[0]] if kind == "batch" else self.fields[0])
+            x = np.zeros(1) if kind == "batch" else 0.0
+            for _ in range(20):
+                self.sweep(state, self.target[0], mixing=False)
+                image = x_star + 0.95 * (x - x_star)
+                x = image if kind == "plain" else state.mix(3, False, (x, image))
+                state.advance()
+            ends[kind] = (x, state.spec.tobytes())
+        assert abs(ends["lone"][0] - x_star) < 0.1 * abs(ends["plain"][0] - x_star)
+        assert ends["batch"][0].tolist() == [ends["lone"][0]]
+        assert ends["batch"][1] == ends["lone"][1]
 
     def test_restarted_row_takes_the_plain_step(self):
         state = bnls.solvers._SpectralIterate(self.fields)
