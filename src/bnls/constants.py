@@ -36,10 +36,9 @@ from .solvers import (
 
 STAGNATION_RTOL = 1e-12
 STAGNATION_WINDOW = 3
-# Anderson mixing of the K ascent: each start mixes its last ANDERSON_DEPTH
-# steps, and restarts that history after a sweep that moved its quotient by
-# more than ANDERSON_GATE, relatively (or that grew its residual).
-ANDERSON_DEPTH = 3
+# Anderson mixing of the K ascent: a start takes its plain step after a sweep
+# that moved its quotient by more than ANDERSON_GATE, relatively (or that grew
+# its residual).
 ANDERSON_GATE = 1e-2
 
 
@@ -172,16 +171,15 @@ def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int
     iterates of all starts is returned.  No start is taken from a solved
     state, so the estimate checks the closed-form K from the random starts
     alone.  The fixed point converges only linearly, so each start is
-    Anderson-mixed over its last ANDERSON_DEPTH steps
-    (:meth:`_SpectralIterate.mix`).  A start whose quotient moved by more
-    than ANDERSON_GATE, relatively, in the last sweep restarts its history,
-    as does one whose residual grew, so starts mix only once they settle
-    near a critical point: mixed from the first sweep with no restart, some
-    starts end on a critical point far below K.  All starts advance as one
-    batch on one thread, one transform pair per sweep, so the result is the
-    same at any thread count.  A start retires once its quotient moved by at
-    most STAGNATION_RTOL, relatively, over STAGNATION_WINDOW sweeps, and
-    after 400 sweeps at most.
+    Anderson-mixed with its step before (:meth:`_SpectralIterate.mix`).  A
+    start whose quotient moved by more than ANDERSON_GATE, relatively, in the
+    last sweep takes its plain step, as does one whose residual grew, so
+    starts mix only once they settle near a critical point: mixed from the
+    first sweep with no restart, some starts end on a critical point far
+    below K.  All starts advance as one batch on one thread, one transform
+    pair per sweep, so the result is the same at any thread count.  A start
+    retires once its quotient moved by at most STAGNATION_RTOL, relatively,
+    over STAGNATION_WINDOW sweeps, and after 400 sweeps at most.
     """
     p = params.p
     params.exponents()
@@ -206,7 +204,7 @@ def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int
         _by_real(np.divide, nl_spec, symbol, nl_spec)
         # quotient is amplitude-invariant; renormalize mass to stop drift
         nl_spec /= np.sqrt(state.spec_norm_sq(nl_spec))
-        state.mix(ANDERSON_DEPTH, np.abs(quotient - recent[:, -1]) > ANDERSON_GATE * quotient)
+        state.mix(np.abs(quotient - recent[:, -1]) > ANDERSON_GATE * quotient)
         state.advance()
         if not live.all():
             state.keep(live)

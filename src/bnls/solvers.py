@@ -71,12 +71,10 @@ from .scalings import construct_Q, mass_preserving_scale_laws
 
 INIT_MODES = ("gaussian_bump", "random_bandlimited")
 
-# Iterations without a new best residual before a run is declared stalled.
-STALL_WINDOW = 60
-# Anderson mixing of every Petviashvili sweep mixes the last step only: on 64^3
-# (L 32, p 4) depth 2 takes 30 optimizer sweeps against 34, for a spectrum pair
-# (4 MiB there) in the history.
-PETVIASHVILI_DEPTH = 1
+# Iterations without a new best residual before a run is declared stalled: the
+# converging optimizer, Petviashvili and mass-flow solves of the 1D and 2D desk
+# problems go at most 4 sweeps without one.
+STALL_WINDOW = 20
 # The optimizer's sweep moves log omega by -OMEGA_STEP times the quotient
 # mismatch and mixes OMEGA_WEIGHT log omega beside the spectrum.  On the 1D
 # desk problem and 1D p 7 (1024 points, L 40), which take 28 sweeps each here,
@@ -300,8 +298,7 @@ class _SpectralIterate:
         self.next = np.empty_like(self.spec)
         self.work = np.empty_like(self.spec)
         self._power = np.empty(self.spec.size)
-        self._history = None  # mix()'s residual and image slots, Gram matrices, counts
-        self._slot = 0  # the history slot holding the last (f, g) pair
+        self._history = None  # mix()'s last (f, g) pair, spectra and extra coordinate
 
     def advance(self):
         """Make ``next`` the iterate; the old spectrum's memory is written next."""
@@ -314,37 +311,32 @@ class _SpectralIterate:
         self.work = self.work[: len(self.spec)]
         if self._history is not None:
             kept = np.flatnonzero(rows)  # ascending, so each row moves to or below itself
-            residuals, images, extras, gram, count = self._history
-            for arr in residuals + images + [extras, gram, count]:
+            for arr in self._history:
                 for dst, src in enumerate(kept):
                     arr[dst] = arr[src]
-            n = len(kept)
-            self._history = ([a[:n] for a in residuals], [a[:n] for a in images], extras[:n],
-                             gram[:n], count[:n])
+            self._history = tuple(arr[: len(kept)] for arr in self._history)
 
-    def mix(self, depth: int, restart, extra=(0.0, 0.0)):
-        """Anderson-mix the fixed-point step in ``next``, per batch row, in place.
+    def mix(self, restart, extra=(0.0, 0.0)):
+        """Anderson-mix the fixed-point step in ``next`` with the one before it, per batch
+        row, in place.
 
         ``next`` holds g = G(spec), the map's image of the iterate, whose
-        residual is f = g - spec.  The mixed step is g - dG gamma, with gamma
-        the least-squares fit of f by the differences dF of the last ``depth``
-        residuals over the real and imaginary parts, from one batched Gram
-        solve, and dG the matching image differences (Anderson, J. ACM 12,
-        1965; Walker and Ni, SIAM J. Numer. Anal. 49, 2011).  A row drops its
-        history, so that its step is g itself, on the first call, where
-        ``restart`` flags it, and where its residual grew in the last sweep.
+        residual is f = g - spec.  With df and dg the changes of f and g since
+        the last call, the mixed step is g - gamma dg, where gamma = <f, df> /
+        <df, df> over the real and imaginary parts is the least-squares fit of
+        f by df: Anderson mixing at depth one (Anderson, J. ACM 12, 1965;
+        Walker and Ni, SIAM J. Numer. Anal. 49, 2011).  A row takes g itself
+        on the first call, where ``restart`` flags it, where its residual grew
+        in the last sweep and where df is exactly zero.
 
         ``extra`` = (x, g) is one more real coordinate of each row's iterate
         and of its image (floats for a lone iterate, else per-row arrays),
         fitted and mixed with the spectrum; the mixed coordinate is returned.
 
-        The history is ``depth`` residual slots and ``depth`` image slots per
-        row, allocated once: the last (f, g) pair and the depth - 1
-        differences before it.  A call turns the last pair into the newest
-        difference in place and fits f by all ``depth`` differences; then f is
-        copied over the oldest difference and the mixed step is built in the
-        oldest image slot, which trades places with ``next``, so that slot
-        keeps g.  Only the newest difference's Gram row is computed.
+        The history is each row's last (f, g) pair and its extra pair,
+        allocated once.  A call turns the last pair into (df, dg) in place,
+        builds the mixed step in dg's array, which trades places with
+        ``next``, so that the history keeps g, and copies f over df.
         """
         g = self.next
         f = np.subtract(g, self.spec, out=self.work)
@@ -353,49 +345,26 @@ class _SpectralIterate:
         pair[:, 1] = extra[1]
         pair[:, 0] = pair[:, 1] - extra[0]
         if self._history is None:
-            residuals = [f.copy()] + [np.zeros_like(f) for _ in range(depth - 1)]
-            images = [g.copy()] + [np.zeros_like(g) for _ in range(depth - 1)]
-            extras = np.zeros((rows, 2, depth))  # (f, g) slots of the extra coordinate
-            extras[:, :, 0] = pair
-            self._history = (residuals, images, extras, np.zeros((rows, depth, depth)),
-                             np.zeros(rows, dtype=int))
-            self._slot = 0
+            self._history = (f.copy(), g.copy(), pair)
             return pair[:, 1] if self.batched else float(pair[0, 1])
-        residuals, images, extras, gram, count = self._history
+        df, dg, d_pair = self._history
         rowed = (lambda arr: arr) if self.batched else (lambda arr: arr[np.newaxis])
-        new = self._slot
-        oldest = (new + 1) % depth
-        np.subtract(f, residuals[new], out=residuals[new])
-        np.subtract(g, images[new], out=images[new])
-        np.subtract(pair, extras[:, :, new], out=extras[:, :, new])
-        f_re = _real_rows(rowed(f), 1)
-        df_re = [_real_rows(rowed(df), 1) for df in residuals]
-        df_extra = extras[:, 0]
-        rhs = np.empty(gram.shape[:2])
-        for j, df in enumerate(df_re):
-            gram[:, new, j] = gram[:, j, new] = (np.einsum("rn,rn->r", df_re[new], df)
-                                                 + df_extra[:, new] * df_extra[:, j])
-            rhs[:, j] = np.einsum("rn,rn->r", f_re, df) + pair[:, 0] * df_extra[:, j]
+        np.subtract(f, df, out=df)
+        np.subtract(g, dg, out=dg)
+        np.subtract(pair, d_pair, out=d_pair)
+        f_re, df_re = _real_rows(rowed(f), 1), _real_rows(rowed(df), 1)
+        df_df = np.einsum("rn,rn->r", df_re, df_re) + d_pair[:, 0] * d_pair[:, 0]
+        f_df = np.einsum("rn,rn->r", f_re, df_re) + pair[:, 0] * d_pair[:, 0]
         # |f|^2 - |f_last|^2 = 2 f.df - |df|^2 with df = f - f_last
-        grew = 2.0 * rhs[:, new] > gram[:, new, new]
-        count[...] = np.where(restart | grew, 0, np.minimum(count + 1, depth))
-        # a row fits its newest count slots, less any exactly zero difference
-        used = ((new - np.arange(depth)) % depth < count[:, None]) & (gram.diagonal(0, 1, 2) > 0)
-        system = np.where(used[:, :, None] & used[:, None, :], gram, np.eye(depth))
-        gamma = np.linalg.solve(system, np.where(used, rhs, 0.0)[..., None])[..., 0]
-        # -gamma per row, broadcast on a row's spectrum (complex, so no casting buffer)
-        weights = np.negative(gamma).T.astype(complex).reshape((depth, -1) + (1,) * self.grid.dim)
-        mixed = pair[:, 1] - np.einsum("rj,rj->r", gamma, extras[:, 1])
-        extras[:, :, oldest] = pair
-        residuals[oldest][...] = f  # work is free from here
-        step = rowed(images[oldest])
-        step *= weights[oldest]
-        for j in range(depth):
-            if j != oldest and used[:, j].any():
-                step += np.multiply(rowed(images[j]), weights[j], out=rowed(self.work))
+        fit = ~(restart | (2.0 * f_df > df_df)) & (df_df > 0)
+        gamma = np.divide(f_df, df_df, out=np.zeros(rows), where=fit)
+        mixed = pair[:, 1] - gamma * d_pair[:, 1]
+        d_pair[...] = pair
+        df[...] = f  # work is free from here
+        step = rowed(dg)  # -gamma per row, complex, so no casting buffer
+        step *= np.negative(gamma).astype(complex).reshape((-1,) + (1,) * self.grid.dim)
         step += rowed(g)
-        self.next, images[oldest] = images[oldest], g
-        self._slot = oldest
+        self.next, self._history = dg, (df, g, d_pair)
         return mixed if self.batched else float(mixed[0])
 
     def scratch(self, shape: tuple) -> np.ndarray:
@@ -611,8 +580,8 @@ def _sweeps(
 
     A sweep takes the stabilized step u <- S^gamma L^-1 N(u) at the current
     omega, with L = eps lap^2 - lap + omega, N(u) = |u|^(p-2) u, S = <Lu, u> /
-    <N(u), u> and gamma = (p-1)/(p-2), and Anderson-mixes it at depth
-    PETVIASHVILI_DEPTH (:meth:`_SpectralIterate.mix`; Alvarez and Duran,
+    <N(u), u> and gamma = (p-1)/(p-2), and Anderson-mixes it with the step
+    before it (:meth:`_SpectralIterate.mix`; Alvarez and Duran,
     Math. Comput. Simul. 123, 2016, accelerate Petviashvili iterations by
     extrapolation alike).  It stops on the residual of the PDE at omega.
 
@@ -638,7 +607,7 @@ def _sweeps(
         mass, grad, bilap = state.quadratic_norms()
         if not math.isfinite(mass) or mass > 1e24 * max(mass0, 1.0):
             raise DivergenceError(
-                "petviashvili iterate blew up",
+                f"{progress.label} iterate blew up",
                 last_residual=progress.history[-1] if progress.history else None,
                 history=progress.history,
             )
@@ -664,10 +633,10 @@ def _sweeps(
         if optimize:
             mismatch = ep.beta * eps * bilap / (ep.alpha * grad) - 1.0
             shift = OMEGA_WEIGHT * OMEGA_STEP * mismatch
-            w_log_omega = state.mix(PETVIASHVILI_DEPTH, False, (w_log_omega, w_log_omega - shift))
+            w_log_omega = state.mix(False, (w_log_omega, w_log_omega - shift))
             omega = math.exp(w_log_omega / OMEGA_WEIGHT)
         else:
-            state.mix(PETVIASHVILI_DEPTH, False)
+            state.mix(False)
         state.advance()
     progress.exhausted()
 

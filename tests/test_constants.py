@@ -197,7 +197,7 @@ class TestKAscent:
             monkeypatch.setattr(module, name, counted)
         k = K_numeric(params, grid, config)
         # eight starts run to stagnation as one batch: 2 transforms make the
-        # starts, 1 the iterate and 2 each of the 33 sweeps, 69 in all; the gate
+        # starts, 1 the iterate and 2 each of the 34 sweeps, 71 in all; the gate
         # allows 3 sweeps more.  Every transform goes through the grid module's pair
         assert 0 < calls["kernel"] <= 75
         assert calls["numpy n-dimensional"] == 0
