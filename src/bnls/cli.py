@@ -272,11 +272,12 @@ def _sweep_row(problem) -> dict:
     scale = quadratic_scale(gs.nt, pm)
     nehari_rel = abs(nehari_residual(gs.nt, pm)) / scale
     poho_rel = abs(pohozaev(gs.nt, pm)) / scale
+    tol = TolProfile()  # the tiers verify_Q checks these four identities at
     identities_pass = (
-        gs.residual_pde <= 1e-6
-        and nehari_rel <= 1e-6
-        and poho_rel <= 1e-6
-        and abs(gs.nt.mass - report.c_eps) / report.c_eps <= 1e-4
+        gs.residual_pde <= tol.numeric
+        and nehari_rel <= tol.numeric
+        and poho_rel <= tol.numeric
+        and abs(gs.nt.mass - report.c_eps) / report.c_eps <= tol.cross_numeric
     )
     return {
         "N": params.bigN,

@@ -115,7 +115,3 @@ def read_sidecar(path) -> dict:
     if not isinstance(doc, dict):
         raise FieldFormatError(f"sidecar {side} does not hold a JSON object", offset=0)
     return doc
-
-
-def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

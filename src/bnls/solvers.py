@@ -76,13 +76,12 @@ INIT_MODES = ("gaussian_bump", "random_bandlimited")
 # problems go at most 4 sweeps without one.
 STALL_WINDOW = 20
 # The optimizer's sweep moves log omega by -OMEGA_STEP times the quotient
-# mismatch and mixes OMEGA_WEIGHT log omega beside the spectrum.  On the 1D
-# desk problem and 1D p 7 (1024 points, L 40), which take 28 sweeps each here,
-# a step of 1 stalls near 2.6e-4 on the first, steps of 1/8 and 1/2 take 30
-# and 27, and 30 and 39 sweeps, and a weight of 100, near the raw spectrum's
-# norm, takes 41 and 37; weights from 0.1 to 10 change a count by one at most.
+# mismatch and mixes log omega, unscaled, beside the spectrum.  On the 1D desk
+# problem and 1D p 7 (1024 points, L 40), which take 28 sweeps each here, a
+# step of 1 stalls near 2.6e-4 on the first, steps of 1/8 and 1/2 take 30 and
+# 27, and 30 and 39 sweeps; log omega scaled by 100, near the raw spectrum's
+# norm, takes 41 and 37, and scales from 0.1 to 10 change a count by one at most.
 OMEGA_STEP = 0.25
-OMEGA_WEIGHT = 1.0
 # Bytes of samples per block of random_bandlimited_blocks: one block at 256
 # points in 1D, a few rows at 256^2, one row at 256^3.
 SAMPLER_BLOCK_BYTES = 1 << 22
@@ -269,7 +268,7 @@ class _SpectralIterate:
     """Iterate kept as an rfftn spectrum on a fixed grid, with the arrays its sweeps reuse.
 
     Built from a list of fields on one grid, ``spec`` gets a leading batch axis
-    (retire rows with :meth:`keep`) and each norm is a (rows, 1, ...) array.
+    and each norm is a (rows, 1, ...) array.
 
     Besides ``spec`` the iterate owns two spectrum-sized arrays and a
     half-sized one that every sweep overwrites instead of allocating
@@ -304,19 +303,7 @@ class _SpectralIterate:
         """Make ``next`` the iterate; the old spectrum's memory is written next."""
         self.spec, self.next = self.next, self.spec
 
-    def keep(self, rows: np.ndarray):
-        """Retire the batch rows where ``rows`` is False."""
-        self.spec = self.spec[rows]
-        self.next = self.next[: len(self.spec)]
-        self.work = self.work[: len(self.spec)]
-        if self._history is not None:
-            kept = np.flatnonzero(rows)  # ascending, so each row moves to or below itself
-            for arr in self._history:
-                for dst, src in enumerate(kept):
-                    arr[dst] = arr[src]
-            self._history = tuple(arr[: len(kept)] for arr in self._history)
-
-    def mix(self, restart, extra=(0.0, 0.0)):
+    def mix(self, extra=(0.0, 0.0)):
         """Anderson-mix the fixed-point step in ``next`` with the one before it, per batch
         row, in place.
 
@@ -326,8 +313,8 @@ class _SpectralIterate:
         <df, df> over the real and imaginary parts is the least-squares fit of
         f by df: Anderson mixing at depth one (Anderson, J. ACM 12, 1965;
         Walker and Ni, SIAM J. Numer. Anal. 49, 2011).  A row takes g itself
-        on the first call, where ``restart`` flags it, where its residual grew
-        in the last sweep and where df is exactly zero.
+        on the first call, where its residual grew in the last sweep and where
+        df is exactly zero.
 
         ``extra`` = (x, g) is one more real coordinate of each row's iterate
         and of its image (floats for a lone iterate, else per-row arrays),
@@ -356,7 +343,7 @@ class _SpectralIterate:
         df_df = np.einsum("rn,rn->r", df_re, df_re) + d_pair[:, 0] * d_pair[:, 0]
         f_df = np.einsum("rn,rn->r", f_re, df_re) + pair[:, 0] * d_pair[:, 0]
         # |f|^2 - |f_last|^2 = 2 f.df - |df|^2 with df = f - f_last
-        fit = ~(restart | (2.0 * f_df > df_df)) & (df_df > 0)
+        fit = ~(2.0 * f_df > df_df) & (df_df > 0)
         gamma = np.divide(f_df, df_df, out=np.zeros(rows), where=fit)
         mixed = pair[:, 1] - gamma * d_pair[:, 1]
         d_pair[...] = pair
@@ -588,10 +575,10 @@ def _sweeps(
     With ``optimize`` omega moves too, from the given start: the same sweep
     sets log omega <- log omega - OMEGA_STEP m, with m = beta eps bilap /
     (alpha grad) - 1 the quotient mismatch of the iterate, which vanishes
-    exactly at the optimizer's frequency and grows with omega, and OMEGA_WEIGHT
-    log omega is mixed as one more coordinate beside the spectrum, so the mix
-    sees one map of (u, log omega).  The loop then stops on the
-    scale-free Euler-Lagrange residual (:func:`_el_residual_spectral`).
+    exactly at the optimizer's frequency and grows with omega, and log omega
+    is mixed as one more coordinate beside the spectrum, so the mix sees one
+    map of (u, log omega).  The loop then stops on the scale-free
+    Euler-Lagrange residual (:func:`_el_residual_spectral`).
     """
     _require_field_grid(params, grid)
     p, eps = params.p, params.eps
@@ -599,7 +586,7 @@ def _sweeps(
     gamma = (p - 1.0) / (p - 2.0)
     state = _SpectralIterate(initial_field(grid, config))
     lin = state.symbol(eps, 1.0, omega, out=np.empty(state.k2.shape))  # L's symbol
-    w_log_omega = OMEGA_WEIGHT * math.log(omega)
+    log_omega = math.log(omega)
     mass0 = state.quadratic_norms()[0]
     progress = _Progress("quotient optimizer" if optimize else "petviashvili", config,
                          state.field)
@@ -632,11 +619,10 @@ def _sweeps(
         nl_spec *= stabilizer**gamma
         if optimize:
             mismatch = ep.beta * eps * bilap / (ep.alpha * grad) - 1.0
-            shift = OMEGA_WEIGHT * OMEGA_STEP * mismatch
-            w_log_omega = state.mix(False, (w_log_omega, w_log_omega - shift))
-            omega = math.exp(w_log_omega / OMEGA_WEIGHT)
+            log_omega = state.mix((log_omega, log_omega - OMEGA_STEP * mismatch))
+            omega = math.exp(log_omega)
         else:
-            state.mix(False)
+            state.mix()
         state.advance()
     progress.exhausted()
 

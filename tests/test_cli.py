@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -223,8 +224,6 @@ class TestGroundStateCommand:
         assert "omega=" not in out
 
     def test_load_refuses_mismatched_pair(self, tmp_path, capsys):
-        from bnls.fieldio import file_sha256
-
         code, _, _ = run(
             capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "1",
             *FAST, "--out-dir", str(tmp_path),
@@ -233,7 +232,7 @@ class TestGroundStateCommand:
         state = tmp_path / "ground_state_critical_mass.bnls"
         sidecar = Path(str(state) + ".json")
         doc = json.loads(sidecar.read_text())
-        assert doc["sha256"] == file_sha256(state)
+        assert doc["sha256"] == hashlib.sha256(state.read_bytes()).hexdigest()
         code, _, _ = run(capsys, "ground-state", "--load", str(state))
         assert code == 0
         # zeroing the last sample (at the box edge) leaves a readable field
@@ -363,6 +362,21 @@ class TestSweepCommand:
         assert all(r["identities_pass"] == "True" for r in rows)
         # the c_eps column reflects each exponent's own scaling constants
         assert all(float(r["c_eps"]) > 0 for r in rows)
+
+    def test_csv_is_byte_identical_at_any_thread_count(self, tmp_path, capsys, monkeypatch):
+        # BNLS_THREADS sets the sweep's worker count, the one place bnls
+        # starts threads; rows are solved in any order but written in grid order
+        written = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BNLS_THREADS", threads)
+            out_dir = tmp_path / threads
+            code, _, _ = run(
+                capsys, "sweep", "--N", "1", "--p-grid", "7,8,9",
+                "--eps", "1", *FAST, "--out-dir", str(out_dir),
+            )
+            assert code == 0
+            written.append((out_dir / "sweep.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_rows_take_every_solver_flag(self, tmp_path, capsys, monkeypatch):
         import bnls.cli

@@ -197,18 +197,16 @@ class TestKAscent:
             monkeypatch.setattr(module, name, counted)
         k = K_numeric(params, grid, config)
         # eight starts run to stagnation as one batch: 2 transforms make the
-        # starts, 1 the iterate and 2 each of the 34 sweeps, 71 in all; the gate
-        # allows 3 sweeps more.  Every transform goes through the grid module's pair
-        assert 0 < calls["kernel"] <= 75
+        # starts, 1 the iterate and 2 each of the 30 sweeps, 63 in all; the gate
+        # allows 2 sweeps more.  Every transform goes through the grid module's pair
+        assert 0 < calls["kernel"] <= 67
         assert calls["numpy n-dimensional"] == 0
         assert abs(k / constants_report.K - 1.0) <= 1e-14
 
-    def test_bit_identical_at_any_thread_count(self, params, grid, config, monkeypatch):
-        values = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("BNLS_THREADS", threads)
-            values += [K_numeric(params, grid, config) for _ in range(2)]
-        assert len(set(values)) == 1
+    def test_bit_identical_at_any_thread_count(self, params, grid, config):
+        # the ascent starts no thread (only `sweep` does, tested in test_cli),
+        # so a rerun returning the same value is the whole claim
+        assert K_numeric(params, grid, config) == K_numeric(params, grid, config)
 
     def test_2d_reaches_closed_form(self, config):
         from bnls.grid import BoxGrid
@@ -247,19 +245,6 @@ class TestKAscent:
         grid = BoxGrid(*grid)
         config = SolverConfig(tol_residual=tol)
         K = compute_constants(route_Q(params, grid, config)).K
-        for seed in (0, 1, 2):
+        for seed in (0, 1, 2, 405):  # rng seeds 101, 102, 103 and 506
             k = K_numeric(params, grid, replace(config, seed=seed), n_starts=1)
             assert abs(k / K - 1.0) <= 1e-12, seed
-
-    @pytest.mark.parametrize("seed", [1, 405], ids=["rng-102", "rng-506"])
-    def test_mixing_safeguard_keeps_start_off_lower_critical_point(
-        self, params, grid, config, constants_report, seed
-    ):
-        # mixed with no restart at all, the start of rng seed 102 ends on a
-        # critical point at 0.18 K, and at 0.48 K when only a falling quotient
-        # restarts; the start of rng seed 506 is the second one kept, although
-        # it reaches K here even unguarded
-        from dataclasses import replace
-
-        k = K_numeric(params, grid, replace(config, seed=seed), n_starts=1)
-        assert abs(k / constants_report.K - 1.0) <= 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -9,7 +10,6 @@ from bnls.fieldio import (
     MAGIC,
     field_from_bytes,
     field_to_bytes,
-    file_sha256,
     read_field,
     read_sidecar,
     sidecar_path,
@@ -42,7 +42,8 @@ def test_roundtrip_bit_exact(tmp_path, small_field):
     assert back.grid == small_field.grid
     assert np.array_equal(back.samples, small_field.samples)
     # the sidecar comes back as written, plus the hash that pairs it with the field
-    assert read_sidecar(path) == {"note": "test", "sha256": file_sha256(path)}
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert read_sidecar(path) == {"note": "test", "sha256": digest}
     assert sidecar_path(path).name == "state.bnls.json"
 
 
@@ -61,7 +62,7 @@ def test_writes_are_deterministic(tmp_path, small_field):
     assert a == b
     p1 = write_field(tmp_path / "a.bnls", small_field)
     p2 = write_field(tmp_path / "b.bnls", small_field)
-    assert file_sha256(p1) == file_sha256(p2)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def corrupt(raw, offset, blob):

@@ -1,9 +1,9 @@
-"""Each pipeline runs exactly one frequency-shooting optimizer solve.
+"""Each pipeline runs exactly one quotient optimizer solve.
 
-The constants chain, the critical-mass state and the K-ascent seed are all
-exact rescalings of that one converged state, so a second solve would only
-repeat the first.  The count is taken on the shooting loop itself, so it sees
-every caller.
+The constants chain and the critical-mass state are exact rescalings of that
+one converged state, so a second solve would only repeat the first.  The
+count is taken on the optimizer's joint (field, omega) loop itself
+(``_weinstein_state``), so it sees every caller.
 """
 
 import pytest

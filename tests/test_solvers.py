@@ -499,22 +499,19 @@ class TestAndersonMix:
         self.fields = [Field(self.grid, rng.standard_normal(64)) for _ in range(3)]
         self.target = np.fft.rfft(rng.standard_normal((3, 64)))
 
-    def sweep(self, state, target, mixing, restart=False):
+    def sweep(self, state, target, mixing):
         """One step of G into ``next``, mixed unless ``mixing`` is False; returns G's image."""
         np.subtract(state.spec, target, out=state.next)
         state.next *= self.rate
         state.next += target
         image = state.next.copy()
         if mixing:
-            state.mix(restart)
+            state.mix()
         return image
 
-    def run(self, state, target, sweeps, mixing=True, retire=None):
-        """Sweeps of G; ``retire`` = (sweep, rows kept) retires rows before that sweep."""
-        for it in range(sweeps):
-            if retire is not None and it == retire[0]:
-                state.keep(retire[1])
-                target = target[retire[1]]
+    def run(self, state, target, sweeps, mixing=True):
+        """Sweeps of G."""
+        for _ in range(sweeps):
             self.sweep(state, target, mixing)
             state.advance()
         return np.abs(state.spec - target).max()
@@ -538,17 +535,8 @@ class TestAndersonMix:
         df_df = np.sum(df.real**2 + df.imag**2, axis=1)
         assert np.all(2.0 * f_df < df_df)  # every residual fell, so every row mixes
         expected = g - (f_df / df_df)[:, None] * dg
-        state.mix(False)
+        state.mix()
         assert np.abs(state.next - expected).max() <= 1e-13 * np.abs(expected).max()
-
-    def test_keep_trims_history_with_retired_rows(self):
-        kept = np.array([True, False, True])
-        batch = bnls.solvers._SpectralIterate(self.fields)
-        self.run(batch, self.target, 12, retire=(5, kept))
-        pair = bnls.solvers._SpectralIterate([self.fields[0], self.fields[2]])
-        self.run(pair, self.target[kept], 12)
-        # rows mix independently, so the survivors match a batch run without them
-        assert np.array_equal(batch.spec, pair.spec)
 
     def test_lone_iterate_matches_one_row_batch(self):
         # a fixed-frequency solve mixes a lone iterate, the K ascent a batch
@@ -575,7 +563,7 @@ class TestAndersonMix:
                 np.subtract(state.spec, target, out=state.next)
                 state.next *= rate
                 state.next += target
-                state.mix(False)
+                state.mix()
                 state.advance()
             held, _ = tracemalloc.get_traced_memory()
         finally:
@@ -595,19 +583,26 @@ class TestAndersonMix:
             for _ in range(20):
                 self.sweep(state, self.target[0], mixing=False)
                 image = x_star + 0.95 * (x - x_star)
-                x = image if kind == "plain" else state.mix(False, (x, image))
+                x = image if kind == "plain" else state.mix((x, image))
                 state.advance()
             ends[kind] = (x, state.spec.tobytes())
         assert abs(ends["lone"][0] - x_star) < 0.1 * abs(ends["plain"][0] - x_star)
         assert ends["batch"][0].tolist() == [ends["lone"][0]]
         assert ends["batch"][1] == ends["lone"][1]
 
-    def test_restarted_row_takes_the_plain_step(self):
+    def test_row_whose_residual_grew_takes_the_plain_step(self):
         state = bnls.solvers._SpectralIterate(self.fields)
-        self.run(state, self.target, 4)
-        image = self.sweep(state, self.target, True, restart=np.array([False, True, False]))
+        self.run(state, self.target, 3)
+        f_last = self.sweep(state, self.target, True) - state.spec
+        state.advance()
+        state.spec[1] += 10.0 * (state.spec[1] - self.target[1])  # push row 1 off x*
+        image = self.sweep(state, self.target, True)
+        f = image - state.spec
+        grew = np.sum(np.abs(f) ** 2, axis=1) > np.sum(np.abs(f_last) ** 2, axis=1)
+        assert grew.tolist() == [False, True, False]
         assert np.array_equal(state.next[1], image[1])
         assert not np.array_equal(state.next[0], image[0])
+        assert not np.array_equal(state.next[2], image[2])
 
 
 class TestMemoryBudget:
