@@ -248,3 +248,16 @@ class TestKAscent:
         for seed in (0, 1, 2, 405):  # rng seeds 101, 102, 103 and 506
             k = K_numeric(params, grid, replace(config, seed=seed), n_starts=1)
             assert abs(k / K - 1.0) <= 1e-12, seed
+
+    @pytest.mark.parametrize("seed", [1, 405], ids=["rng-102", "rng-506"])
+    def test_mixing_safeguard_keeps_start_off_lower_critical_point(
+        self, params, grid, config, constants_report, seed
+    ):
+        # mixed with no safeguard at all, the start of rng seed 102 once ended
+        # on a critical point at 0.18 K; a row whose residual grew now takes
+        # the plain step, and both this start and that of rng seed 506 must
+        # still climb to K on the desk grid
+        from dataclasses import replace
+
+        k = K_numeric(params, grid, replace(config, seed=seed), n_starts=1)
+        assert abs(k / constants_report.K - 1.0) <= 1e-12
