@@ -20,7 +20,9 @@ Every real transform runs through one pair, :func:`_rfftn` and :func:`_irfftn`.
 They do numpy's n-dimensional real transforms as one-axis passes written in
 place: the forward pass is one ``rfft`` on the last axis into the output
 array, then a complex ``fft`` over each other axis in that same array; the
-inverse runs the complex ``ifft`` passes in a caller-supplied work array and
+inverse copies the spectrum once into a caller-supplied work array, runs
+every complex ``ifft`` pass in place there (a pass from one array into
+another walks both with strides, and costs about twice as much on 64³) and
 ends with one ``irfft`` into the output.  The passes are the ones
 ``numpy.fft.rfftn``/``irfftn`` run, in the same order, so the results are
 bit-equal to theirs, but no pass allocates an intermediate array.  An
@@ -39,11 +41,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidFieldError
-
-# Target rows per block of regrid's basis (and rows of its offset table); bounds
-# its temporaries to MiBs.
-REGRID_BLOCK = 128
-
 
 @dataclass(frozen=True)
 class BoxGrid:
@@ -174,17 +171,23 @@ def _irfftn(
     spec: np.ndarray, dim: int, work: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Inverse of :func:`_rfftn` onto an even last axis, bit-equal to
-    ``numpy.fft.irfftn(spec, s, axes=range(-dim, 0))``; spec is left unchanged.
+    ``numpy.fft.irfftn(spec, s, axes=range(-dim, 0))``.
 
-    The complex passes run in place in ``work`` (spec's shape and dtype, used
-    only when dim > 1); ``out``, when given, receives the real result.
+    When dim > 1, spec is copied once into ``work`` (spec's shape and dtype;
+    fresh when omitted) and every complex pass runs in place there; spec is
+    left unchanged unless ``work`` is spec itself, which the passes then
+    overwrite.  ``out``, when given, receives the real result.
     """
-    if dim > 1 and work is None:
-        work = np.empty_like(spec)
-    src = spec
+    n = 2 * (spec.shape[-1] - 1)
+    if dim == 1:
+        return np.fft.irfft(spec, n=n, axis=-1, out=out)
+    if work is None:
+        work = spec.copy()
+    elif work is not spec:
+        np.copyto(work, spec)
     for axis in range(-dim, -1):
-        src = np.fft.ifft(src, axis=axis, out=work)
-    return np.fft.irfft(src, n=2 * (spec.shape[-1] - 1), axis=-1, out=out)
+        np.fft.ifft(work, axis=axis, out=work)
+    return np.fft.irfft(work, n=n, axis=-1, out=out)
 
 
 def _parseval_sums(
@@ -370,6 +373,20 @@ def spectral_tail_ratio(u: Field, spec: np.ndarray | None = None) -> float:
     return float(np.max(amplitude[k2 > (0.9 * u.grid.k_max()) ** 2])) / peak
 
 
+def _chirp(q: np.ndarray, ratio: float) -> np.ndarray:
+    """exp(i pi q ratio) for integers q, |q| < 2**29: z^(q/2) with z = exp(2 pi i ratio).
+
+    q * ratio runs to thousands of half turns on a long axis, so it is taken
+    modulo 2 before it is rounded: ratio splits (Veltkamp) into a 24-bit head,
+    whose product with q is exact, and a tail, whose product is small.  The
+    phases then carry only ratio's own rounding.
+    """
+    scaled = ratio * 536870913.0  # 2**29 + 1
+    head = scaled - (scaled - ratio)
+    q = np.asarray(q, dtype=np.float64)
+    return np.exp(1j * np.pi * (np.fmod(q * head, 2.0) + q * (ratio - head)))
+
+
 def regrid(u: Field, target: BoxGrid) -> Field:
     """Evaluate the periodic trigonometric interpolant of u on another grid.
 
@@ -377,32 +394,48 @@ def regrid(u: Field, target: BoxGrid) -> Field:
     onto u's own grid, where the interpolant reproduces the samples, u itself
     is returned.  Target coordinates are taken modulo the source box, so
     enlarging the box wraps the (negligible) tails of a decaying field.
+
+    Each axis is one chirp-z (Bluestein) pass.  Both boxes are centred on 0,
+    so with the source frequencies f = -M/2..M/2-1, the targets x_j = j h_t,
+    j = -M_t/2..M_t/2-1, and z = exp(2 pi i h_t / L) on the source box L,
+    the interpolant is
+    sum_f c_f (-1)^f z^(f j).  As f j = (f^2 + j^2 - (j - f)^2) / 2, that is
+    z^(j^2/2) times the convolution of c_f (-1)^f z^(f^2/2) with z^(-n^2/2),
+    done circularly by FFTs of the next power of two >= M + M_t - 1 points:
+    O(M log M) per axis line instead of a dense basis's O(M M_t).  The
+    Nyquist term enters as its cosine, which keeps the result real.
     """
     if target.dim != u.grid.dim:
         raise ValueError("regrid requires matching dimensions")
     if target == u.grid:
         return u
     g = u.grid
-    m = g.points_per_axis
-    k = g.wavenumbers()
-    x = target.axis_coordinates() + u.grid.box_length / 2.0
-    # The targets are uniform, exp(i k x_j) = exp(i k x_lo) exp(i k (j - lo) h),
-    # so a block's basis is one exponential row times this offset table.  The
-    # contraction is einsum's own loop, not a threaded BLAS product, whose
-    # worker threads keep spinning on a CPU after each call.
-    offsets = np.exp(1j * np.outer(target.spacing * np.arange(min(REGRID_BLOCK, x.size)), k))
-    memory = np.empty_like(offsets)  # every block's basis, written in place
-    out = np.fft.fftn(u.samples) / g.size
+    m, mt = g.points_per_axis, target.points_per_axis
+    ratio = target.spacing / g.box_length
+    size = 1 << (m + mt - 2).bit_length()  # the power of two >= m + mt - 1
+    f = np.arange(m) - m // 2
+    j = np.arange(mt) - mt // 2
+    lag = np.arange(1 - m, mt)  # target index minus source index
+    pre = _chirp(f * f, ratio)
+    pre[1::2] *= -1.0  # (-1)^f, as f and its index differ by M/2, which is even
+    pre[0] = 0.0  # the Nyquist term, added back as its cosine
+    kernel = np.zeros(size, dtype=complex)
+    kernel[lag] = _chirp(-((lag - mt // 2 + m // 2) ** 2), ratio)  # negative lags wrap
+    kernel = np.fft.fft(kernel)
+    post = _chirp(j * j, ratio)
+    nyquist = _chirp(m * j, ratio).real  # cos(k_nyq x_j)
+    spec = np.fft.fftshift(np.fft.fftn(u.samples) / g.size)
     for axis in range(g.dim):
-        src = np.ascontiguousarray(np.moveaxis(out, axis, 0))
-        out = np.empty((x.size,) + src.shape[1:], dtype=complex)
-        for lo in range(0, x.size, REGRID_BLOCK):
-            xb = x[lo : lo + REGRID_BLOCK]
-            basis = np.multiply(np.exp(1j * x[lo] * k), offsets[: xb.size], out=memory[: xb.size])
-            basis[:, m // 2] = np.cos(k[m // 2] * xb)
-            out[lo : lo + REGRID_BLOCK] = np.einsum("ij,j...->i...", basis, src)
-        out = np.moveaxis(out, 0, axis)
-    return Field(target, out.real)
+        src = np.moveaxis(spec, axis, -1)
+        line = np.zeros(src.shape[:-1] + (size,), dtype=complex)
+        np.multiply(src, pre, out=line[..., :m])
+        np.fft.fft(line, axis=-1, out=line)
+        line *= kernel
+        np.fft.ifft(line, axis=-1, out=line)
+        out = line[..., :mt] * post
+        out += src[..., :1] * nyquist
+        spec = np.moveaxis(out, -1, axis)
+    return Field(target, spec.real)
 
 
 def relative_l2_distance(a: Field, b: Field) -> float:

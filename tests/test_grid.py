@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ class TestTransformPair:
         assert spec.tobytes() == spec_before.tobytes()
         assert real is None or back is real
 
+    @given(
+        dim=st.integers(1, 3),
+        batch=st.sampled_from([(), (1,), (3,)]),
+        m=st.sampled_from([2, 6, 8, 32]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_work_aliasing_spec_bit_equal_to_numpy(self, dim, batch, m, seed):
+        # random_bandlimited_blocks hands the spectrum in as its own work array
+        x = np.random.default_rng(seed).standard_normal(batch + (m,) * dim)
+        axes = tuple(range(-dim, 0))
+        spec = grid_module._rfftn(x, dim)
+        expected = np.fft.irfftn(spec, s=(m,) * dim, axes=axes)
+        back = grid_module._irfftn(spec, dim, spec, out=np.empty(x.shape))
+        assert back.tobytes() == expected.tobytes()
+
 
 class TestOperators:
     def test_laplacian_eigenfunction(self):
@@ -273,7 +290,8 @@ def dense_regrid(u, target):
     m = g.points_per_axis
     k = 2.0 * np.pi * np.fft.fftfreq(m, d=g.spacing)
     x = target.axis_coordinates() + g.box_length / 2.0
-    basis = np.exp(1j * np.outer(x, k))
+    basis = 1j * np.outer(x, k)
+    np.exp(basis, out=basis)
     basis[:, m // 2] = np.cos(k[m // 2] * x)
     out = np.fft.fftn(u.samples) / g.size
     for axis in range(g.dim):
@@ -289,18 +307,31 @@ class TestRegrid:
             np.testing.assert_allclose(dense_regrid(u, u.grid), u.samples, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "source, target, block",
+        "source, target",
         [
-            (BoxGrid(1, 1024, 40.0), BoxGrid(1, 1024, 41.0), grid_module.REGRID_BLOCK),
-            # a small block splits the 64 target rows into 24 + 24 + 16
-            (BoxGrid(3, 32, 20.0), BoxGrid(3, 64, 24.0), 24),
+            (BoxGrid(1, 1024, 40.0), BoxGrid(1, 1024, 41.0)),
+            (BoxGrid(3, 32, 20.0), BoxGrid(3, 64, 24.0)),
+            (BoxGrid(2, 128, 40.0), BoxGrid(2, 128, 41.0)),
+            (BoxGrid(1, 512, 20.0), BoxGrid(1, 1024, 24.0)),
+            (BoxGrid(1, 4096, 40.0), BoxGrid(1, 4096, 40.00000000721148)),
+            (BoxGrid(3, 64, 32.0), BoxGrid(3, 64, 32.0000000001)),
+        ],
+        ids=[
+            "1d-box41", "3d-refine-enlarge", "2d-box41", "1d-refine-enlarge", "1d-4096-nearby",
+            "3d-64-nearby",
         ],
     )
-    def test_blocked_basis_matches_dense(self, source, target, block, monkeypatch):
-        monkeypatch.setattr(grid_module, "REGRID_BLOCK", block)
+    def test_chirp_z_matches_dense(self, source, target):
         u = random_bandlimited(source, 7)
         out = regrid(u, target)
         assert out.grid == target
+        np.testing.assert_allclose(out.samples, dense_regrid(u, target), rtol=0, atol=1e-13)
+
+    def test_white_noise_matches_dense(self):
+        # content up to the Nyquist mode, whose term is the cosine on every axis
+        source, target = BoxGrid(2, 32, 10.0), BoxGrid(2, 64, 10.5)
+        u = Field(source, np.random.default_rng(3).standard_normal(source.shape))
+        out = regrid(u, target)
         np.testing.assert_allclose(out.samples, dense_regrid(u, target), rtol=0, atol=1e-13)
 
     def test_roundoff_box_matches_dense(self):
@@ -309,6 +340,15 @@ class TestRegrid:
         u = random_bandlimited(source, 7)
         out = regrid(u, target)
         np.testing.assert_allclose(out.samples, dense_regrid(u, target), rtol=0, atol=1e-13)
+
+    def test_long_axis_stays_at_roundoff(self):
+        # the chirps' phases reach 17,000 half turns here; taken modulo 2 before
+        # rounding they keep the error at 1e-15 (rounded as they stand: 3e-13)
+        source, target = BoxGrid(1, 16384, 40.0), BoxGrid(1, 16384, 41.0)
+        u = Field(source, np.exp(-source.axis_coordinates() ** 2 / 8.0))
+        out = regrid(u, target)
+        expected = np.exp(-target.axis_coordinates() ** 2 / 8.0)
+        np.testing.assert_allclose(out.samples, expected, rtol=0, atol=5e-15)
 
     def test_refine_bandlimited_exact(self):
         fine = BoxGrid(1, 512, 2.0 * np.pi)
@@ -326,6 +366,20 @@ class TestRegrid:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             regrid(sine(), BoxGrid(2, 32, 1.0))
+
+    def test_nearby_box_peak_memory(self):
+        # the verify case: a chirp-z pass holds a few 2048-point arrays, about
+        # 0.22 MB traced (numpy 2.4); one 128 x 1024 complex table of the dense
+        # basis alone is 2 MiB
+        u = random_bandlimited(BoxGrid(1, 1024, 40.0), 7)
+        target = BoxGrid(1, 1024, 40.00000000721148)
+        tracemalloc.start()
+        try:
+            regrid(u, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 262_144
 
 
 class TestBoxAdequacy:
