@@ -339,24 +339,27 @@ def cmd_sweep(args) -> int:
 # argument plumbing
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file (flat keys; flags override)")
-    sub.add_argument("--print-config", action="store_true", help="echo the resolved config")
-    sub.add_argument("--N", type=int, help="space dimension N")
-    sub.add_argument("--p", type=float, help="nonlinearity exponent")
-    sub.add_argument("--eps", type=float, help="fourth-order dispersion coefficient")
-    sub.add_argument("--omega", type=float, help="frequency (action route)")
-    sub.add_argument("--mass", type=float, help="mass constraint c (energy route)")
-    sub.add_argument("--relaxed", action="store_const", const=True, default=None,
-                     help="allow any 2 < p < 2* and eps = 0 (oracle mode)")
-    sub.add_argument("--points", type=int, help="grid points per axis (power of two)")
-    sub.add_argument("--box", type=float, help="box side length L")
-    sub.add_argument("--max-iters", dest="max_iters", type=int)
-    sub.add_argument("--tol", dest="tol_residual", type=float, help="solver residual tolerance")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--init", choices=["gaussian_bump", "random_bandlimited"])
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
-    sub.add_argument("--samples", type=int, help="random fields for inequality tests")
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, as a parent parser: built once, copied into each."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file (flat keys; flags override)")
+    common.add_argument("--print-config", action="store_true", help="echo the resolved config")
+    common.add_argument("--N", type=int, help="space dimension N")
+    common.add_argument("--p", type=float, help="nonlinearity exponent")
+    common.add_argument("--eps", type=float, help="fourth-order dispersion coefficient")
+    common.add_argument("--omega", type=float, help="frequency (action route)")
+    common.add_argument("--mass", type=float, help="mass constraint c (energy route)")
+    common.add_argument("--relaxed", action="store_const", const=True, default=None,
+                        help="allow any 2 < p < 2* and eps = 0 (oracle mode)")
+    common.add_argument("--points", type=int, help="grid points per axis (power of two)")
+    common.add_argument("--box", type=float, help="box side length L")
+    common.add_argument("--max-iters", dest="max_iters", type=int)
+    common.add_argument("--tol", dest="tol_residual", type=float, help="solver residual tolerance")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--init", choices=["gaussian_bump", "random_bandlimited"])
+    common.add_argument("--out-dir", dest="out_dir", help="output directory")
+    common.add_argument("--samples", type=int, help="random fields for inequality tests")
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,23 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    common = [_common_parser()]
 
-    c = subs.add_parser("constants", help="best constants, critical mass, frequency table")
-    _add_common(c)
+    c = subs.add_parser(
+        "constants", help="best constants, critical mass, frequency table", parents=common
+    )
     c.add_argument("--k-numeric", action="store_true", help="also run the quotient-ascent K")
     c.set_defaults(func=cmd_constants)
 
-    g = subs.add_parser("ground-state", help="critical-mass state, or mass flow with --mass")
-    _add_common(g)
+    g = subs.add_parser(
+        "ground-state", help="critical-mass state, or mass flow with --mass", parents=common
+    )
     g.add_argument("--load", help="load and report a stored field instead of solving")
     g.set_defaults(func=cmd_ground_state)
 
-    a = subs.add_parser("action-gss", help="fixed-frequency ground state")
-    _add_common(a)
+    a = subs.add_parser("action-gss", help="fixed-frequency ground state", parents=common)
     a.set_defaults(func=cmd_action_gss)
 
-    v = subs.add_parser("verify", help="run every identity check on fresh or stored states")
-    _add_common(v)
+    v = subs.add_parser(
+        "verify", help="run every identity check on fresh or stored states", parents=common
+    )
     v.add_argument("--fresh", action="store_true",
                    help="solve fresh states (the default when no paths are given)")
     v.add_argument("--energy-state", help="stored critical-mass state to verify")
@@ -401,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         "optimizer frequency, v_mass the optimizer mass, mass_Q the measured state mass, "
         "then the relative PDE/Nehari/Pohozaev residuals and an overall identities flag. "
         "BNLS_THREADS caps the worker count.",
+        parents=common,
     )
-    _add_common(s)
     s.add_argument("--p-grid", help="comma-separated exponents, e.g. 7,7.5,8")
     s.add_argument("--eps-grid", help="comma-separated dispersion values")
     s.set_defaults(func=cmd_sweep)

@@ -29,9 +29,9 @@ from .grid import BoxGrid, Field
 from .solvers import (
     GroundState,
     SolverConfig,
+    _band_limiter,
     _by_real,
     _SpectralIterate,
-    random_bandlimited_blocks,
 )
 
 STAGNATION_RTOL = 1e-12
@@ -161,10 +161,12 @@ def omega_formula(v_mass: float, params: Params) -> float:
 def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int = 8) -> float:
     """Independent estimate of the supremum of the non-homogeneous quotient by multi-start ascent.
 
-    Each start is a random field on ``grid`` (seeds ``config.seed + 101 k``,
-    k = 1..n_starts) and runs a normalized (Petviashvili-type) fixed point on
-    the quotient's stationarity equation; the best quotient value over all
-    iterates of all starts is returned.  No start is taken from a solved
+    Each start is a random field on ``grid``: the white noise of seed
+    ``config.seed + 101 k``, k = 1..n_starts, band-limited as one block by
+    the sampler's step (:func:`~bnls.solvers._band_limiter`).  Each start
+    runs a normalized (Petviashvili-type) fixed point on the quotient's
+    stationarity equation; the best quotient value over all iterates of all
+    starts is returned.  No start is taken from a solved
     state, so the estimate checks the closed-form K from the random starts
     alone.  The fixed point converges only linearly, so each start is
     Anderson-mixed with its step before (:meth:`_SpectralIterate.mix`).  All
@@ -177,8 +179,11 @@ def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int
     """
     p = params.p
     params.exponents()
-    seeds = [config.seed + 101 * (k + 1) for k in range(n_starts)]
-    starts = [Field(grid, row) for block in random_bandlimited_blocks(grid, seeds) for row in block]
+    block = np.empty((n_starts,) + grid.shape)  # filled in place: a stacked list costs a copy
+    for k in range(n_starts):
+        np.random.default_rng(config.seed + 101 * (k + 1)).standard_normal(out=block[k])
+    starts = [Field(grid, row) for row in _band_limiter(grid)(block)]
+    del block  # each Field holds a copy of its row
     state = _SpectralIterate(starts)
     symbol = np.empty(state.spec.shape)  # every sweep's symbol
     best = 0.0

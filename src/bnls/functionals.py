@@ -4,13 +4,17 @@ One measurement per field (grid.norms: Parseval sums for the quadratic norms
 and a quadrature for lp), or exact scaling laws for a rescaled field
 (scalings), and everything here is exact arithmetic on the four scalars, which is what makes the scaling-law tests
 sharp.  Residual-style quantities come with a relative normalization helper
-since all identities involved are homogeneous.
+since all identities involved are homogeneous.  The quotients and the Hölder
+slack also take a NormTuple of per-field arrays, as the GN sampler measures a
+block of fields at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigurationError, DegenerateQuotientError, PreconditionError, RegimeError
 from .grid import NormTuple
@@ -151,10 +155,11 @@ def quadratic_scale(nt: NormTuple, params: Params) -> float:
 def weinstein(nt: NormTuple, params: Params) -> float:
     """Scale-invariant quotient whose infimum is the reciprocal best constant.
 
-    W_p = bilap^(alpha/2) * grad^(beta/2) * mass^((p-2)/2) / lp.
+    W_p = bilap^(alpha/2) * grad^(beta/2) * mass^((p-2)/2) / lp.  The norms may
+    be per-field arrays; one vanishing lp among them raises.
     """
     _check_p(nt, params)
-    if nt.lp <= 0:
+    if np.any(nt.lp <= 0):
         raise DegenerateQuotientError("weinstein quotient undefined: ||u||_p vanishes")
     ep = params.exponents()
     return (
@@ -167,10 +172,11 @@ def weinstein(nt: NormTuple, params: Params) -> float:
 
 def gn_k_quotient(nt: NormTuple, params: Params) -> float:
     """lp / (mass^((p-2)/2) * (eps*bilap + grad)); its supremum is the
-    non-homogeneous interpolation constant."""
+    non-homogeneous interpolation constant.  The norms may be per-field
+    arrays; one zero denominator among them raises."""
     _check_p(nt, params)
     denom = nt.mass ** ((params.p - 2.0) / 2.0) * (params.eps * nt.bilap + nt.grad)
-    if denom <= 0:
+    if np.any(denom <= 0):
         raise DegenerateQuotientError("interpolation quotient undefined: zero denominator")
     return nt.lp / denom
 
@@ -197,14 +203,14 @@ def holder_chain_gap(nt: NormTuple, params: Params, q_low_int: float, q_high_int
 
     The two auxiliary integrals are supplied by the caller (one extra
     quadrature pass each); theta interpolates the exponents.  Nonnegative
-    return means the inequality holds.
+    return means the inequality holds, and a vanishing bound gives 0.  The
+    norms and integrals may be per-field arrays, and the slack is then one.
     """
     _check_p(nt, params)
     n = params.bigN
     theta = ((2.0 + 8.0 / n) - params.p) / (4.0 / n)
     if not (0.0 < theta < 1.0):
         raise RegimeError(f"interpolation weight theta = {theta} outside (0, 1)")
-    bound = q_low_int**theta * q_high_int ** (1.0 - theta)
-    if bound <= 0:
-        return 0.0
-    return (bound - nt.lp) / bound
+    bound = np.asarray(q_low_int**theta * q_high_int ** (1.0 - theta))
+    gap = np.divide(bound - nt.lp, bound, out=np.zeros_like(bound), where=bound > 0)
+    return gap if gap.ndim else float(gap)

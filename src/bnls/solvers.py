@@ -82,8 +82,8 @@ STALL_WINDOW = 20
 # 27, and 30 and 39 sweeps; log omega scaled by 100, near the raw spectrum's
 # norm, takes 41 and 37, and scales from 0.1 to 10 change a count by one at most.
 OMEGA_STEP = 0.25
-# Bytes of samples per block of random_bandlimited_blocks: one block at 256
-# points in 1D, a few rows at 256^2, one row at 256^3.
+# Bytes of samples per block of random_bandlimited_blocks: every row of the
+# GN sampler's 256-point 1D grid in one block, 32 rows at 128^2, 2 at 64^3.
 SAMPLER_BLOCK_BYTES = 1 << 22
 # Points per block of the mass flow's trial lp change (_power_change): an eighth
 # MiB of samples, so its temporaries stay small beside a 3D grid's arrays.
@@ -167,17 +167,16 @@ def gaussian_bump(grid: BoxGrid, width: float | None = None, amplitude: float = 
     return Field(grid, amplitude * np.exp(-_radius_sq(grid) / (2.0 * width**2)))
 
 
-def random_bandlimited_blocks(grid: BoxGrid, seeds, modes: int = 20, width_frac: float = 0.125):
-    """Yield the random fields of ``seeds``, in order, as (rows, *grid.shape) blocks.
+def _band_limiter(grid: BoxGrid, modes: int = 20, width_frac: float = 0.125):
+    """The in-place step that turns a (rows, *grid.shape) block of white noise into
+    random band-limited fields, and returns the block.
 
-    Each field is ``default_rng(seed)`` white noise, low-passed by exp(-|k|^2/kc^2)
-    with the cutoff kc at ``modes`` fundamental wavenumbers (the same physical
-    band at any resolution), times a Gaussian envelope of width ``width_frac``
-    L that keeps it well inside the box, and divided by its peak |u|.  The band
-    filter and the envelope are built once per call; a block costs one batched
-    transform pair, and its rows come from the SAMPLER_BLOCK_BYTES budget.
+    Each row is low-passed by exp(-|k|^2/kc^2) with the cutoff kc at ``modes``
+    fundamental wavenumbers (the same physical band at any resolution), times a
+    Gaussian envelope of width ``width_frac`` L that keeps it well inside the
+    box, and divided by its peak |u|.  The filter and the envelope are built
+    once, here; a block costs one batched transform pair.
     """
-    seeds = list(seeds)
     k2 = _k2_table(grid)
     kc = modes * 2.0 * np.pi / grid.box_length
     band = np.negative(k2)  # exp(-k2 / kc^2), written in place
@@ -189,12 +188,8 @@ def random_bandlimited_blocks(grid: BoxGrid, seeds, modes: int = 20, width_frac:
     envelope /= 2.0 * sigma**2
     np.exp(envelope, out=envelope)
     axes = tuple(range(-grid.dim, 0))
-    rows = max(1, SAMPLER_BLOCK_BYTES // (8 * grid.size))
-    for lo in range(0, len(seeds), rows):
-        chunk = seeds[lo : lo + rows]
-        block = np.empty((len(chunk),) + grid.shape)
-        for row, seed in zip(block, chunk):
-            np.random.default_rng(seed).standard_normal(out=row)
+
+    def limit(block: np.ndarray) -> np.ndarray:
         spec = _rfftn(block, grid.dim)
         spec *= band
         _irfftn(spec, grid.dim, spec, out=block)  # the complex passes overwrite spec
@@ -204,14 +199,35 @@ def random_bandlimited_blocks(grid: BoxGrid, seeds, modes: int = 20, width_frac:
         top = np.max(block, axis=axes, keepdims=True)
         peak = np.maximum(top, -np.min(block, axis=axes, keepdims=True))
         block /= np.where(peak > 0, peak, 1.0)
-        yield block
+        return block
+
+    return limit
+
+
+def random_bandlimited_blocks(
+    grid: BoxGrid, seed: int, count: int, modes: int = 20, width_frac: float = 0.125
+):
+    """Yield ``count`` random band-limited fields as (rows, *grid.shape) blocks.
+
+    The white noise of every row is drawn, in order, from the one stream
+    ``default_rng(seed)``, so the fields do not depend on how the rows are
+    split into blocks (the SAMPLER_BLOCK_BYTES budget); :func:`_band_limiter`
+    with ``modes`` and ``width_frac`` turns each block into fields.
+    """
+    rng = np.random.default_rng(seed)
+    limit = _band_limiter(grid, modes, width_frac)
+    rows = max(1, SAMPLER_BLOCK_BYTES // (8 * grid.size))
+    for lo in range(0, count, rows):
+        block = np.empty((min(rows, count - lo),) + grid.shape)
+        rng.standard_normal(out=block)
+        yield limit(block)
 
 
 def random_bandlimited(
     grid: BoxGrid, seed: int, modes: int = 20, width_frac: float = 0.125
 ) -> Field:
-    """The one-seed case of :func:`random_bandlimited_blocks`; peak |u| is 1."""
-    (block,) = random_bandlimited_blocks(grid, [seed], modes, width_frac)
+    """The first field of :func:`random_bandlimited_blocks`; peak |u| is 1."""
+    (block,) = random_bandlimited_blocks(grid, seed, 1, modes, width_frac)
     return Field(grid, block[0])
 
 

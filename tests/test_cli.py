@@ -408,3 +408,21 @@ class TestSweepCommand:
             "--eps", "1", "--out-dir", str(tmp_path),
         )
         assert code == 2
+
+
+class TestHelp:
+    """The shared flags come from one parent parser; every help text is the one
+    each subcommand printed when it added those flags itself (tests/data/help,
+    written by Python 3.11's argparse at 80 columns)."""
+
+    @pytest.mark.parametrize(
+        "command", ["bnls", "constants", "ground-state", "action-gss", "verify", "sweep"]
+    )
+    def test_help_text_unchanged(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command == "bnls" else [command, "--help"]
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        expected = (Path(__file__).parent / "data" / "help" / f"{command}.txt").read_text()
+        assert capsys.readouterr().out == expected

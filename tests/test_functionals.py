@@ -270,3 +270,54 @@ class TestHolderChain:
             low = vol * float(np.sum(np.abs(u.samples) ** 6.0))
             high = vol * float(np.sum(np.abs(u.samples) ** 10.0))
             assert holder_chain_gap(nt, pm, low, high) >= -1e-14
+
+
+class TestPerFieldArrays:
+    """weinstein, gn_k_quotient and holder_chain_gap over a NormTuple of per-field
+    arrays, as the GN sampler takes them a block at a time."""
+
+    @pytest.mark.parametrize(
+        "pm, grid, modes",
+        [
+            (Params(bigN=1, p=8.0, eps=1.0), BoxGrid(1, 256, 40.0), 20),
+            (Params(bigN=2, p=5.0, eps=1.0), BoxGrid(2, 64, 40.0), 5),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_rows_match_scalar_calls(self, pm, grid, modes):
+        # not bit-equal: numpy's vector pow differs from libm's pow by an ulp
+        # on a fraction of inputs, so each row is held to 1e-14
+        from bnls.grid import norm_sums
+        from bnls.solvers import random_bandlimited_blocks
+
+        n = pm.bigN
+        (block,) = random_bandlimited_blocks(grid, 7, 100, modes)
+        sums = norm_sums(grid, block, (pm.p, 2.0 + 4.0 / n, 2.0 + 8.0 / n))
+        mass, grad, bilap, lp, low, high = sums
+        nt = NormTuple(mass=mass, grad=grad, bilap=bilap, lp=lp, p=pm.p)
+        w = weinstein(nt, pm)
+        k = gn_k_quotient(nt, pm)
+        gap = holder_chain_gap(nt, pm, low, high)
+        assert w.shape == k.shape == gap.shape == (100,)
+        for i, row in enumerate(zip(*(s.tolist() for s in sums))):
+            row_nt = NormTuple(*row[:4], p=pm.p)
+            assert w[i] == pytest.approx(weinstein(row_nt, pm), rel=1e-14, abs=0)
+            assert k[i] == pytest.approx(gn_k_quotient(row_nt, pm), rel=1e-14, abs=0)
+            scalar_gap = holder_chain_gap(row_nt, pm, *row[4:])
+            assert gap[i] == pytest.approx(scalar_gap, rel=1e-14, abs=1e-16)
+
+    def test_guards(self):
+        pm = Params(bigN=1, p=8.0, eps=1.0)
+        one = np.ones(3)
+        lp = np.array([1.0, 0.0, 1.0])
+        with pytest.raises(DegenerateQuotientError):
+            weinstein(NormTuple(mass=one, grad=one, bilap=one, lp=lp, p=8.0), pm)
+        zero_quad = np.array([1.0, 1.0, 0.0])
+        with pytest.raises(DegenerateQuotientError):
+            gn_k_quotient(NormTuple(mass=one, grad=zero_quad, bilap=zero_quad, lp=one, p=8.0), pm)
+        # a vanishing bound gives slack 0, row by row as for one field
+        nt = NormTuple(mass=one, grad=one, bilap=one, lp=np.array([0.5, 0.0, 1.0]), p=8.0)
+        bound = np.array([1.0, 0.0, 1.0])
+        gap = holder_chain_gap(nt, pm, bound, bound)
+        assert gap.tolist() == [0.5, 0.0, 0.0]
+        assert holder_chain_gap(NormTuple(1.0, 1.0, 1.0, 0.0, 8.0), pm, 0.0, 0.0) == 0.0

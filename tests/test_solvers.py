@@ -88,10 +88,9 @@ class TestInitialFields:
         assert u.samples[64] == u.samples.max()
 
 
-def reference_random_field(grid, seed, modes=20, width_frac=0.125):
-    """The one-field-at-a-time sampler that the batched generator replaced,
-    on numpy's n-dimensional transform pair."""
-    white = np.random.default_rng(seed).standard_normal(grid.shape)
+def reference_band_limit(grid, white, modes=20, width_frac=0.125):
+    """One white-noise array made a random band-limited field, on numpy's
+    n-dimensional transform pair: the one-field-at-a-time sampler."""
     axes = tuple(range(grid.dim))
     spec = np.fft.rfftn(white, axes=axes)
     k_full = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
@@ -111,27 +110,64 @@ def reference_random_field(grid, seed, modes=20, width_frac=0.125):
     return samples / peak if peak > 0 else samples
 
 
-class TestSampler:
-    """random_bandlimited_blocks: per-seed fields bit for bit, in blocks from the byte budget."""
+def reference_random_field(grid, seed, modes=20, width_frac=0.125):
+    """The field of one seed's own generator, filtered by the reference."""
+    white = np.random.default_rng(seed).standard_normal(grid.shape)
+    return reference_band_limit(grid, white, modes, width_frac)
 
-    @pytest.mark.parametrize(
-        "grid", [BoxGrid(1, 64, 40.0), BoxGrid(2, 32, 40.0), BoxGrid(3, 32, 20.0)]
-    )
-    def test_blocks_reproduce_each_seed(self, grid, monkeypatch):
-        # a budget of three rows splits seven seeds into 3 + 3 + 1
+
+SAMPLER_GRIDS = [BoxGrid(1, 64, 40.0), BoxGrid(2, 32, 40.0), BoxGrid(3, 32, 20.0)]
+
+
+class TestSampler:
+    """random_bandlimited_blocks: the rows of one generator stream, band-limited bit
+    for bit as the one-field-at-a-time reference, in blocks from the byte budget."""
+
+    @pytest.mark.parametrize("grid", SAMPLER_GRIDS)
+    def test_rows_filter_one_stream(self, grid):
+        (block,) = random_bandlimited_blocks(grid, 40, 7, modes=10)
+        white = np.random.default_rng(40).standard_normal((7,) + grid.shape)
+        for row, noise in zip(block, white):
+            assert row.tobytes() == reference_band_limit(grid, noise, modes=10).tobytes()
+        (block,) = random_bandlimited_blocks(grid, 40, 7)
+        expected = reference_random_field(grid, 40)
+        assert block[0].tobytes() == expected.tobytes()
+        assert random_bandlimited(grid, 40).samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("grid", SAMPLER_GRIDS)
+    def test_budget_split_matches_one_block_draw(self, grid, monkeypatch):
+        (whole,) = random_bandlimited_blocks(grid, 5, 7)
+        # a budget of three rows splits seven rows into 3 + 3 + 1
         monkeypatch.setattr(bnls.solvers, "SAMPLER_BLOCK_BYTES", 3 * 8 * grid.size)
-        seeds = [5, 6, 7, 8, 40, 41, 1000]
-        blocks = list(random_bandlimited_blocks(grid, seeds))
+        blocks = list(random_bandlimited_blocks(grid, 5, 7))
         assert [len(b) for b in blocks] == [3, 3, 1]
-        rows = np.concatenate(blocks)
-        for row, seed in zip(rows, seeds):
-            expected = reference_random_field(grid, seed)
-            assert row.tobytes() == expected.tobytes()
-            assert random_bandlimited(grid, seed).samples.tobytes() == expected.tobytes()
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
     def test_default_budget_takes_desk_samples_in_one_block(self):
-        blocks = list(random_bandlimited_blocks(BoxGrid(1, 256, 40.0), range(500)))
+        blocks = list(random_bandlimited_blocks(BoxGrid(1, 256, 40.0), 7, 500))
         assert [b.shape for b in blocks] == [(500, 256)]
+
+    @pytest.mark.parametrize("grid", SAMPLER_GRIDS)
+    def test_k_ascent_starts_are_their_seeds_fields(self, grid, monkeypatch):
+        # K_numeric band-limits its per-seed starts as one block with the
+        # sampler's step; each start is still its own seed's reference field
+        import bnls.constants
+
+        class Started(Exception):
+            pass
+
+        def spy(fields):
+            starts.extend(f.samples.copy() for f in fields)
+            raise Started
+
+        starts = []
+        monkeypatch.setattr(bnls.constants, "_SpectralIterate", spy)
+        params = Params(bigN=grid.dim, p=(8.0, 5.0, 4.0)[grid.dim - 1], eps=1.0)
+        with pytest.raises(Started):
+            bnls.constants.K_numeric(params, grid, SolverConfig(seed=3), n_starts=3)
+        assert len(starts) == 3
+        for k, start in enumerate(starts):
+            assert start.tobytes() == reference_random_field(grid, 3 + 101 * (k + 1)).tobytes()
 
 
 class TestPetviashvili:

@@ -15,6 +15,7 @@ from bnls.solvers import (
     pde_residual,
     petviashvili,
     random_bandlimited,
+    random_bandlimited_blocks,
     route_Q,
 )
 from bnls.verify import (
@@ -181,8 +182,43 @@ class TestVerifyGnRandom:
         cr = states["constants"]
         g = BoxGrid(1, 64, 40.0)
         generated = verify_gn_random(params, cr.C, cr.K, n_samples=7, seed=30, grid=g)
-        listed = [random_bandlimited(g, 30 + k) for k in range(7)]
+        (rows,) = random_bandlimited_blocks(g, 30, 7)
+        listed = [Field(g, row) for row in rows]
         assert verify_gn_random(params, cr.C, cr.K, fields=listed) == generated
+
+    def test_one_generator_per_call(self, params, full_run, monkeypatch):
+        _, states = full_run
+        cr = states["constants"]
+        made = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        assert verify_gn_random(params, cr.C, cr.K).passed
+        assert made == [(7,)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sampler_grid_rule(self, dim, monkeypatch):
+        # box 40 with 256, 128 and 64 points and a band of 20, 10 and 5 modes:
+        # k_max / kc = points / (2 modes) = 6.4, a filter tail of e^-41, in every d
+        import bnls.verify
+
+        calls = []
+
+        def spy(grid, seed, count, modes):
+            calls.append((grid, modes))
+            return random_bandlimited_blocks(grid, seed, count, modes)
+
+        monkeypatch.setattr(bnls.verify, "random_bandlimited_blocks", spy)
+        params = Params(bigN=dim, p=(8.0, 5.0, 4.0)[dim - 1], eps=1.0)
+        verify_gn_random(params, 1.0, 1.0, n_samples=2)
+        ((grid, modes),) = calls
+        assert grid == BoxGrid(dim, (256, 128, 64)[dim - 1], 40.0)
+        assert modes == (20, 10, 5)[dim - 1]
+        assert grid.points_per_axis / (2 * modes) == 6.4
 
     def test_transform_budget(self, params, full_run, monkeypatch):
         # the default 500 samples on the 256-point sampler grid cost one batched
