@@ -1,10 +1,14 @@
 """Command-line front end: constants | ground-state | action-gss | verify | sweep.
 
 Configuration is a flat JSON file mirroring Params + SolverConfig + grid keys;
-command-line flags override file values, and --print-config echoes the
-resolved configuration.  Exit codes: 0 pass, 1 check failure, 2
-configuration/regime error, 3 solver divergence.  BNLS_THREADS caps the sweep
-worker count.
+command-line flags override file values.  ``main`` resolves the configuration
+(and echoes it for --print-config) once, then hands it to the subcommand.
+Exit codes: 0 pass, 1 check failure, 2 configuration/regime error, 3 solver
+divergence.  An input that cannot be read or converted (a config file, a grid,
+an exponent list, a state path, BNLS_THREADS) raises ConfigurationError where
+it is read, so it exits 2 with one ``error:`` line.  BNLS_THREADS caps the
+sweep worker count.  The sweep's residual columns and its identities flag are
+``verify.q_checks``, the checks of ``verify_Q``, at their tiers.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .solvers import (
     petviashvili,
     route_Q,
 )
-from .verify import TolProfile, full_verification
+from .verify import full_verification, q_checks
 
 log = logging.getLogger("bnls")
 
@@ -65,7 +69,14 @@ CONFIG_KEYS = {
 def resolve_config(args) -> dict:
     cfg = dict(CONFIG_KEYS)
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config {args.config}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ConfigurationError(f"config {args.config} is not JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigurationError(f"config {args.config} does not hold a JSON object")
         unknown = set(loaded) - set(CONFIG_KEYS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -83,30 +94,33 @@ def resolve_config(args) -> dict:
 
 
 def build_problem(cfg) -> tuple:
+    try:
+        bigN, p, eps = int(cfg["N"]), float(cfg["p"]), float(cfg["eps"])
+        omega, mass_c = (None if cfg[k] is None else float(cfg[k]) for k in ("omega", "mass"))
+        points, box = int(cfg["points"]), float(cfg["box"])
+        max_iters, tol, seed = int(cfg["max_iters"]), float(cfg["tol_residual"]), int(cfg["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"config values must be numbers ({exc})") from exc
     params = Params(
-        bigN=int(cfg["N"]),
-        p=float(cfg["p"]),
-        eps=float(cfg["eps"]),
-        omega=None if cfg["omega"] is None else float(cfg["omega"]),
-        mass_c=None if cfg["mass"] is None else float(cfg["mass"]),
-        relaxed=bool(cfg["relaxed"]),
+        bigN=bigN, p=p, eps=eps, omega=omega, mass_c=mass_c, relaxed=bool(cfg["relaxed"])
     )
-    grid = BoxGrid(
-        dim=params.bigN, points_per_axis=int(cfg["points"]), box_length=float(cfg["box"])
-    )
-    solver = SolverConfig(
-        max_iters=int(cfg["max_iters"]),
-        tol_residual=float(cfg["tol_residual"]),
-        seed=int(cfg["seed"]),
-        init=str(cfg["init"]),
-    )
+    try:
+        grid = BoxGrid(dim=bigN, points_per_axis=points, box_length=box)
+    except ValueError as exc:
+        raise ConfigurationError(f"grid: {exc}") from exc
+    solver = SolverConfig(max_iters=max_iters, tol_residual=tol, seed=seed, init=str(cfg["init"]))
     return params, grid, solver
 
 
-def save_state(gs: GroundState, config: SolverConfig, out_dir, name: str) -> Path:
-    out = Path(out_dir)
+def _output_dir(path) -> Path:
+    """The output directory, created if missing: called only where a file is written."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.bnls"
+    return out
+
+
+def save_state(gs: GroundState, config: SolverConfig, out_dir, name: str) -> Path:
+    path = _output_dir(out_dir) / f"{name}.bnls"
     write_field(path, gs.field, sidecar=gs.sidecar(config))
     return path
 
@@ -117,7 +131,10 @@ def load_state(path) -> GroundState:
     A sidecar that records the field file's sha256 must match it; one written
     before the hash was recorded still loads.
     """
-    field, actual = read_field(path, with_sha256=True)
+    try:
+        field, actual = read_field(path, with_sha256=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read state {path}: {exc.strerror}") from exc
     side_path = sidecar_path(path)
     side = read_sidecar(path) if side_path.exists() else {}
     pdoc = side.get("params", {})
@@ -167,28 +184,20 @@ def load_state(path) -> GroundState:
 # subcommands
 
 
-def cmd_constants(args) -> int:
-    cfg = resolve_config(args)
-    if args.print_config:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
+def cmd_constants(args, cfg) -> int:
     params, grid, solver = build_problem(cfg)
     q = route_Q(params, grid, solver)
     report = compute_constants(
         q, K_numeric(params, grid, solver) if args.k_numeric else None
     )
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "constants.json").write_text(
+    (_output_dir(cfg["out_dir"]) / "constants.json").write_text(
         json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     )
     print(report.table())
     return 0
 
 
-def cmd_ground_state(args) -> int:
-    cfg = resolve_config(args)
-    if args.print_config:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
+def cmd_ground_state(args, cfg) -> int:
     if args.load:
         gs = load_state(args.load)
         print(
@@ -213,10 +222,7 @@ def cmd_ground_state(args) -> int:
     return 0
 
 
-def cmd_action_gss(args) -> int:
-    cfg = resolve_config(args)
-    if args.print_config:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
+def cmd_action_gss(args, cfg) -> int:
     params, grid, solver = build_problem(cfg)
     if params.omega is None:
         omega = compute_constants(route_Q(params, grid, solver)).omega_eps
@@ -233,10 +239,7 @@ def cmd_action_gss(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = resolve_config(args)
-    if args.print_config:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
+def cmd_verify(args, cfg) -> int:
     params, grid, solver = build_problem(cfg)
     energy_state = action_state = None
     if args.energy_state:
@@ -249,36 +252,23 @@ def cmd_verify(args) -> int:
         params,
         grid,
         solver,
-        tol=TolProfile(),
         n_samples=int(cfg["samples"]),
         with_k_numeric=not args.skip_k_numeric,
         energy_state=energy_state,
         action_state=action_state,
     )
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "verify_report.json").write_text(report.to_json() + "\n")
+    (_output_dir(cfg["out_dir"]) / "verify_report.json").write_text(report.to_json() + "\n")
     print(report.table())
     return 0 if report.passed else 1
 
 
 def _sweep_row(problem) -> dict:
     params, grid, solver = problem
-    from .functionals import nehari_residual, pohozaev, quadratic_scale
-
     gs = route_Q(params, grid, solver)
     report = compute_constants(gs)
-    pm = params.with_omega(gs.omega_extracted)
-    scale = quadratic_scale(gs.nt, pm)
-    nehari_rel = abs(nehari_residual(gs.nt, pm)) / scale
-    poho_rel = abs(pohozaev(gs.nt, pm)) / scale
-    tol = TolProfile()  # the tiers verify_Q checks these four identities at
-    identities_pass = (
-        gs.residual_pde <= tol.numeric
-        and nehari_rel <= tol.numeric
-        and poho_rel <= tol.numeric
-        and abs(gs.nt.mass - report.c_eps) / report.c_eps <= tol.cross_numeric
-    )
+    # the residual columns and the flag are verify_Q's checks, at its tiers
+    check = {c.name: c for c in q_checks(gs, report)}
+    identities = ("q.pde_residual", "q.nehari_zero", "q.pohozaev_zero", "q.mass_equals_critical")
     return {
         "N": params.bigN,
         "p": params.p,
@@ -288,10 +278,10 @@ def _sweep_row(problem) -> dict:
         "omega": report.omega_eps,
         "v_mass": report.v_mass,
         "mass_Q": gs.nt.mass,
-        "residual_pde": gs.residual_pde,
-        "nehari_rel": nehari_rel,
-        "pohozaev_rel": poho_rel,
-        "identities_pass": identities_pass,
+        "residual_pde": check["q.pde_residual"].residual,
+        "nehari_rel": check["q.nehari_zero"].residual,
+        "pohozaev_rel": check["q.pohozaev_zero"].residual,
+        "identities_pass": all(check[name].passed for name in identities),
     }
 
 
@@ -311,22 +301,29 @@ SWEEP_COLUMNS = [
 ]
 
 
-def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
-    if args.print_config:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
-    p_grid = [float(x) for x in args.p_grid.split(",")] if args.p_grid else [float(cfg["p"])]
-    eps_grid = (
-        [float(x) for x in args.eps_grid.split(",")] if args.eps_grid else [float(cfg["eps"])]
-    )
+def _number_list(text: str, flag: str) -> list:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag} takes comma-separated numbers ({exc})") from exc
+
+
+def _worker_count(rows: int) -> int:
+    """BNLS_THREADS, or one worker a row up to the CPU count when it is unset or 0."""
+    text = os.environ.get("BNLS_THREADS", "0").strip()
+    if not text.isdecimal():
+        raise ConfigurationError(f"BNLS_THREADS must be a nonnegative integer, got {text!r}")
+    return int(text) or min(rows, os.cpu_count() or 1)
+
+
+def cmd_sweep(args, cfg) -> int:
+    p_grid = _number_list(args.p_grid, "--p-grid") if args.p_grid else [cfg["p"]]
+    eps_grid = _number_list(args.eps_grid, "--eps-grid") if args.eps_grid else [cfg["eps"]]
     # every row's problem is built, and checked, before any solve starts
     tasks = [build_problem(dict(cfg, p=p, eps=eps)) for p in p_grid for eps in eps_grid]
-    workers = int(os.environ.get("BNLS_THREADS", "0")) or min(len(tasks), os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
         rows = list(pool.map(_sweep_row, tasks))
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
+    path = _output_dir(cfg["out_dir"]) / "sweep.csv"
     with path.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
@@ -420,7 +417,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        if args.print_config:
+            print(json.dumps(cfg, indent=2, sort_keys=True))
+        return args.func(args, cfg)
     except (RegimeError, ConfigurationError, FieldFormatError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

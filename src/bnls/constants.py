@@ -19,7 +19,7 @@ identically and that agreement is itself a shipped check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,16 +56,7 @@ class ConstantsReport:
                 raise RegimeError(f"constants entry {name} = {value} is not positive finite")
 
     def as_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "K": self.K,
-            "c_eps": self.c_eps,
-            "eps_c": self.eps_c,
-            "omega_eps": self.omega_eps,
-            "v_mass": self.v_mass,
-            "K_numeric": self.K_numeric,
-            "provenance": dict(self.provenance),
-        }
+        return asdict(self)
 
     def table(self) -> str:
         rows = [

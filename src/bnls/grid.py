@@ -132,15 +132,6 @@ class NormTuple:
     lp: float
     p: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "grad": self.grad,
-            "bilap": self.bilap,
-            "lp": self.lp,
-            "p": self.p,
-        }
-
 
 @lru_cache(maxsize=64)
 def _k2_table(grid: BoxGrid):

@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -106,13 +106,7 @@ class SolverConfig:
             raise ConfigurationError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
     def config_hash(self) -> str:
-        blob = {
-            "max_iters": self.max_iters,
-            "tol_residual": self.tol_residual,
-            "seed": self.seed,
-            "init": self.init,
-        }
-        return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
+        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -128,19 +122,12 @@ class GroundState:
 
     def sidecar(self, config: SolverConfig | None = None) -> dict:
         doc = {
-            "params": {
-                "bigN": self.params.bigN,
-                "p": self.params.p,
-                "eps": self.params.eps,
-                "omega": self.params.omega,
-                "mass_c": self.params.mass_c,
-                "relaxed": self.params.relaxed,
-            },
+            "params": asdict(self.params),
             "route": self.route,
             "iters": self.iters,
             "residual_pde": self.residual_pde,
             "omega_extracted": self.omega_extracted,
-            "norms": self.nt.as_dict(),
+            "norms": asdict(self.nt),
             "warnings": list(self.warnings),
         }
         if config is not None:

@@ -409,6 +409,67 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tol, code", [("1e-10", 0), ("1e-5", 1)], ids=["converged", "loose"])
+    def test_identity_columns_are_verify_checks(self, tol, code, tmp_path, capsys):
+        # on the 1D desk problem, the sweep row's residual columns and flag are
+        # the q checks of verify's report for the same seed; at tol 1e-5 the
+        # PDE residual check fails in both
+        problem = ["--N", "1", "--p", "8", "--eps", "1", "--points", "1024", "--box", "40",
+                   "--seed", "3", "--tol", tol, "--out-dir", str(tmp_path)]
+        assert run(capsys, "sweep", *problem)[0] == code
+        verified = run(capsys, "verify", "--fresh", *problem, "--samples", "20", "--skip-k-numeric")
+        assert verified[0] == code
+        with (tmp_path / "sweep.csv").open() as handle:
+            (row,) = csv.DictReader(handle)
+        doc = json.loads((tmp_path / "verify_report.json").read_text())
+        check = {c["name"]: c for c in doc["checks"]}
+        columns = {"residual_pde": "q.pde_residual", "nehari_rel": "q.nehari_zero",
+                   "pohozaev_rel": "q.pohozaev_zero"}
+        for column, name in columns.items():
+            assert float(row[column]) == check[name]["residual"]
+        together = [*columns.values(), "q.mass_equals_critical"]
+        assert row["identities_pass"] == str(all(check[name]["passed"] for name in together))
+        assert row["identities_pass"] == str(code == 0)
+
+
+class TestInputErrors:
+    """An input that cannot be read or converted exits 2 with one error line,
+    before anything is solved or written."""
+
+    @pytest.mark.parametrize(
+        "argv, threads",
+        [
+            (["constants", "--points", "100"], None),
+            (["constants", "--box", "-1"], None),
+            (["constants", "--config", "missing.json"], None),
+            (["constants", "--config", "malformed.json"], None),
+            (["constants", "--config", "points-abc.json"], None),
+            (["sweep", "--p-grid", "8,x"], None),
+            (["ground-state", "--load", "missing.bnls"], None),
+            (["verify", "--energy-state", "missing.bnls"], None),
+            (["sweep", "--p-grid", "8"], "abc"),
+            (["sweep", "--p-grid", "8"], "-1"),
+        ],
+        ids=[
+            "points-100", "box-negative", "config-missing", "config-malformed",
+            "config-points-abc", "p-grid-x", "load-missing", "energy-state-missing",
+            "threads-abc", "threads-negative",
+        ],
+    )
+    def test_exit_2_without_traceback(self, argv, threads, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "malformed.json").write_text('{"N": 1,')
+        (tmp_path / "points-abc.json").write_text(json.dumps({"points": "abc"}))
+        if threads is None:
+            monkeypatch.delenv("BNLS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BNLS_THREADS", threads)
+        code, out, err = run(capsys, *argv, "--out-dir", "out")
+        assert code == 2
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestHelp:
     """The shared flags come from one parent parser; every help text is the one
