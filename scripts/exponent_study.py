@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Scan the exponent window at fixed N and tabulate the constants chain.
 
-For each p strictly inside (2 + 4/N, 2 + 8/N) this solves the optimizer once
-and reports C, the critical mass, the non-homogeneous constant, and the
-optimizer frequency, plus the measured mass of the constructed state as a
-numeric cross-check of the formula column.  Both come from the same solve;
-the mass gap checks the rescaling algebra, not a second solve.
+For each p strictly inside (2 + 4/N, 2 + 8/N) this writes the ``bnls sweep``
+row of one optimizer solve (see ``bnls sweep --help`` for its columns), plus
+K from its c_eps and the points and box it was solved on.
+
+States widen toward the lower window edge and sharpen toward the upper one,
+so a solve can stall.  The stall's cause decides the retry, up to ATTEMPTS
+solves in all: ``grid`` doubles the points in the same box, ``box`` doubles
+the points and the box (the same spacing); any other failure skips the row
+and prints its cause.
 """
 
 import argparse
@@ -14,11 +18,34 @@ from pathlib import Path
 
 import numpy as np
 
-from bnls.constants import compute_constants
+from bnls.cli import SWEEP_COLUMNS, _sweep_row
+from bnls.constants import K_from_c_eps
 from bnls.errors import DivergenceError
 from bnls.functionals import Params
 from bnls.grid import BoxGrid
-from bnls.solvers import SolverConfig, route_Q
+from bnls.solvers import SolverConfig
+
+COLUMNS = SWEEP_COLUMNS + ["K", "points", "box"]
+ATTEMPTS = 4
+
+
+def solve_row(params, points, box, config):
+    """(row, None): the sweep row of ``params`` with K and the points and box it was
+    solved on, retried on each stall's cause; or (None, why the row was skipped)."""
+    for _ in range(ATTEMPTS):
+        try:
+            row = _sweep_row((params, BoxGrid(params.bigN, points, box), config))
+        except DivergenceError as exc:
+            cause = exc.cause
+        else:
+            return dict(row, K=K_from_c_eps(row["c_eps"], params), points=points, box=box), None
+        if cause == "grid":
+            points *= 2
+        elif cause == "box":
+            points, box = 2 * points, 2.0 * box
+        else:
+            return None, f"skipped: {cause}"
+    return None, f"skipped: {cause} after {ATTEMPTS} solves"
 
 
 def main():
@@ -38,37 +65,22 @@ def main():
 
     config = SolverConfig()
     rows = []
-    print(f"{'p':>7}  {'C':>12}  {'c_eps':>12}  {'K':>12}  {'omega':>12}  {'mass_gap':>9}")
+    print(f"{'p':>7}  {'C':>12}  {'c_eps':>12}  {'K':>12}  {'omega':>12}  {'points':>6}  {'box':>6}")
     for p in p_values:
         params = Params(bigN=args.N, p=float(p), eps=args.eps)
-        # states widen toward the window edges; grow the box (at fixed h)
-        # until the solve no longer reports boundary truncation
-        points, box = args.points, args.box
-        for attempt in range(4):
-            grid = BoxGrid(args.N, points, box)
-            try:
-                gs = route_Q(params, grid, config)
-                break
-            except DivergenceError:
-                points, box = 2 * points, 2.0 * box
-        else:
-            print(f"{p:7.3f}  box growth exhausted; skipped")
+        row, skipped = solve_row(params, args.points, args.box, config)
+        if row is None:
+            print(f"{p:7.3f}  {skipped}")
             continue
-        cr = compute_constants(gs)
-        mass_gap = abs(gs.nt.mass - cr.c_eps) / cr.c_eps
-        print(f"{p:7.3f}  {cr.C:12.6g}  {cr.c_eps:12.6g}  {cr.K:12.6g}  "
-              f"{cr.omega_eps:12.6g}  {mass_gap:9.2e}")
-        rows.append({
-            "p": p, "C": cr.C, "c_eps": cr.c_eps, "K": cr.K,
-            "omega": cr.omega_eps, "v_mass": cr.v_mass,
-            "mass_Q": gs.nt.mass, "mass_gap": mass_gap,
-        })
+        print(f"{p:7.3f}  {row['C']:12.6g}  {row['c_eps']:12.6g}  {row['K']:12.6g}  "
+              f"{row['omega']:12.6g}  {row['points']:6d}  {row['box']:6g}")
+        rows.append(row)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"exponents_N{args.N}.csv"
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {path}")

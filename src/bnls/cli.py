@@ -264,7 +264,13 @@ def cmd_verify(args, cfg) -> int:
 
 def _sweep_row(problem) -> dict:
     params, grid, solver = problem
-    gs = route_Q(params, grid, solver)
+    try:
+        gs = route_Q(params, grid, solver)
+    except (DivergenceError, VanishingError) as exc:
+        # name the row; the type, the cause and the history stay as raised
+        cause = f" ({exc.cause})" if isinstance(exc, DivergenceError) else ""
+        exc.args = (f"sweep row p = {params.p:g}, eps = {params.eps:g}{cause}: {exc}",)
+        raise
     report = compute_constants(gs)
     # the residual columns and the flag are verify_Q's checks, at its tiers
     check = {c.name: c for c in q_checks(gs, report)}
@@ -285,20 +291,8 @@ def _sweep_row(problem) -> dict:
     }
 
 
-SWEEP_COLUMNS = [
-    "N",
-    "p",
-    "eps",
-    "C",
-    "c_eps",
-    "omega",
-    "v_mass",
-    "mass_Q",
-    "residual_pde",
-    "nehari_rel",
-    "pohozaev_rel",
-    "identities_pass",
-]
+SWEEP_COLUMNS = ["N", "p", "eps", "C", "c_eps", "omega", "v_mass", "mass_Q", "residual_pde",
+                 "nehari_rel", "pohozaev_rel", "identities_pass"]
 
 
 def _number_list(text: str, flag: str) -> list:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import RegimeError
 from .functionals import Params, weinstein
 from .grid import BoxGrid, Field
+from .scalings import omega_formula
 from .solvers import (
     GroundState,
     SolverConfig,
@@ -140,13 +141,6 @@ def K_from_C(C: float, params: Params) -> float:
         - ep.alpha / 2.0 * math.log(params.eps)
     )
     return math.exp(log_k)
-
-
-def omega_formula(v_mass: float, params: Params) -> float:
-    """Frequency of the constructed critical-mass state, from the optimizer's mass."""
-    _require_positive("v_mass", v_mass)
-    ep = params.exponents()
-    return (params.p - 2.0) * ep.alpha / (ep.beta**2 * params.eps * v_mass)
 
 
 def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int = 8) -> float:

@@ -28,13 +28,17 @@ class PreconditionError(BnlsError, ValueError):
 class DivergenceError(BnlsError, RuntimeError):
     """An iterative solver failed to converge.
 
-    Carries the last residual and the residual history so callers can dump
-    diagnostics.
+    ``cause`` says how, so a caller can act on it without reading the
+    message: ``"box"`` (a residual floor set by truncated tails: enlarge the
+    box), ``"grid"`` (a floor set by the resolution: use more points),
+    ``"iterations"`` (max_iters ran out) or ``"blow-up"`` (the iterate or its
+    residual left the finite numbers).  ``history`` is the residual of every
+    iteration, so the last residual is ``history[-1]``.
     """
 
-    def __init__(self, message, last_residual=None, history=None):
+    def __init__(self, message, cause=None, history=None):
         super().__init__(message)
-        self.last_residual = last_residual
+        self.cause = cause
         self.history = list(history) if history is not None else []
 
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ConfigurationError, PreconditionError, RegimeError
 from .grid import BoxGrid, Field, NormTuple, quadratic_norms
 from .functionals import Params
 
@@ -94,13 +94,28 @@ def lambda_normalize(v: Field) -> Field:
     return Field(out.grid, lam1 * out.samples)
 
 
+def omega_formula(v_mass: float, params: Params) -> float:
+    """(p-2) alpha / (beta^2 eps v_mass): the frequency of the critical-mass state built
+    from a quotient optimizer of mass ``v_mass`` at grad = bilap = 1 (:func:`construct_Q`).
+
+    The quotient route has no eps = 0 form, so eps = 0, which ``relaxed``
+    admits, is refused here, before anything divides by it.
+    """
+    if not (math.isfinite(v_mass) and v_mass > 0):
+        raise RegimeError(f"v_mass must be positive finite, got {v_mass}")
+    if not params.eps > 0:
+        raise ConfigurationError(f"the quotient route needs eps > 0, got eps = {params.eps}")
+    ep = params.exponents()
+    return (params.p - 2.0) * ep.alpha / (ep.beta**2 * params.eps * v_mass)
+
+
 def construct_Q(u: Field, nt: NormTuple, params: Params) -> tuple:
     """Scale a quotient optimizer u with norms nt into a solution of the stationary PDE.
 
     With v = lambda_normalize(u), Q(x) = lam * v(mu x) for mu = sqrt(alpha/(beta*eps))
     and lam = (p*alpha / (beta^2*eps*lp(v)))^(1/(p-2)), built as one amplitude
     and box rescale of u.  Returns (Q, norms of Q, omega), the norms by
-    :func:`rescale_laws` and omega = (p-2)*alpha / (beta^2*eps*mass(v)) the
+    :func:`rescale_laws` and omega = :func:`omega_formula` of mass(v) the
     frequency Q solves at.
     """
     if not (nt.mass > 0 and nt.lp > 0):
@@ -112,7 +127,7 @@ def construct_Q(u: Field, nt: NormTuple, params: Params) -> tuple:
     eps = params.eps
     mu = math.sqrt(ep.alpha / (ep.beta * eps))
     lam = (params.p * ep.alpha / (ep.beta**2 * eps * nt_v.lp)) ** (1.0 / (params.p - 2.0))
-    omega = (params.p - 2.0) * ep.alpha / (ep.beta**2 * eps * nt_v.mass)
+    omega = omega_formula(nt_v.mass, params)
     amp, dilation = lam * lam1, mu * lam2
     scaled = resample(u, dilation)
     return Field(scaled.grid, amp * scaled.samples), rescale_laws(nt, amp, dilation, n), omega

@@ -67,7 +67,7 @@ from .grid import (
     norms,
     spectral_tail_ratio,
 )
-from .scalings import construct_Q, mass_preserving_scale_laws
+from .scalings import construct_Q, mass_preserving_scale_laws, omega_formula
 
 INIT_MODES = ("gaussian_bump", "random_bandlimited")
 
@@ -82,6 +82,8 @@ STALL_WINDOW = 20
 # 27, and 30 and 39 sweeps; log omega scaled by 100, near the raw spectrum's
 # norm, takes 41 and 37, and scales from 0.1 to 10 change a count by one at most.
 OMEGA_STEP = 0.25
+# Width of the random fields' Gaussian envelope, as a fraction of the box side L.
+ENVELOPE_WIDTH = 0.125
 # Bytes of samples per block of random_bandlimited_blocks: every row of the
 # GN sampler's 256-point 1D grid in one block, 32 rows at 128^2, 2 at 64^3.
 SAMPLER_BLOCK_BYTES = 1 << 22
@@ -119,6 +121,7 @@ class GroundState:
     iters: int
     route: str
     warnings: tuple = ()
+    residuals: tuple = ()  # the solve's residual at every iteration; () for a loaded state
 
     def sidecar(self, config: SolverConfig | None = None) -> dict:
         doc = {
@@ -154,13 +157,13 @@ def gaussian_bump(grid: BoxGrid, width: float | None = None, amplitude: float = 
     return Field(grid, amplitude * np.exp(-_radius_sq(grid) / (2.0 * width**2)))
 
 
-def _band_limiter(grid: BoxGrid, modes: int = 20, width_frac: float = 0.125):
+def _band_limiter(grid: BoxGrid, modes: int = 20):
     """The in-place step that turns a (rows, *grid.shape) block of white noise into
     random band-limited fields, and returns the block.
 
     Each row is low-passed by exp(-|k|^2/kc^2) with the cutoff kc at ``modes``
     fundamental wavenumbers (the same physical band at any resolution), times a
-    Gaussian envelope of width ``width_frac`` L that keeps it well inside the
+    Gaussian envelope of width ENVELOPE_WIDTH L that keeps it well inside the
     box, and divided by its peak |u|.  The filter and the envelope are built
     once, here; a block costs one batched transform pair.
     """
@@ -169,7 +172,7 @@ def _band_limiter(grid: BoxGrid, modes: int = 20, width_frac: float = 0.125):
     band = np.negative(k2)  # exp(-k2 / kc^2), written in place
     band /= kc * kc
     np.exp(band, out=band)
-    sigma = width_frac * grid.box_length
+    sigma = ENVELOPE_WIDTH * grid.box_length
     envelope = _radius_sq(grid)  # exp(-r2 / (2 sigma^2)), written in place
     np.negative(envelope, out=envelope)
     envelope /= 2.0 * sigma**2
@@ -191,18 +194,16 @@ def _band_limiter(grid: BoxGrid, modes: int = 20, width_frac: float = 0.125):
     return limit
 
 
-def random_bandlimited_blocks(
-    grid: BoxGrid, seed: int, count: int, modes: int = 20, width_frac: float = 0.125
-):
+def random_bandlimited_blocks(grid: BoxGrid, seed: int, count: int, modes: int = 20):
     """Yield ``count`` random band-limited fields as (rows, *grid.shape) blocks.
 
     The white noise of every row is drawn, in order, from the one stream
     ``default_rng(seed)``, so the fields do not depend on how the rows are
     split into blocks (the SAMPLER_BLOCK_BYTES budget); :func:`_band_limiter`
-    with ``modes`` and ``width_frac`` turns each block into fields.
+    with ``modes`` turns each block into fields.
     """
     rng = np.random.default_rng(seed)
-    limit = _band_limiter(grid, modes, width_frac)
+    limit = _band_limiter(grid, modes)
     rows = max(1, SAMPLER_BLOCK_BYTES // (8 * grid.size))
     for lo in range(0, count, rows):
         block = np.empty((min(rows, count - lo),) + grid.shape)
@@ -210,11 +211,9 @@ def random_bandlimited_blocks(
         yield limit(block)
 
 
-def random_bandlimited(
-    grid: BoxGrid, seed: int, modes: int = 20, width_frac: float = 0.125
-) -> Field:
+def random_bandlimited(grid: BoxGrid, seed: int) -> Field:
     """The first field of :func:`random_bandlimited_blocks`; peak |u| is 1."""
-    (block,) = random_bandlimited_blocks(grid, seed, 1, modes, width_frac)
+    (block,) = random_bandlimited_blocks(grid, seed, 1)
     return Field(grid, block[0])
 
 
@@ -462,33 +461,23 @@ class _Progress:
     def update(self, it: int, res: float):
         self.history.append(res)
         if not math.isfinite(res):
-            raise DivergenceError(
-                f"{self.label}: residual became non-finite at iteration {it}",
-                last_residual=res,
-                history=self.history,
-            )
+            raise DivergenceError(f"{self.label}: residual became non-finite at iteration {it}",
+                                  cause="blow-up", history=self.history)
         if res < self.best:
             self.best, self.best_iter = res, it
         elif it - self.best_iter > STALL_WINDOW:
             raise _stall(self.label, self.field(), self.best, self.config, self.history)
 
     def exhausted(self):
-        raise DivergenceError(
-            f"{self.label}: no convergence to {self.config.tol_residual:.1e} "
-            f"within {self.config.max_iters} iterations",
-            last_residual=self.history[-1] if self.history else None,
-            history=self.history,
-        )
+        raise DivergenceError(f"{self.label}: no convergence to {self.config.tol_residual:.1e} "
+                              f"within {self.config.max_iters} iterations",
+                              cause="iterations", history=self.history)
 
 
-def _finish(
-    u: Field,
-    params: Params,
-    iters: int,
-    route: str,
-    residual: float,
-    extra_warnings: tuple = (),
-) -> GroundState:
+def _finish(u: Field, params: Params, history: list, route: str,
+            extra_warnings: tuple = ()) -> GroundState:
+    """The solved state ``u``, measured once, with the loop's residual ``history``: its
+    length is the iteration count and its last entry the reported residual."""
     spec = _rfftn(u.samples, u.grid.dim)  # one transform for the norms and the tail
     nt = norms(u, params.p, spec)
     omega_x = extract_omega(nt, params)
@@ -499,37 +488,29 @@ def _finish(
     tail = spectral_tail_ratio(u, spec)
     if tail > 1e-8:
         warn.append(f"spectral tail is {tail:.2e} of the peak; grid may under-resolve the state")
-    return GroundState(
-        field=u,
-        params=params,
-        nt=nt,
-        omega_extracted=omega_x,
-        residual_pde=residual,
-        iters=iters,
-        route=route,
-        warnings=tuple(warn),
-    )
+    return GroundState(field=u, params=params, nt=nt, omega_extracted=omega_x,
+                       residual_pde=history[-1], iters=len(history), route=route,
+                       warnings=tuple(warn), residuals=tuple(history))
 
 
 def _stall(label: str, u: Field, best: float, config: SolverConfig, history: list):
     """The error for a residual floor above the tolerance, naming its likely cause.
 
     Such a floor sits at the larger of the box-truncation and the resolution
-    error, so the message names whichever of the boundary and spectral-tail
-    ratios of ``u`` is larger.
+    error, so the error's cause, and its message, name whichever of the
+    boundary and spectral-tail ratios of ``u`` is larger: ``"grid"`` or ``"box"``.
     """
     boundary = boundary_amplitude_ratio(u)
     tail = spectral_tail_ratio(u)
     if tail > boundary:
-        cause = "the grid may under-resolve the state (use more points)"
+        cause, advice = "grid", "the grid may under-resolve the state (use more points)"
     else:
-        cause = "the box may be too small for these parameters (enlarge it)"
+        cause, advice = "box", "the box may be too small for these parameters (enlarge it)"
     return DivergenceError(
         f"{label} stalled at residual {best:.3e} "
         f"(tolerance {config.tol_residual:.1e}); boundary amplitude ratio is "
-        f"{boundary:.2e} and spectral tail ratio is {tail:.2e}, so {cause}",
-        last_residual=history[-1],
-        history=history,
+        f"{boundary:.2e} and spectral tail ratio is {tail:.2e}, so {advice}",
+        cause=cause, history=history,
     )
 
 
@@ -544,29 +525,25 @@ def _require_field_grid(params: Params, grid: BoxGrid):
 # the Petviashvili sweep, at fixed omega or jointly with omega
 
 
-def petviashvili(
-    params: Params, grid: BoxGrid, config: SolverConfig, residual_trace: list | None = None
-) -> GroundState:
+def petviashvili(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
     """Stabilized fixed point for the stationary PDE at fixed omega > 0 (:func:`_sweeps`).
 
-    Pass a list as ``residual_trace`` to record the residual history.
+    The state's ``residuals`` hold the residual of every sweep.
     """
     omega = params.require_omega()
     if not omega > 0:
         raise ConfigurationError(f"petviashvili needs omega > 0, got {omega}")
-    u, res, iters = _sweeps(params, grid, config, omega, residual_trace=residual_trace)
-    return _finish(u, params, iters, "petviashvili", res)
+    u, history, _ = _sweeps(params, grid, config, omega)
+    return _finish(u, params, history, "petviashvili")
 
 
-def _sweeps(
-    params: Params,
-    grid: BoxGrid,
-    config: SolverConfig,
-    omega: float,
-    optimize: bool = False,
-    residual_trace: list | None = None,
-) -> tuple:
-    """The Petviashvili sweep loop from the initial field: (field, residual, sweeps).
+def _sweeps(params: Params, grid: BoxGrid, config: SolverConfig, omega: float,
+            optimize: bool = False) -> tuple:
+    """The Petviashvili sweep loop from the initial field: (field, residual history, sweeps).
+
+    The history holds every sweep's residual, so the sweep count is its
+    length; the count is returned as well, third, where perfbench's tracer
+    reads it.
 
     A sweep takes the stabilized step u <- S^gamma L^-1 N(u) at the current
     omega, with L = eps lap^2 - lap + omega, N(u) = |u|^(p-2) u, S = <Lu, u> /
@@ -597,9 +574,7 @@ def _sweeps(
         mass, grad, bilap = state.quadratic_norms()
         if not math.isfinite(mass) or mass > 1e24 * max(mass0, 1.0):
             raise DivergenceError(
-                f"{progress.label} iterate blew up",
-                last_residual=progress.history[-1] if progress.history else None,
-                history=progress.history,
+                f"{progress.label} iterate blew up", cause="blow-up", history=progress.history
             )
         if mass < 1e-24 * mass0:
             raise VanishingError("iterate collapsed to zero")
@@ -612,11 +587,9 @@ def _sweeps(
         else:
             res = state.residual_ratio(lin, nl_spec)
         progress.update(it, res)
-        if residual_trace is not None:
-            residual_trace.append(res)
         if res <= config.tol_residual:
             del lin  # free it before the field is copied out
-            return state.field(), res, it
+            return state.field(), progress.history, it
         stabilizer = (eps * bilap + grad + omega * mass) / lp
         _by_real(np.divide, nl_spec, lin, nl_spec)  # the step, in next
         nl_spec *= stabilizer**gamma
@@ -653,20 +626,20 @@ def _el_residual_spectral(
 
 
 def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tuple:
-    """The quotient optimizer: (field, residual, sweeps), from :func:`_sweeps` with omega free.
+    """The quotient optimizer: (field, residual history, sweeps), from :func:`_sweeps` with
+    omega free.
 
     The field is a fixed-omega ground state whose norms satisfy grad =
     (beta/alpha) eps bilap, so its exact rescalings are the optimizer and
     the constructed critical-mass state.  Moving the frequency inside the
     iteration is the spectral renormalization of Ablowitz and Musslimani
     (Opt. Lett. 30, 2005).  The start is the initial field at the frequency
-    the optimizer would have at unit mass.  A residual floor above the
-    tolerance sits at the larger of the box-truncation and the resolution
-    error, so a stall names whichever of the two ratios is larger.
+    the optimizer would have at unit mass (:func:`~bnls.scalings.omega_formula`,
+    which refuses eps = 0).  A residual floor above the tolerance sits at the
+    larger of the box-truncation and the resolution error, so a stall names
+    whichever of the two ratios is larger.
     """
-    ep = params.exponents()
-    omega0 = (params.p - 2.0) * ep.alpha / (ep.beta**2 * params.eps)
-    return _sweeps(params, grid, config, omega0, optimize=True)
+    return _sweeps(params, grid, config, omega_formula(1.0, params), optimize=True)
 
 
 def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
@@ -679,11 +652,12 @@ def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
     ratios, which the rescale leaves unchanged, carry over.  A pipeline solves
     once here and derives the rest: ``compute_constants`` takes the result.
     """
-    u, res, iters = _weinstein_state(params, grid, config)
-    solved = _finish(u, params, iters, "weinstein_Q", res)
+    u, history, _ = _weinstein_state(params, grid, config)
+    solved = _finish(u, params, history, "weinstein_Q")
     q_field, nt, omega = construct_Q(solved.field, solved.nt, params)
     if not (math.isfinite(omega) and omega > 0):
-        raise DivergenceError(f"constructed frequency {omega} is not positive", last_residual=res)
+        raise DivergenceError(f"constructed frequency {omega} is not positive",
+                              cause="blow-up", history=history)
     return replace(solved, field=q_field, nt=nt, omega_extracted=extract_omega(nt, params))
 
 
@@ -721,8 +695,8 @@ def mass_constrained_flow(
     """
     c = params.require_mass()
     _require_field_grid(params, grid)
-    u, iters, rel, warn = _mass_flow_state(params, grid, config, c, energy_trace)
-    return _finish(u, params, iters, "mass_flow", rel, warn)
+    u, history, warn = _mass_flow_state(params, grid, config, c, energy_trace)
+    return _finish(u, params, history, "mass_flow", warn)
 
 
 def _fiber_start(grid: BoxGrid, params: Params, c: float) -> Field:
@@ -802,7 +776,12 @@ def _power_change(u, v, tau, p, powered, block) -> float:
 def _mass_flow_state(
     params: Params, grid: BoxGrid, config: SolverConfig, c: float, energy_trace: list | None
 ) -> tuple:
-    """The descent loop of :func:`mass_constrained_flow`: (field, iterations, residual, warnings).
+    """The descent loop of :func:`mass_constrained_flow`: (field, residual history, warnings).
+
+    The loop stops on the PDE residual every route reports,
+    ||L u - N(u)|| / ||N(u)|| with L = eps lap^2 - lap + omega_k, N(u) =
+    |u|^(p-2) u and omega_k the iterate's Nehari multiplier: :func:`pde_residual`
+    of the iterate at omega_k, taken on its spectrum.
 
     An iteration takes lp of the iterate (spectrum s, field u) from u, the
     direction d and its field v = irfftn(d) once, and tries steps tau: the
@@ -860,8 +839,8 @@ def _mass_flow_state(
         sym = symbol(omega_k)
         r_spec = _by_real(np.multiply, state.spec, sym, d_spec)
         r_spec -= nl_spec
-        scale_q = eps * bilap + grad + abs(omega_k) * c
-        rel = math.sqrt(state.spec_norm_sq(r_spec) * c) / scale_q
+        nl_norm_sq = state.spec_norm_sq(nl_spec)
+        rel = math.sqrt(state.spec_norm_sq(r_spec) / nl_norm_sq) if nl_norm_sq > 0 else math.inf
         progress.update(it, rel)
         if rel <= config.tol_residual:
             warn = ()
@@ -916,4 +895,4 @@ def _mass_flow_state(
     else:
         progress.exhausted()
     del u, v, d_spec  # free them before the field is copied out
-    return state.field(), it, rel, warn
+    return state.field(), progress.history, warn

@@ -346,6 +346,26 @@ class TestRelaxedMode:
         assert side["params"]["eps"] == 0.0
         assert side["params"]["relaxed"] is True
 
+    @pytest.mark.parametrize("command", ["constants", "ground-state", "action-gss", "verify",
+                                         "sweep"])
+    def test_quotient_routes_refuse_eps_0(self, command, tmp_path, capsys):
+        # the quotient route has no eps = 0 form; it divided by eps
+        code, _, err = run(
+            capsys, command, "--N", "1", "--p", "8", "--eps", "0", "--relaxed", *FAST,
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and "eps > 0" in line
+
+    def test_mass_flow_takes_eps_0(self, tmp_path, capsys):
+        # the energy descent needs no quotient solve, so eps = 0 is not refused there
+        code, _, _ = run(
+            capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "0", "--relaxed",
+            "--mass", "5", *FAST, "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+
 
 class TestSweepCommand:
     def test_five_row_csv(self, tmp_path, capsys, monkeypatch):
@@ -401,6 +421,16 @@ class TestSweepCommand:
         assert (grid.points_per_axis, grid.box_length) == (512, 40.0)
         assert solver == SolverConfig(max_iters=77, tol_residual=1e-9, seed=5,
                                       init="random_bandlimited")
+
+    def test_failed_row_is_named(self, tmp_path, capsys):
+        # at 256 points the p 9.6 state is under-resolved; its row is named, with the cause
+        code, _, err = run(
+            capsys, "sweep", "--N", "1", "--p-grid", "8,9.6", "--eps", "1", "--points", "256",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert "solver failure: sweep row p = 9.6, eps = 1 (grid): quotient optimizer stalled" in err
+        assert "residual history" in err
 
     def test_regime_violation_fails_fast(self, tmp_path, capsys):
         code, _, err = run(

@@ -388,11 +388,11 @@ class TestBoxAdequacy:
 
     # a solve's state records the boundary warning
     def test_warning_raised_for_wide_field(self):
-        wide = _finish(bump(width=15.0), Params(bigN=1, p=8.0, eps=1.0), 0, "test", 0.0)
+        wide = _finish(bump(width=15.0), Params(bigN=1, p=8.0, eps=1.0), [0.0], "test")
         assert any(w.startswith("boundary amplitude") for w in wide.warnings)
 
     def test_no_warning_for_narrow_field(self):
-        narrow = _finish(bump(width=2.0), Params(bigN=1, p=8.0, eps=1.0), 0, "test", 0.0)
+        narrow = _finish(bump(width=2.0), Params(bigN=1, p=8.0, eps=1.0), [0.0], "test")
         assert not any(w.startswith("boundary amplitude") for w in narrow.warnings)
 
 

@@ -207,8 +207,9 @@ class TestPetviashvili:
         pm = Params(bigN=1, p=8.0, eps=1.0, omega=2.0)
         with pytest.raises(DivergenceError) as err:
             petviashvili(pm, grid, SolverConfig(max_iters=3, tol_residual=1e-14))
-        assert err.value.last_residual is not None
+        assert err.value.cause == "iterations"
         assert len(err.value.history) == 3
+        assert math.isfinite(err.value.history[-1])
 
     def test_2d_ground_state(self):
         pm = Params(bigN=2, p=5.0, eps=1.0, omega=1.0)
@@ -244,20 +245,23 @@ class TestWeinstein:
 
     @pytest.mark.parametrize(
         "points, box, cause",
-        [(64, 40.0, "under-resolve"), (1024, 12.0, "box may be too small")],
+        [(64, 40.0, "under-resolve"), (1024, 12.0, "box may be too small"),
+         (256, 6.0, "box may be too small")],
     )
     def test_stall_names_binding_cause(self, params, points, box, cause):
-        # 64 points cannot resolve the desk state on the desk box; L = 12
-        # resolves it but truncates its tails
+        # 64 points cannot resolve the desk state on the desk box; L = 12 and
+        # L = 6 resolve it but truncate its tails
         with pytest.raises(DivergenceError) as err:
             route_Q(params, BoxGrid(1, points, box), SolverConfig())
         message = str(err.value)
         # a converging solve goes at most 4 sweeps without a new best residual;
-        # these stall STALL_WINDOW = 20 sweeps after their best, 34 and 36 in all
+        # these stall STALL_WINDOW = 20 sweeps after their best, 34, 36 and 28 in all
         assert len(err.value.history) <= 40
         assert "stalled" in message
         assert "boundary amplitude ratio" in message and "spectral tail ratio" in message
         assert cause in message
+        # the error's cause is the comparison the message words
+        assert err.value.cause == ("grid" if cause == "under-resolve" else "box")
 
     @pytest.mark.parametrize("solve, label", [("route_Q", "quotient optimizer"),
                                               ("petviashvili", "petviashvili")])
@@ -265,8 +269,15 @@ class TestWeinstein:
         # an iterate whose mass is not finite blew up; the error names the loop it was in
         monkeypatch.setattr(bnls.solvers._SpectralIterate, "quadratic_norms",
                             lambda self, spec=None: (math.inf, 1.0, 1.0))
-        with pytest.raises(DivergenceError, match=f"^{label} iterate blew up$"):
+        with pytest.raises(DivergenceError, match=f"^{label} iterate blew up$") as err:
             getattr(bnls.solvers, solve)(params.with_omega(1.0), grid, SolverConfig())
+        assert err.value.cause == "blow-up"
+
+    def test_iterations_cause(self, params, grid):
+        with pytest.raises(DivergenceError, match="no convergence") as err:
+            route_Q(params, grid, SolverConfig(max_iters=3))
+        assert err.value.cause == "iterations"
+        assert len(err.value.history) == 3
 
     def test_2d_stall_names_the_grid(self):
         # 128^2 at L 40 under-resolves the p 5.7 state (spectral tail 4e-4,
@@ -276,6 +287,7 @@ class TestWeinstein:
             route_Q(Params(bigN=2, p=5.7, eps=1.0), GRID_2D, SolverConfig())
         assert "stalled" in str(err.value)
         assert "under-resolve" in str(err.value)
+        assert err.value.cause == "grid"
 
 
 class TestRouteQ:
@@ -406,11 +418,12 @@ class TestShooting:
         # the optimizer returns the iterate its stopping test measured, with no
         # final fixed-omega solve after it: that state meets the tolerance and
         # is the optimizer to it, and a rerun returns the same bytes
-        u, res, sweeps = bnls.solvers._weinstein_state(params, grid, config)
+        u, history, sweeps = bnls.solvers._weinstein_state(params, grid, config)
         again = bnls.solvers._weinstein_state(params, grid, config)
-        assert res <= config.tol_residual
+        assert history[-1] <= config.tol_residual
+        assert sweeps == len(history)
         assert u.samples.tobytes() == again[0].samples.tobytes()
-        assert (res, sweeps) == again[1:]
+        assert (history, sweeps) == again[1:]
         ep = params.exponents()
         _, g, b = quadratic_norms(u)
         assert abs(ep.beta * params.eps * b / (ep.alpha * g) - 1.0) <= 100 * config.tol_residual
@@ -422,6 +435,13 @@ class TestShooting:
 
     def test_desk_problem_has_no_tail_warning(self, q_state):
         assert not any("spectral tail" in w for w in q_state.warnings)
+
+    def test_state_carries_its_history(self, q_state):
+        # one residual a sweep; the last is the reported one.  The sidecar does
+        # not hold the history
+        assert len(q_state.residuals) == q_state.iters
+        assert q_state.residuals[-1] == q_state.residual_pde
+        assert "residuals" not in q_state.sidecar()
 
 
 class TestRouteEquivalence:
@@ -465,6 +485,17 @@ class TestMassFlow:
         assert gs.omega_extracted > 0
         # a deterministic count: the fiber-optimal start and the line search
         assert gs.iters <= 33
+
+    def test_reports_the_pde_residual_of_its_field(self, params, grid, constants_report):
+        # the flow stops on ||Lu - N(u)|| / ||N(u)||, the residual of every route
+        # and of pde_residual; its earlier quotient-scaled measure read 9.9e-11
+        # here for a field whose pde_residual is 8.0e-11
+        pm = params.with_mass(2.0 * constants_report.c_eps)
+        gs = mass_constrained_flow(pm, grid, SolverConfig())
+        assert gs.residual_pde <= 1e-10
+        measured = pde_residual(gs.field, params, gs.omega_extracted)
+        assert gs.residual_pde == pytest.approx(measured, rel=1e-3)
+        assert (len(gs.residuals), gs.residuals[-1]) == (gs.iters, gs.residual_pde)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_no_roundoff_floor_near_the_minimizer(self, params, constants_report, tol):
