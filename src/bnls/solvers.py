@@ -18,14 +18,11 @@ Three routes:
   renormalized Euler-Lagrange sweeps were tried first and rejected: the
   renormalization shrinks the box until the tails wrap, which feeds a slow
   width instability.)
-* ``mass_constrained_flow`` descends the energy on the fixed-mass sphere with
-  a preconditioned, multiplier-shifted projected gradient; its fixed points
-  are exact critical points and every accepted step is non-increasing in
-  energy.  It starts from the Gaussian bump moved along its mass-preserving
-  fiber to the fiber's energy minimum, where that is negative, and its line
-  search sums each trial's energy change from exact quadratics in the step
-  and pointwise lp changes, so it resolves changes far below the roundoff
-  of the energy itself.
+* ``mass_constrained_flow`` descends the energy on the fixed-mass sphere
+  along preconditioned Polak-Ribiere+ conjugate directions, from the bump
+  moved to its fiber's energy minimum; its fixed points are exact critical
+  points, and every accepted step is non-increasing in energy, judged on an
+  energy change summed without cancellation.
 
 The inner loops carry the iterate as its (real-to-complex) spectrum.  This is
 deliberate: materializing the field every sweep re-quantizes the tiny
@@ -281,7 +278,8 @@ class _SpectralIterate:
       transform there, a sweep turns it into the new iterate in place and
       :meth:`advance` swaps it with ``spec``;
     * ``work``, the complex work array of the inverse transform, which between
-      transforms holds one physical-space or residual array (:meth:`scratch`);
+      transforms holds one physical-space or residual array (:meth:`scratch`)
+      or the mass flow's last preconditioned gradient;
     * a real array of the spectrum's shape for the weighted power behind
       every quadratic norm.
 
@@ -412,6 +410,22 @@ class _SpectralIterate:
         diff -= rhs
         num, den = self.spec_norm_sq(diff), self.spec_norm_sq(rhs)
         return math.sqrt(num / den) if den > 0 else math.inf
+
+    def residual_in_place(self, symbol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """rhs <- symbol * spec - rhs for a lone iterate, through the power array."""
+        prod = _carve(self._power, symbol.shape)
+        for part, spec_part in ((rhs.real, self.spec.real), (rhs.imag, self.spec.imag)):
+            np.subtract(np.multiply(spec_part, symbol, out=prod), part, out=part)
+        return rhs
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The L2 inner product of the fields of two lone spectra (Parseval), with no
+        temporary: Re(a conj(b)) summed twice over the last axis's interior modes."""
+        total = 2.0 * np.einsum("n,n->", _real_rows(a, 0), _real_rows(b, 0))
+        for edge in (0, -1):  # m = 0 and Nyquist, counted once
+            x, y = (np.reshape(s[..., edge], -1) for s in (a, b))
+            total -= np.einsum("n,n->", x.real, y.real) + np.einsum("n,n->", x.imag, y.imag)
+        return self.grid.cell_volume / self.grid.size * float(total)
 
     def nonlinearity(self, p: float) -> tuple:
         """(lp, nl_spec) = (||u||_p^p, rfftn(|u|^(p-2) u)) from one irfftn; nl_spec is ``next``.
@@ -668,33 +682,29 @@ def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
 def mass_constrained_flow(
     params: Params, grid: BoxGrid, config: SolverConfig, energy_trace: list | None = None
 ) -> GroundState:
-    """Projected, preconditioned energy descent on the sphere ||u||_2^2 = c.
+    """Preconditioned conjugate-gradient energy descent on the sphere ||u||_2^2 = c.
 
-    The step direction is P^-1 (E'(u) + omega_k u) with omega_k the Nehari
-    multiplier estimate (so fixed points solve the stationary PDE exactly) and
-    P the positive operator eps*lap^2 - lap + sigma.  A backtracking line
-    search accepts a step only where the energy does not increase; it decides
-    on the energy change itself, taken without cancellation (see
-    :func:`_mass_flow_state`), so it keeps descending below the roundoff of
-    the energy, and the flow reaches tolerances far below sqrt(machine eps).
-    Pass a list as ``energy_trace`` to record the energy of the start and of
-    every accepted step.
+    Fixed points solve the stationary PDE at the Nehari multiplier, and no
+    accepted step raises the energy (:func:`_mass_flow_state`).  A list as
+    ``energy_trace`` records the energy of the start and of every step.  The
+    default start is the bump moved to its mass-preserving fiber's energy
+    minimum where that is negative (:func:`_fiber_start`), else the bump.
 
-    The default start (``init`` gaussian_bump) is the bump moved along its
-    mass-preserving fiber to the fiber's energy minimum, when that minimum is
-    negative (:func:`_fiber_start`); it needs no other solve.  Otherwise the
-    flow starts from the bump itself.
-
-    For masses below the critical one the constrained infimum is not attained
-    and the iterate spreads toward the box boundary; that is detected via the
-    boundary-amplitude ratio and reported as a no-minimizer outcome (a warning
-    on the returned state), not as an error.  A line search that finds no
-    lower energy above the tolerance is a stall: it raises
-    :class:`DivergenceError` with the residual history and names the larger of
-    the boundary and spectral-tail ratios.
+    An iterate of nonnegative energy that spreads toward the box (boundary
+    ratio above 1e-2 after the first step) ends the flow with a no-minimizer
+    warning: below the critical mass the infimum is not attained, and
+    negative energy proves a minimizer exists.  A line search that finds no
+    lower energy above the tolerance raises :class:`DivergenceError` (a
+    stall, naming the larger of the boundary and spectral-tail ratios).  At
+    eps = 0 and p >= 2 + 4/N no mass has a minimizer: ConfigurationError.
     """
     c = params.require_mass()
     _require_field_grid(params, grid)
+    if params.eps == 0 and params.p >= 2.0 + 4.0 / params.bigN:
+        raise ConfigurationError(
+            f"the mass flow at eps = 0 needs p < 2 + 4/N = {2.0 + 4.0 / params.bigN:g}, got "
+            f"p = {params.p:g}: the energy has no minimizer on the mass sphere there"
+        )
     u, history, warn = _mass_flow_state(params, grid, config, c, energy_trace)
     return _finish(u, params, history, "mass_flow", warn)
 
@@ -739,13 +749,12 @@ def _fiber_start(grid: BoxGrid, params: Params, c: float) -> Field:
 def _power_change(u, v, tau, p, powered, block) -> float:
     """sum(|u - tau v|^p - |u|^p), each point's change taken without cancellation.
 
-    ``powered`` holds |u|^p.  Where the step keeps the sign of u, x = -tau v / u
-    exceeds -1 and a point's change is |u|^p expm1(p log1p(x)), exact to a few
-    ulps of the change itself.  The rest, where the step flips the sign of u,
-    u is 0 or the power overflows, are tail points that carry a vanishing
-    share of lp; there the change is the direct difference.  The points go
-    through the float array ``block`` a block at a time, which bounds the
-    temporaries of the rest (all of a narrow start's underflowed tail).
+    ``powered`` holds |u|^p.  Where the step keeps the sign of u, x = -tau v/u
+    exceeds -1 and a point's change is |u|^p expm1(p log1p(x)), exact to a
+    few ulps of the change.  Elsewhere (a flipped sign, u = 0, an overflow:
+    tail points, with a vanishing share of lp) it is the direct difference.
+    The points go through the float array ``block`` a block at a time, which
+    bounds the temporaries.
     """
     u, v, powered = u.reshape(-1), v.reshape(-1), powered.reshape(-1)
     total = 0.0
@@ -773,39 +782,58 @@ def _power_change(u, v, tau, p, powered, block) -> float:
     return total
 
 
+def _step_size(change, tau: float, slope: float) -> float | None:
+    """The step one line search accepts, or None where no trial lowers the energy.
+
+    ``change(t)`` is the energy change at step t, of slope -``slope`` at 0.
+    The trials are ``tau``, the last accepted step, and the minimizer of the
+    quadratic through 0, that slope and the first trial, clamped to [tau/4,
+    4 tau]; the lower wins if <= 0, else the smaller is halved until one is,
+    60 trials in all.
+    """
+    first = change(tau)
+    curvature = (first + slope * tau) / (tau * tau)
+    model = 4.0 * tau
+    if curvature > 0:
+        model = min(max(slope / (2.0 * curvature), tau / 4.0), model)
+    lowest, step = min((first, tau), (change(model), model))
+    if lowest > 0:
+        step = min(tau, model)
+        for _ in range(58):
+            step *= 0.5
+            if change(step) <= 0:
+                return step
+        return None
+    return step
+
+
 def _mass_flow_state(
     params: Params, grid: BoxGrid, config: SolverConfig, c: float, energy_trace: list | None
 ) -> tuple:
-    """The descent loop of :func:`mass_constrained_flow`: (field, residual history, warnings).
+    """The loop of :func:`mass_constrained_flow`: (field, residual history, warnings).
 
-    The loop stops on the PDE residual every route reports,
-    ||L u - N(u)|| / ||N(u)|| with L = eps lap^2 - lap + omega_k, N(u) =
-    |u|^(p-2) u and omega_k the iterate's Nehari multiplier: :func:`pde_residual`
-    of the iterate at omega_k, taken on its spectrum.
+    It stops on :func:`pde_residual` at the Nehari multiplier omega_k, taken
+    on the spectrum: ||r|| / ||N(u)|| with r = L u - N(u), L = eps lap^2 -
+    lap + omega_k, N(u) = |u|^(p-2) u; r is the sphere's energy gradient.
+    The direction is preconditioned Polak-Ribiere+ (Antoine, Levitt and
+    Tang, J. Comput. Phys. 343, 2017): z = P^-1 r with P the symbol of L at
+    max(omega_k, 1e-2), d = z + beta d_last, beta = max(0, (<r, z> - <r,
+    z_last>) / <r_last, z_last>), and d = z where <r, d> <= 0.
 
-    An iteration takes lp of the iterate (spectrum s, field u) from u, the
-    direction d and its field v = irfftn(d) once, and tries steps tau: the
-    trial is amp (s - tau d), with amp = sqrt(c / mass(s - tau d)), whose field
-    is amp (u - tau v), so a trial needs no transform.  Its energy change is
-    summed from changes that carry no cancellation: the mass, grad and bilap
-    of s - tau d differ from those of s by exact quadratics in tau, whose
-    coefficients are the Parseval cross sums (s, d) and (d, d); amp^2 - 1 and
-    amp^p - 1 follow from the mass change, relative to the iterate's own
-    mass (the start's measured mass differs from c by the roundoff of its
-    sum, which would put back an O(machine eps) energy change); and the lp
-    change is summed point by point (:func:`_power_change`).  The direct
-    difference of two energies cannot resolve a change below the roundoff of
-    the energy, which is O(residual^2) near the minimizer, so it would stall
-    the flow near a residual of sqrt(machine eps) (Nocedal and Wright,
-    Numerical Optimization, 2006, ch. 3).  The start's mass, grad and bilap
-    are measured; an accepted step's are amp^2 times its trial's, so no
-    iteration measures them again.
+    A trial amp (s - tau d), amp = sqrt(c / mass(s - tau d)), has the field
+    amp (u - tau v) with v = irfftn(d), so it needs no transform, and an
+    energy change summed without cancellation: exact quadratics in tau from
+    the cross sums (s, d) and (d, d), amp^2 - 1 and amp^p - 1 from the mass
+    change relative to the iterate's own mass, and :func:`_power_change`.  A
+    difference of two energies would floor the flow near a residual of
+    sqrt(machine eps) (Nocedal and Wright, Numerical Optimization, 2006, ch. 3).
 
-    The arrays are reused: |u|^(p-2) u and then |u|^p sit in the iterate's
-    ``work``, the symbol in v's memory until v is formed, the inverse
-    transform's passes and each trial's block of point changes in ``next``,
-    and an accepted step is written into ``next`` and into v, which then
-    trade places with the iterate's spectrum and u.
+    Nothing is allocated per iteration: N(u) and the symbol use v's memory;
+    r and then z replace N(u)'s spectrum in ``next``, and z stays as z_last
+    in ``work``, which trades places with ``next``; d_last stays in d's
+    array; |u|^p and the transform's and cross sums' scratch use ``next``,
+    the trials' point changes the power array; an accepted step is written
+    into ``next`` and v, which trade places with s and u.
     """
     p = params.p
     eps = params.eps
@@ -817,82 +845,97 @@ def _mass_flow_state(
     d_spec = np.empty_like(state.spec)
     u = state.physical().copy()  # physical() returns next, which the loop overwrites
     v = np.empty_like(u)
+    block = _carve(state._power, (min(state._power.size, POWER_BLOCK),))
 
     def symbol(sigma):
         return state.symbol(eps, 1.0, sigma, out=_carve(v.reshape(-1), state.k2.shape))
 
+    def change(tau):  # this iteration's energy change at step tau; inf where undefined
+        d_mass = tau * (tau * m_dd - 2.0 * m_sd)
+        if not mass + d_mass > 0:
+            return math.inf
+        d_quad = tau * (tau * quad_dd - quad_sd)
+        amp2_m1 = -d_mass / (mass + d_mass)  # amp^2 - 1
+        ampp_m1 = math.expm1(0.5 * p * math.log1p(amp2_m1))  # amp^p - 1
+        d_lp = vol * _power_change(u, v, tau, p, powered, block)
+        d_energy = (amp2_m1 * quad + (1.0 + amp2_m1) * d_quad
+                    - (ampp_m1 * lp + (1.0 + ampp_m1) * d_lp) / p)
+        return d_energy if math.isfinite(d_energy) else math.inf
+
     mass, grad, bilap = state.quadratic_norms()
     tau = 1.0
+    rz_last = 0.0  # <r, z> of the last iteration; 0 takes z itself as the direction
     progress = _Progress("energy descent", config, lambda: Field(grid, u))
     for it in range(1, config.max_iters + 1):
-        powered = state.scratch(u.shape)  # |u|^(p-2) u, then |u|^p
-        np.abs(u, out=powered)
-        powered **= p - 2.0
-        powered *= u
-        nl_spec = _rfftn(powered, grid.dim, out=state.next)
-        powered *= u
-        lp = vol * float(np.sum(powered))
+        np.abs(u, out=v)  # |u|^(p-2) u, then |u|^p
+        v **= p - 2.0
+        v *= u
+        r_spec = _rfftn(v, grid.dim, out=state.next)  # N(u), made r and then z in place
+        v *= u
+        lp = vol * float(np.sum(v))
         quad = 0.5 * eps * bilap + 0.5 * grad
+        e_k = quad - lp / p
         if energy_trace is not None:
-            energy_trace.append(quad - lp / p)
+            energy_trace.append(e_k)
         omega_k = (lp - eps * bilap - grad) / c
+        nl_norm_sq = state.spec_norm_sq(r_spec)
         sym = symbol(omega_k)
-        r_spec = _by_real(np.multiply, state.spec, sym, d_spec)
-        r_spec -= nl_spec
-        nl_norm_sq = state.spec_norm_sq(nl_spec)
+        state.residual_in_place(sym, r_spec)
         rel = math.sqrt(state.spec_norm_sq(r_spec) / nl_norm_sq) if nl_norm_sq > 0 else math.inf
         progress.update(it, rel)
         if rel <= config.tol_residual:
             warn = ()
             break
         spread = boundary_amplitude_ratio(u)
-        if it > 1 and spread > 1e-2:
+        if it > 1 and spread > 1e-2 and e_k >= 0:  # E < 0 proves a minimizer exists
             warn = (
                 "no-minimizer outcome: iterate is spreading toward the box "
                 f"boundary (boundary ratio {spread:.2e}); the constrained "
                 "infimum appears not to be attained at this mass",
             )
             break
-        if omega_k < 1e-2:
-            sym = symbol(1e-2)
-        _by_real(np.divide, d_spec, sym, d_spec)
+        sigma = max(omega_k, 1e-2)
+        if sigma != omega_k:
+            sym = symbol(sigma)
+        r_z_last, r_d_last = ((state.inner(r_spec, state.work), state.inner(r_spec, d_spec))
+                              if rz_last > 0 else (0.0, 0.0))
+        z_spec = _by_real(np.divide, r_spec, sym, r_spec)
+        z_mass, z_grad, z_bilap = state.quadratic_norms(z_spec)
+        rz = eps * z_bilap + z_grad + sigma * z_mass  # <r, z> = <P z, z>
+        beta = max(0.0, (rz - r_z_last) / rz_last) if rz_last > 0 else 0.0
+        slope = rz + beta * r_d_last  # <r, d>
+        if beta > 0 and slope > 0:
+            d_spec *= beta
+            d_spec += z_spec
+        else:  # the preconditioned gradient itself
+            np.copyto(d_spec, z_spec)
+            slope = rz
+        state.work, state.next = z_spec, state.work
+        rz_last = rz
         _irfftn(d_spec, grid.dim, state.next, out=v)
         m_sd, g_sd, b_sd = state.cross_norms(d_spec)
         m_dd, g_dd, b_dd = state.quadratic_norms(d_spec)
         quad_sd, quad_dd = eps * b_sd + g_sd, 0.5 * (eps * b_dd + g_dd)
-        block = _carve(state.next.view(np.float64).reshape(-1), (min(u.size, POWER_BLOCK),))
-        accepted = False
-        for _ in range(60):
-            d_mass = tau * (tau * m_dd - 2.0 * m_sd)
-            if not mass + d_mass > 0:
-                tau *= 0.5
-                continue
-            d_quad = tau * (tau * quad_dd - quad_sd)
-            amp2_m1 = -d_mass / (mass + d_mass)  # amp^2 - 1
-            ampp_m1 = math.expm1(0.5 * p * math.log1p(amp2_m1))  # amp^p - 1
-            d_lp = vol * _power_change(u, v, tau, p, powered, block)
-            d_energy = (amp2_m1 * quad + (1.0 + amp2_m1) * d_quad
-                        - (ampp_m1 * lp + (1.0 + ampp_m1) * d_lp) / p)
-            if d_energy <= 0:
-                amp2 = c / (mass + d_mass)
-                mass, grad, bilap = (c, amp2 * (grad + tau * (tau * g_dd - 2.0 * g_sd)),
-                                     amp2 * (bilap + tau * (tau * b_dd - 2.0 * b_sd)))
-                amp = math.sqrt(amp2)
-                trial = np.multiply(d_spec, -tau, out=state.next)
-                trial += state.spec
-                trial *= amp
-                state.advance()
-                v *= -tau
-                v += u
-                v *= amp
-                u, v = v, u
-                tau = min(tau * 1.25, 16.0)
-                accepted = True
-                break
-            tau *= 0.5
-        if not accepted:  # no step lowers the energy: a roundoff floor above the tolerance
+        powered = _carve(state.next.view(np.float64).reshape(-1), u.shape)  # |u|^p
+        np.abs(u, out=powered)
+        powered **= p
+        step = _step_size(change, tau, slope)
+        if step is None:  # no step lowers the energy: a roundoff floor above the tolerance
             raise _stall("energy descent", Field(grid, u), rel, config, progress.history)
+        tau = step
+        amp2 = c / (mass + tau * (tau * m_dd - 2.0 * m_sd))
+        mass, grad, bilap = (c, amp2 * (grad + tau * (tau * g_dd - 2.0 * g_sd)),
+                             amp2 * (bilap + tau * (tau * b_dd - 2.0 * b_sd)))
+        amp = math.sqrt(amp2)
+        trial = np.multiply(d_spec, -tau, out=state.next)
+        trial += state.spec
+        trial *= amp
+        state.advance()
+        v *= -tau
+        v += u
+        v *= amp
+        u, v = v, u
     else:
         progress.exhausted()
-    del u, v, d_spec  # free them before the field is copied out
+    del u, v, sym, d_spec  # free them before the field is copied out
     return state.field(), progress.history, warn

@@ -260,9 +260,9 @@ class TestGroundStateCommand:
 
     def test_mass_flow_stall_exit_3_with_history(self, tmp_path, capsys):
         # at twice the desk problem's critical mass the energy descent reaches
-        # 1e-15 but floors near 5e-16, in double-precision roundoff, above a
-        # tolerance of 1e-16; the state's spectral tail (3.9e-5) exceeds its
-        # boundary ratio, so the grid is named
+        # 9.6e-16 in 28 iterations and floors there, in double-precision
+        # roundoff, above a tolerance of 1e-16; the state's spectral tail
+        # (3.9e-5) exceeds its boundary ratio, so the grid is named
         code, out, err = run(
             capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "1",
             "--points", "1024", "--box", "40", "--mass", "7.5259022329534",
@@ -359,12 +359,26 @@ class TestRelaxedMode:
         assert line.startswith("error:") and "eps > 0" in line
 
     def test_mass_flow_takes_eps_0(self, tmp_path, capsys):
-        # the energy descent needs no quotient solve, so eps = 0 is not refused there
+        # the energy descent needs no quotient solve, so eps = 0 is not refused
+        # there where a minimizer exists: p < 2 + 4/N is mass-subcritical
         code, _, _ = run(
-            capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "0", "--relaxed",
+            capsys, "ground-state", "--N", "1", "--p", "5", "--eps", "0", "--relaxed",
             "--mass", "5", *FAST, "--out-dir", str(tmp_path),
         )
         assert code == 0
+
+    def test_mass_flow_refuses_eps_0_without_a_ground_state(self, tmp_path, capsys):
+        # at eps = 0 and p > 2 + 4/N the energy is unbounded below on the mass
+        # sphere; the flow used to report a grid artefact (omega 32632) as a state
+        code, out, err = run(
+            capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "0", "--relaxed",
+            "--mass", "5", *FAST, "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and "p < 2 + 4/N" in line
+        assert "mass=" not in out
+        assert not (tmp_path / "ground_state_mass_flow.bnls").exists()
 
 
 class TestSweepCommand:

@@ -153,6 +153,17 @@ class TestNorms:
             assert batch_mass == pytest.approx(quadrature, rel=1e-12)
             assert norms(u, 4.0).mass == pytest.approx(quadrature, rel=1e-12)
 
+    @pytest.mark.parametrize("dim, points", [(1, 64), (2, 32), (3, 32)])
+    def test_iterate_inner_product(self, dim, points):
+        # the mass flow's Parseval inner product, with the m = 0 and Nyquist
+        # planes of the half spectrum counted once, is the quadrature product
+        g = BoxGrid(dim, points, 10.0)
+        a, b = rng_fields(g, 2, seed=7)
+        state = _SpectralIterate(a)
+        quadrature = g.cell_volume * float(np.sum(a.samples * b.samples))
+        inner = state.inner(state.spec, _SpectralIterate(b).spec)
+        assert inner == pytest.approx(quadrature, rel=1e-12)
+
     def test_interpolation_inequality_500_fields(self):
         g = BoxGrid(1, 64, 40.0)
         for u in rng_fields(g, 500, seed=2000):

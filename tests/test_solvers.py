@@ -483,8 +483,9 @@ class TestMassFlow:
         # Lagrange-multiplier consistency: the extracted frequency closes the PDE
         assert pde_residual(gs.field, params, gs.omega_extracted) <= 1e-6
         assert gs.omega_extracted > 0
-        # a deterministic count: the fiber-optimal start and the line search
-        assert gs.iters <= 33
+        # a deterministic count: the fiber-optimal start, the conjugate
+        # directions and the model step (steepest descent took 29)
+        assert gs.iters <= 10
 
     def test_reports_the_pde_residual_of_its_field(self, params, grid, constants_report):
         # the flow stops on ||Lu - N(u)|| / ||N(u)||, the residual of every route
@@ -496,6 +497,49 @@ class TestMassFlow:
         measured = pde_residual(gs.field, params, gs.omega_extracted)
         assert gs.residual_pde == pytest.approx(measured, rel=1e-3)
         assert (len(gs.residuals), gs.residuals[-1]) == (gs.iters, gs.residual_pde)
+
+    def test_step_size_rule(self):
+        from bnls.solvers import _step_size
+
+        # on an exact quadratic the model step is its minimizer, and without
+        # curvature it stops at 4 times the last step
+        assert _step_size(lambda t: t * t - 2.0 * t, 0.5, 2.0) == 1.0
+        assert _step_size(lambda t: -t, 1.0, 1.0) == 4.0
+        # both trials raise the energy: the smaller (the model's 0.25) is halved
+        trials = []
+
+        def change(t):
+            trials.append(t)
+            return -1.0 if t < 0.1 else 1.0
+
+        assert _step_size(change, 1.0, 1.0) == 0.0625
+        assert trials == [1.0, 0.25, 0.125, 0.0625]
+        trials.clear()
+        assert _step_size(lambda t: trials.append(t) or 1.0, 1.0, 1.0) is None
+        assert len(trials) == 60
+
+    @pytest.mark.parametrize("ratio", [1.2, 1.5])
+    def test_finds_the_energy_ground_state(self, params, grid, constants_report, ratio):
+        # the flow's state is the fixed-frequency ground state at its own multiplier
+        gs = mass_constrained_flow(params.with_mass(ratio * constants_report.c_eps), grid,
+                                   SolverConfig(tol_residual=1e-8))
+        action = petviashvili(params.with_omega(gs.omega_extracted), grid, SolverConfig())
+        distance = relative_l2_distance(center_and_align(gs.field),
+                                        center_and_align(action.field))
+        assert distance <= 1e-7
+        assert action.nt.mass == pytest.approx(gs.nt.mass, rel=1e-7)
+
+    def test_random_start_of_negative_energy_converges(self, params, constants_report):
+        # the random start spreads at once, but its energy is negative, which
+        # proves a minimizer exists: the flow reaches the default start's one
+        # (it reported no minimizer after 2 iterations when it read only the spread)
+        grid = BoxGrid(1, 2048, 20.0)
+        pm = params.with_mass(2.0 * constants_report.c_eps)
+        gs = mass_constrained_flow(pm, grid, SolverConfig(init="random_bandlimited"))
+        assert not any("no-minimizer" in w for w in gs.warnings)
+        assert gs.residual_pde <= 1e-10
+        default = mass_constrained_flow(pm, grid, SolverConfig())
+        assert energy(gs.nt, params) == pytest.approx(energy(default.nt, params), rel=1e-9)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_no_roundoff_floor_near_the_minimizer(self, params, constants_report, tol):
@@ -712,6 +756,19 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= 560_000
+
+
+class TestFlowIterations:
+    def test_3d_flow_at_twice_the_critical_mass(self):
+        # the memory test's problem: a deterministic count of conjugate-gradient
+        # iterations (steepest descent took 18)
+        params = Params(bigN=3, p=4.0, eps=1.0)
+        grid = BoxGrid(3, 32, 20.0)
+        config = SolverConfig(tol_residual=1e-6)
+        q = route_Q(params, grid, config)
+        gs = mass_constrained_flow(params.with_mass(2.0 * q.nt.mass), grid, config)
+        assert gs.residual_pde <= 1e-6
+        assert gs.iters <= 9
 
 
 class TestGroundStateSidecar:
