@@ -8,7 +8,8 @@ divergence.  An input that cannot be read or converted (a config file, a grid,
 an exponent list, a state path, BNLS_THREADS) raises ConfigurationError where
 it is read, so it exits 2 with one ``error:`` line.  BNLS_THREADS caps the
 sweep worker count.  The sweep's residual columns and its identities flag are
-``verify.q_checks``, the checks of ``verify_Q``, at their tiers.
+``verify.q_checks``, the checks of ``verify_Q``, at their tiers.  A stalled
+sweep row is retried on its cause; every row is written, with its status.
 """
 
 from __future__ import annotations
@@ -86,10 +87,14 @@ def resolve_config(args) -> dict:
         if flag is not None:
             cfg[key] = flag
     if cfg["eps"] is None:
-        # a loaded state takes its eps from its sidecar, so no default applies to it
-        if not (getattr(args, "load", None) or getattr(args, "energy_state", None)):
+        # a loaded state or a sweep with --eps-grid gets no default eps
+        if not any(getattr(args, key, None) for key in ("load", "energy_state", "eps_grid")):
             log.info("eps not configured; defaulting to eps = 1")
         cfg["eps"] = 1.0
+    if not isinstance(cfg["out_dir"], str):
+        raise ConfigurationError(f"out_dir must be a path, got {cfg['out_dir']!r}")
+    if not (isinstance(cfg["samples"], int) and cfg["samples"] >= 1):
+        raise ConfigurationError(f"samples must be an integer >= 1, got {cfg['samples']!r}")
     return cfg
 
 
@@ -156,8 +161,14 @@ def load_state(path) -> GroundState:
         omega, mass_c = (
             None if pdoc.get(key) is None else float(pdoc[key]) for key in ("omega", "mass_c")
         )
+        iters, warnings = int(side.get("iters", 0)), tuple(side.get("warnings", ()))
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{side_path}: params must hold numbers ({exc})") from exc
+        raise ConfigurationError(
+            f"{side_path}: params and iters must hold numbers, warnings a list ({exc})"
+        ) from exc
+    if field.grid.dim != bigN:
+        raise ConfigurationError(f"{path} holds a {field.grid.dim}D field; {side_path} "
+                                 f"records bigN {bigN}")
     params = Params(
         bigN=bigN,
         p=p,
@@ -174,9 +185,9 @@ def load_state(path) -> GroundState:
         nt=nt,
         omega_extracted=omega_x,
         residual_pde=pde_residual(field, params, omega_x),
-        iters=int(side.get("iters", 0)),
+        iters=iters,
         route=str(side.get("route", "stored")),
-        warnings=tuple(side.get("warnings", ())),
+        warnings=warnings,
     )
 
 
@@ -252,7 +263,7 @@ def cmd_verify(args, cfg) -> int:
         params,
         grid,
         solver,
-        n_samples=int(cfg["samples"]),
+        n_samples=cfg["samples"],
         with_k_numeric=not args.skip_k_numeric,
         energy_state=energy_state,
         action_state=action_state,
@@ -262,37 +273,48 @@ def cmd_verify(args, cfg) -> int:
     return 0 if report.passed else 1
 
 
-def _sweep_row(problem) -> dict:
+SWEEP_COLUMNS = ["N", "p", "eps", "C", "c_eps", "omega", "v_mass", "mass_Q", "residual_pde",
+                 "nehari_rel", "pohozaev_rel", "identities_pass", "K", "points", "box", "status"]
+SWEEP_ATTEMPTS = 4  # solves of a sweep row, retries included
+SWEEP_MAX_POINTS = 2**21  # 128^3, the largest desk grid
+
+
+def _sweep_row(problem) -> tuple:
+    """The CSV row of one (p, eps), and its solver failure or None; see the sweep epilog."""
     params, grid, solver = problem
-    try:
-        gs = route_Q(params, grid, solver)
-    except (DivergenceError, VanishingError) as exc:
-        # name the row; the type, the cause and the history stay as raised
-        cause = f" ({exc.cause})" if isinstance(exc, DivergenceError) else ""
-        exc.args = (f"sweep row p = {params.p:g}, eps = {params.eps:g}{cause}: {exc}",)
-        raise
+    row = {"N": params.bigN, "p": params.p, "eps": params.eps}
+    for attempt in range(1, SWEEP_ATTEMPTS + 1):
+        row.update(points=grid.points_per_axis, box=grid.box_length)
+        try:
+            gs = route_Q(params, grid, solver)
+            break
+        except (DivergenceError, VanishingError) as exc:
+            status = exc.cause if isinstance(exc, DivergenceError) else "vanishing"
+            scale = {"grid": 1.0, "box": 2.0}.get(status)  # the box factor of a retry
+            points = 2 * grid.points_per_axis
+            if scale is None or attempt == SWEEP_ATTEMPTS or points**grid.dim > SWEEP_MAX_POINTS:
+                # name the row; the type, the cause and the history stay as raised
+                exc.args = (f"sweep row p = {params.p:g}, eps = {params.eps:g} ({status}): {exc}",)
+                return dict(row, identities_pass=False, status=status), exc
+        grid = BoxGrid(params.bigN, points, scale * grid.box_length)
     report = compute_constants(gs)
     # the residual columns and the flag are verify_Q's checks, at its tiers
     check = {c.name: c for c in q_checks(gs, report)}
     identities = ("q.pde_residual", "q.nehari_zero", "q.pohozaev_zero", "q.mass_equals_critical")
-    return {
-        "N": params.bigN,
-        "p": params.p,
-        "eps": params.eps,
-        "C": report.C,
-        "c_eps": report.c_eps,
-        "omega": report.omega_eps,
-        "v_mass": report.v_mass,
-        "mass_Q": gs.nt.mass,
-        "residual_pde": check["q.pde_residual"].residual,
-        "nehari_rel": check["q.nehari_zero"].residual,
-        "pohozaev_rel": check["q.pohozaev_zero"].residual,
-        "identities_pass": all(check[name].passed for name in identities),
-    }
-
-
-SWEEP_COLUMNS = ["N", "p", "eps", "C", "c_eps", "omega", "v_mass", "mass_Q", "residual_pde",
-                 "nehari_rel", "pohozaev_rel", "identities_pass"]
+    return dict(
+        row,
+        C=report.C,
+        c_eps=report.c_eps,
+        omega=report.omega_eps,
+        v_mass=report.v_mass,
+        mass_Q=gs.nt.mass,
+        residual_pde=check["q.pde_residual"].residual,
+        nehari_rel=check["q.nehari_zero"].residual,
+        pohozaev_rel=check["q.pohozaev_zero"].residual,
+        identities_pass=all(check[name].passed for name in identities),
+        K=report.K,
+        status="ok",
+    ), None
 
 
 def _number_list(text: str, flag: str) -> list:
@@ -316,13 +338,17 @@ def cmd_sweep(args, cfg) -> int:
     # every row's problem is built, and checked, before any solve starts
     tasks = [build_problem(dict(cfg, p=p, eps=eps)) for p in p_grid for eps in eps_grid]
     with concurrent.futures.ThreadPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
-        rows = list(pool.map(_sweep_row, tasks))
+        rows, failures = zip(*pool.map(_sweep_row, tasks))
     path = _output_dir(cfg["out_dir"]) / "sweep.csv"
     with path.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
+    for exc in filter(None, failures):
+        _report_failure(exc)
     print(f"wrote {len(rows)} rows -> {path}")
+    if any(failures):
+        return 3
     return 0 if all(r["identities_pass"] for r in rows) else 1
 
 
@@ -396,14 +422,27 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: " + ", ".join(SWEEP_COLUMNS) + ". "
         "C is the numeric best constant, c_eps the formula critical mass, omega the "
         "optimizer frequency, v_mass the optimizer mass, mass_Q the measured state mass, "
-        "then the relative PDE/Nehari/Pohozaev residuals and an overall identities flag. "
-        "BNLS_THREADS caps the worker count.",
+        "then the relative PDE/Nehari/Pohozaev residuals, an overall identities flag, K "
+        "from c_eps, and the grid of the solve. A stalled row is solved again, up to "
+        f"{SWEEP_ATTEMPTS} solves on at most {SWEEP_MAX_POINTS} (128^3) points: cause grid "
+        "doubles the points, box the points and the box. status is ok or the last cause; a "
+        "failed row has empty numbers and is named on stderr. Exit 3 if a row failed, else "
+        "1 if identities fail. BNLS_THREADS caps the worker count.",
         parents=common,
     )
     s.add_argument("--p-grid", help="comma-separated exponents, e.g. 7,7.5,8")
     s.add_argument("--eps-grid", help="comma-separated dispersion values")
     s.set_defaults(func=cmd_sweep)
     return parser
+
+
+def _report_failure(exc) -> None:
+    """A solver failure on stderr: its message, then the tail of its residual history."""
+    print(f"solver failure: {exc}", file=sys.stderr)
+    history = getattr(exc, "history", None)
+    if history:
+        tail = ", ".join(f"{r:.3e}" for r in history[-8:])
+        print(f"residual history (tail): {tail}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -419,11 +458,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, VanishingError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        history = getattr(exc, "history", None)
-        if history:
-            tail = ", ".join(f"{r:.3e}" for r in history[-8:])
-            print(f"residual history (tail): {tail}", file=sys.stderr)
+        _report_failure(exc)
         return 3
     except BnlsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -700,9 +700,10 @@ def mass_constrained_flow(
     """
     c = params.require_mass()
     _require_field_grid(params, grid)
-    if params.eps == 0 and params.p >= 2.0 + 4.0 / params.bigN:
+    low = params.mass_window()[0]
+    if params.eps == 0 and params.p >= low:
         raise ConfigurationError(
-            f"the mass flow at eps = 0 needs p < 2 + 4/N = {2.0 + 4.0 / params.bigN:g}, got "
+            f"the mass flow at eps = 0 needs p < 2 + 4/N = {low:g}, got "
             f"p = {params.p:g}: the energy has no minimizer on the mass sphere there"
         )
     u, history, warn = _mass_flow_state(params, grid, config, c, energy_trace)

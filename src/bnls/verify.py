@@ -500,9 +500,7 @@ def verify_gn_random(
         grid_blocks = ((grid, block) for block in blocks)
     else:
         grid_blocks = ((u.grid, u.samples[np.newaxis]) for u in fields)
-    n = params.bigN
-    q_low = 2.0 + 4.0 / n
-    q_high = 2.0 + 8.0 / n
+    q_low, q_high = params.mass_window()
     worst_w = math.inf
     worst_k = -math.inf
     worst_holder = math.inf

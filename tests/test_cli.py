@@ -436,15 +436,79 @@ class TestSweepCommand:
         assert solver == SolverConfig(max_iters=77, tol_residual=1e-9, seed=5,
                                       init="random_bandlimited")
 
-    def test_failed_row_is_named(self, tmp_path, capsys):
-        # at 256 points the p 9.6 state is under-resolved; its row is named, with the cause
+    def test_retries_on_the_cause(self, tmp_path, capsys):
+        # at 256 points and L 40 the p 6.4 state outgrows the box and the p 9.6
+        # state the grid: each row is solved again in a doubled box or on doubled
+        # points, and every row is written with the grid it was solved on
         code, _, err = run(
-            capsys, "sweep", "--N", "1", "--p-grid", "8,9.6", "--eps", "1", "--points", "256",
-            "--out-dir", str(tmp_path),
+            capsys, "sweep", "--N", "1", "--p-grid", "6.4,7.2,8,8.8,9.6", "--eps", "1",
+            "--points", "256", "--box", "40", "--out-dir", str(tmp_path),
+        )
+        assert code == 0, err
+        with (tmp_path / "sweep.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert [float(r["p"]) for r in rows] == [6.4, 7.2, 8.0, 8.8, 9.6]
+        assert [(int(r["points"]), float(r["box"])) for r in rows] == [
+            (1024, 160.0), (256, 40.0), (256, 40.0), (256, 40.0), (512, 40.0)
+        ]
+        assert all(r["identities_pass"] == "True" and r["status"] == "ok" for r in rows)
+
+    def test_failed_row_is_named(self, tmp_path, capsys):
+        # five iterations solve no row, and running out of them is no cause to
+        # retry: every row is written with its status and named on stderr
+        code, out, err = run(
+            capsys, "sweep", "--N", "1", "--p-grid", "8,9", "--eps", "1", *FAST,
+            "--max-iters", "5", "--out-dir", str(tmp_path),
         )
         assert code == 3
-        assert "solver failure: sweep row p = 9.6, eps = 1 (grid): quotient optimizer stalled" in err
-        assert "residual history" in err
+        assert "wrote 2 rows" in out
+        with (tmp_path / "sweep.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["p"], r["status"], r["identities_pass"]) for r in rows] == [
+            ("8.0", "iterations", "False"), ("9.0", "iterations", "False")
+        ]
+        assert all(r["C"] == r["K"] == r["residual_pde"] == "" for r in rows)
+        for p in ("8", "9"):
+            assert (f"solver failure: sweep row p = {p}, eps = 1 (iterations): quotient "
+                    "optimizer: no convergence") in err
+        assert err.count("residual history (tail): ") == 2
+
+    def test_retries_stop_at_the_largest_desk_grid(self, tmp_path, capsys, monkeypatch):
+        # a 3D row that stalls on the grid again and again is retried on 128^3
+        # and no further: 256^3 would pass SWEEP_MAX_POINTS
+        import bnls.cli
+        from bnls.errors import DivergenceError
+
+        seen = []
+
+        def spy(params, grid, solver):
+            seen.append((grid.points_per_axis, grid.box_length))
+            raise DivergenceError("spy: stalled", cause="grid", history=[1e-3])
+
+        monkeypatch.setattr(bnls.cli, "route_Q", spy)
+        code, _, err = run(
+            capsys, "sweep", "--N", "3", "--p-grid", "4", "--eps", "1", "--points", "64",
+            "--box", "32", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert seen == [(64, 32.0), (128, 32.0)]
+        assert "sweep row p = 4, eps = 1 (grid): spy: stalled" in err
+        with (tmp_path / "sweep.csv").open() as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["points"], row["box"], row["status"]) == ("128", "32.0", "grid")
+
+    def test_eps_grid_gets_no_eps_notice(self, tmp_path, capsys, caplog):
+        import logging
+
+        with caplog.at_level(logging.INFO, logger="bnls"):
+            code, _, _ = run(
+                capsys, "sweep", "--N", "1", "--p-grid", "8", "--eps-grid", "1,2", *FAST,
+                "--out-dir", str(tmp_path),
+            )
+        assert code == 0
+        assert not any("defaulting to eps" in r.message for r in caplog.records)
+        with (tmp_path / "sweep.csv").open() as handle:
+            assert [float(r["eps"]) for r in csv.DictReader(handle)] == [1.0, 2.0]
 
     def test_regime_violation_fails_fast(self, tmp_path, capsys):
         code, _, err = run(
@@ -513,6 +577,49 @@ class TestInputErrors:
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        "argv, stored, named",
+        [
+            (["ground-state", "--load", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}, "iters": "many"}), "iters"),
+            (["ground-state", "--load", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}, "warnings": 5}), "warnings"),
+            (["ground-state", "--load", "x.bnls"],
+             (2, {"params": {"bigN": 3, "p": 4.5, "eps": 1}}), "bigN 3"),
+            (["verify", "--config", "c.json"], {"samples": "abc"}, "samples"),
+            (["constants", "--config", "c.json"], {"out_dir": 5}, "out_dir"),
+            (["verify", "--samples", "0"], None, "samples must be an integer >= 1"),
+        ],
+        ids=["sidecar-iters-many", "sidecar-warnings-5", "sidecar-2d-field-bign-3",
+             "config-samples-abc", "config-out-dir-5", "samples-0"],
+    )
+    def test_malformed_value_exit_2(self, argv, stored, named, tmp_path, capsys, monkeypatch):
+        # a value of the wrong type or range, in a sidecar, a config file or a
+        # flag, is refused where it is read, before anything is solved or
+        # written; a 2D p 4.5 state (p 4.5 lies in the 2D and the 3D window)
+        # is not taken for a 3D one
+        import numpy as np
+
+        from bnls.fieldio import write_field
+        from bnls.grid import BoxGrid, Field
+
+        monkeypatch.chdir(tmp_path)
+        if isinstance(stored, tuple):
+            dim, sidecar = stored
+            grid = BoxGrid(dim, 32, 10.0)
+            bump = np.exp(-sum(x**2 for x in grid.coordinates()))
+            write_field("x.bnls", Field(grid, bump), sidecar=sidecar)
+        elif stored is not None:
+            Path("c.json").write_text(json.dumps(stored))
+        inputs = {path.name for path in tmp_path.iterdir()}
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert named in line
+        assert "Traceback" not in err and "omega=" not in out
+        assert {path.name for path in tmp_path.iterdir()} == inputs
 
 
 class TestHelp:
