@@ -107,7 +107,7 @@ def build_problem(cfg) -> tuple:
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"config values must be numbers ({exc})") from exc
     params = Params(
-        bigN=bigN, p=p, eps=eps, omega=omega, mass_c=mass_c, relaxed=bool(cfg["relaxed"])
+        bigN=bigN, p=p, eps=eps, omega=omega, mass_c=mass_c, relaxed=_relaxed(cfg["relaxed"], "")
     )
     try:
         grid = BoxGrid(dim=bigN, points_per_axis=points, box_length=box)
@@ -115,6 +115,13 @@ def build_problem(cfg) -> tuple:
         raise ConfigurationError(f"grid: {exc}") from exc
     solver = SolverConfig(max_iters=max_iters, tol_residual=tol, seed=seed, init=str(cfg["init"]))
     return params, grid, solver
+
+
+def _relaxed(value, where: str) -> bool:
+    """A stored ``relaxed``, refused unless it is a JSON boolean: bool("false") is True."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{where}relaxed must be true or false, got {value!r}")
+    return value
 
 
 def _output_dir(path) -> Path:
@@ -169,14 +176,8 @@ def load_state(path) -> GroundState:
     if field.grid.dim != bigN:
         raise ConfigurationError(f"{path} holds a {field.grid.dim}D field; {side_path} "
                                  f"records bigN {bigN}")
-    params = Params(
-        bigN=bigN,
-        p=p,
-        eps=eps,
-        omega=omega,
-        mass_c=mass_c,
-        relaxed=bool(pdoc.get("relaxed", False)),
-    )
+    params = Params(bigN=bigN, p=p, eps=eps, omega=omega, mass_c=mass_c,
+                    relaxed=_relaxed(pdoc.get("relaxed", False), f"{side_path}: "))
     nt = norms(field, params.p)
     omega_x = extract_omega(nt, params)
     return GroundState(
@@ -260,13 +261,8 @@ def cmd_verify(args, cfg) -> int:
     if args.action_state:
         action_state = load_state(args.action_state)
     report, _states = full_verification(
-        params,
-        grid,
-        solver,
-        n_samples=cfg["samples"],
-        with_k_numeric=not args.skip_k_numeric,
-        energy_state=energy_state,
-        action_state=action_state,
+        params, grid, solver, n_samples=cfg["samples"], with_k_numeric=not args.skip_k_numeric,
+        energy_state=energy_state, action_state=action_state,
     )
     (_output_dir(cfg["out_dir"]) / "verify_report.json").write_text(report.to_json() + "\n")
     print(report.table())

@@ -25,18 +25,29 @@ import numpy as np
 
 from .errors import RegimeError
 from .functionals import Params, weinstein
-from .grid import BoxGrid, Field
+from .grid import BoxGrid, Field, _irfftn, regrid, spectral_tail_ratio
 from .scalings import omega_formula
-from .solvers import (
-    GroundState,
-    SolverConfig,
-    _band_limiter,
-    _by_real,
-    _SpectralIterate,
-)
+from .solvers import GroundState, SolverConfig, _band_limiter, _by_real, _SpectralIterate
 
 STAGNATION_RTOL = 1e-12
+COARSE_RTOL = 1e-6
 STAGNATION_WINDOW = 3
+
+
+@dataclass(frozen=True)
+class KAscent:
+    """:func:`K_numeric`'s best fine quotient, with its coarse grid's points per axis, both
+    stages' sweeps and the spectral-tail ratio of the coarse row it polished."""
+
+    value: float
+    coarse_points: int
+    coarse_sweeps: int
+    fine_sweeps: int
+    coarse_tail: float
+
+    def provenance(self) -> str:
+        return (f"numeric (quotient ascent: {self.coarse_sweeps} sweeps on {self.coarse_points} "
+                f"points per axis, tail {self.coarse_tail:.1e}; {self.fine_sweeps} fine sweeps)")
 
 
 @dataclass(frozen=True)
@@ -50,8 +61,10 @@ class ConstantsReport:
     K_numeric: float | None = None
     provenance: dict = field(default_factory=dict)
 
+    CHAIN = ("C", "K", "c_eps", "eps_c", "omega_eps", "v_mass")
+
     def __post_init__(self):
-        for name in ("C", "K", "c_eps", "eps_c", "omega_eps", "v_mass"):
+        for name in self.CHAIN:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise RegimeError(f"constants entry {name} = {value} is not positive finite")
@@ -60,19 +73,10 @@ class ConstantsReport:
         return asdict(self)
 
     def table(self) -> str:
-        rows = [
-            ("C", self.C, self.provenance.get("C", "")),
-            ("K", self.K, self.provenance.get("K", "")),
-            ("c_eps", self.c_eps, self.provenance.get("c_eps", "")),
-            ("eps_c", self.eps_c, self.provenance.get("eps_c", "")),
-            ("omega_eps", self.omega_eps, self.provenance.get("omega_eps", "")),
-            ("v_mass", self.v_mass, self.provenance.get("v_mass", "")),
-        ]
-        if self.K_numeric is not None:
-            rows.append(("K_numeric", self.K_numeric, self.provenance.get("K_numeric", "")))
+        names = self.CHAIN + (() if self.K_numeric is None else ("K_numeric",))
         lines = [f"{'entry':<12}{'value':<24}{'provenance'}"]
-        for name, value, prov in rows:
-            lines.append(f"{name:<12}{value:<24.15g}{prov}")
+        for name in names:
+            lines.append(f"{name:<12}{getattr(self, name):<24.15g}{self.provenance.get(name, '')}")
         return "\n".join(lines)
 
 
@@ -143,43 +147,23 @@ def K_from_C(C: float, params: Params) -> float:
     return math.exp(log_k)
 
 
-def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int = 8) -> float:
-    """Independent estimate of the supremum of the non-homogeneous quotient by multi-start ascent.
-
-    Each start is a random field on ``grid``: the white noise of seed
-    ``config.seed + 101 k``, k = 1..n_starts, band-limited as one block by
-    the sampler's step (:func:`~bnls.solvers._band_limiter`).  Each start
-    runs a normalized (Petviashvili-type) fixed point on the quotient's
-    stationarity equation; the best quotient value over all iterates of all
-    starts is returned.  No start is taken from a solved
-    state, so the estimate checks the closed-form K from the random starts
-    alone.  The fixed point converges only linearly, so each start is
-    Anderson-mixed with its step before (:meth:`_SpectralIterate.mix`).  All
-    starts advance as one batch on one thread, one transform pair per sweep,
-    so the result is the same at any thread count.  The batch stops once
-    every start's quotient has moved by at most STAGNATION_RTOL, relatively,
-    over STAGNATION_WINDOW sweeps, and after 400 sweeps at most: 26-30 sweeps
-    on the 1D desk problem (1024 points, L 40, p 8), 30-31 in 2D (128^2, L 40,
-    p 5) and 34-36 in 3D (64^3, L 32, p 4), over seeds 0, 1, 3 and 405.
-    """
+def _ascend(params: Params, state: _SpectralIterate, rtol: float, cap: int) -> tuple:
+    """Sweep every row of ``state`` until each row's quotient has moved by at most ``rtol``,
+    relatively, over STAGNATION_WINDOW sweeps, or ``cap`` sweeps have run; returns the best
+    quotient of all iterates, the sweeps run and each row's last quotient, whose
+    iterate ``state.spec`` holds when the rows stagnated."""
     p = params.p
-    params.exponents()
-    block = np.empty((n_starts,) + grid.shape)  # filled in place: a stacked list costs a copy
-    for k in range(n_starts):
-        np.random.default_rng(config.seed + 101 * (k + 1)).standard_normal(out=block[k])
-    starts = [Field(grid, row) for row in _band_limiter(grid)(block)]
-    del block  # each Field holds a copy of its row
-    state = _SpectralIterate(starts)
     symbol = np.empty(state.spec.shape)  # every sweep's symbol
-    best = 0.0
-    recent = np.full((len(starts), STAGNATION_WINDOW), np.inf)  # each row's last quotients
-    for _ in range(max(60, min(400, config.max_iters))):
+    best, sweeps = 0.0, 0
+    recent = np.full((len(state.spec), STAGNATION_WINDOW), np.inf)  # each row's last quotients
+    while sweeps < cap:
+        sweeps += 1
         mass, grad, bilap = state.quadratic_norms()
         lp, nl_spec = state.nonlinearity(p)
         quad = params.eps * bilap + grad
         quotient = (lp / (mass ** ((p - 2.0) / 2.0) * quad)).ravel()
         best = max(best, float(np.max(quotient)))
-        if not np.any(np.abs(quotient - recent[:, 0]) > STAGNATION_RTOL * quotient):
+        if not np.any(np.abs(quotient - recent[:, 0]) > rtol * quotient):
             break
         state.symbol(2.0 * params.eps / quad, 2.0 / quad, (p - 2.0) / mass, out=symbol)
         nl_spec *= p / lp
@@ -189,16 +173,59 @@ def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int
         state.mix()
         state.advance()
         recent = np.column_stack([recent[:, 1:], quotient])
-    return best
+    return best, sweeps, quotient
 
 
-def compute_constants(q: GroundState, k_numeric: float | None = None) -> ConstantsReport:
+def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int = 8) -> KAscent:
+    """Independent estimate of the supremum of the non-homogeneous quotient by multi-start ascent.
+
+    Each start is the white noise of seed ``config.seed + 101 k``, k = 1..n_starts,
+    band-limited as one block by the sampler's step (:func:`~bnls.solvers._band_limiter`),
+    never a solved state, so the estimate checks the closed-form K independently.
+    A sweep is a normalized (Petviashvili-type) fixed point on the quotient's
+    stationarity equation, Anderson-mixed per row (:meth:`_SpectralIterate.mix`),
+    one transform pair for all rows.  The ascent runs coarse to fine:
+
+    * all starts advance as one batch on the coarse grid, the same box with
+      max(32, points // 4) points per axis, until every row's quotient has moved
+      by at most COARSE_RTOL, relatively, over STAGNATION_WINDOW sweeps;
+    * the row of the highest last quotient is zero-padded onto ``grid`` by
+      :func:`~bnls.grid.regrid` and polished alone to the STAGNATION_RTOL stop.
+
+    Each stage runs 400 sweeps at most.  The coarse row need not be resolved
+    (on 32^3 at L 32 its spectral tail reaches 2e-1), so the value is the best
+    quotient of the fine iterates only.  Over seeds 0, 1, 3 and 405 this took
+    23-28 coarse and 4 fine sweeps on the 1D desk problem (1024 points, L 40,
+    p 8), 13-17 and 22 in 2D (128^2, L 40, p 5) and 16-54 and 13-27 in 3D (64^3,
+    L 32, p 4).  One thread runs every row, so the result is the same at any
+    thread count.
+    """
+    params.exponents()
+    coarse = BoxGrid(grid.dim, max(32, grid.points_per_axis // 4), grid.box_length)
+    block = np.empty((n_starts,) + coarse.shape)  # filled in place: a stacked list costs a copy
+    for k in range(n_starts):
+        np.random.default_rng(config.seed + 101 * (k + 1)).standard_normal(out=block[k])
+    starts = [Field(coarse, row) for row in _band_limiter(coarse)(block)]
+    del block  # each Field holds a copy of its row
+    cap = max(60, min(400, config.max_iters))
+    state = _SpectralIterate(starts)
+    _, coarse_sweeps, quotient = _ascend(params, state, COARSE_RTOL, cap)
+    top = state.spec[int(np.argmax(quotient))].copy()
+    del state, starts  # the coarse batch: the polish needs only its best row
+    row = Field(coarse, _irfftn(top, coarse.dim))
+    tail = spectral_tail_ratio(row, top)
+    best, fine_sweeps, _ = _ascend(params, _SpectralIterate([regrid(row, grid)]),
+                                   STAGNATION_RTOL, cap)
+    return KAscent(best, coarse.points_per_axis, coarse_sweeps, fine_sweeps, tail)
+
+
+def compute_constants(q: GroundState, ascent: KAscent | None = None) -> ConstantsReport:
     """Assemble the constants chain from the critical-mass state ``q`` of ``route_Q``.
 
     No solve or measurement runs here: ``q`` is an exact amplitude and
     dilation rescaling of the quotient optimizer, and W_p is invariant under
     both, so C = 1/W_p(q.nt); the optimizer's mass at grad = bilap = 1 is
-    v_mass = mass * bilap / grad^2 of q.nt.  ``k_numeric`` is the
+    v_mass = mass * bilap / grad^2 of q.nt.  ``ascent`` is the
     :func:`K_numeric` cross-check, if it was run.
     """
     params = q.params
@@ -213,7 +240,7 @@ def compute_constants(q: GroundState, k_numeric: float | None = None) -> Constan
         eps_c=eps_c_formula(c_eps, c_best, params),
         omega_eps=omega_formula(v_mass, params),
         v_mass=v_mass,
-        K_numeric=k_numeric,
+        K_numeric=None if ascent is None else ascent.value,
         provenance={
             "C": "numeric (quotient minimization)",
             "K": "formula (from c_eps)",
@@ -221,6 +248,6 @@ def compute_constants(q: GroundState, k_numeric: float | None = None) -> Constan
             "eps_c": "formula (inverse at c = c_eps)",
             "omega_eps": "formula (from numeric v_mass)",
             "v_mass": "numeric (optimizer mass)",
-            "K_numeric": "numeric (quotient ascent)" if k_numeric is not None else "skipped",
+            "K_numeric": "skipped" if ascent is None else ascent.provenance(),
         },
     )

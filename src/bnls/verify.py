@@ -151,46 +151,21 @@ def _check(name, identity, residual, tol, skipped=False, detail="") -> Check:
 
 # Coverage manifest: the default full suite must produce every one of these.
 REQUIRED_CHECKS = frozenset(
-    {
-        "q.pde_residual",
-        "q.ratio_grad_bilap",
-        "q.ratio_grad_lp",
-        "q.ratio_bilap_lp",
-        "q.energy_zero",
-        "q.mass_at_least_critical",
-        "q.mass_equals_critical",
-        "q.nehari_zero",
-        "q.pohozaev_zero",
-        "q.omega_matches_formula",
-        "q.weinstein_optimal",
-        "q.gnk_quotient_extremal",
-        "q.energy_factored_reconstruction",
-        "q.energy_factored_bracket_zero",
-        "q.h_profile_critical_at_one",
-        "q.h_profile_stationary",
-        "q.fiber_action_max_at_one",
-        "q.fiber_gap_decomposition",
-        "equiv.aligned_distance",
-        "equiv.mass_match",
-        "equiv.action_energy_zero",
-        "equiv.action_match",
-        "equiv.action_positive",
-        "equiv.fiber_t_one",
-        "equiv.fiber_action_max_at_one",
-        "gn.weinstein_lower_bound",
-        "gn.k_quotient_upper_bound",
-        "gn.holder_chain",
-        "const.k_routes_agree",
-        "const.k_inversion_roundtrip",
-        "const.eps_c_roundtrip",
-        "const.c_eps_scaling",
-        "const.omega_scaling",
-        "alg.weinstein_scale_invariance",
-        "alg.fiber_mass_law",
-        "alg.g_zero_at_one",
-        "alg.g_nonnegative",
-        "alg.nehari_pohozaev_combination",
-    }
+    """
+    q.pde_residual q.ratio_grad_bilap q.ratio_grad_lp q.ratio_bilap_lp q.energy_zero
+    q.mass_at_least_critical q.mass_equals_critical q.nehari_zero q.pohozaev_zero
+    q.omega_matches_formula q.weinstein_optimal q.gnk_quotient_extremal
+    q.energy_factored_reconstruction q.energy_factored_bracket_zero
+    q.h_profile_critical_at_one q.h_profile_stationary q.fiber_action_max_at_one
+    q.fiber_gap_decomposition
+    equiv.aligned_distance equiv.mass_match equiv.action_energy_zero equiv.action_match
+    equiv.action_positive equiv.fiber_t_one equiv.fiber_action_max_at_one
+    gn.weinstein_lower_bound gn.k_quotient_upper_bound gn.holder_chain
+    const.k_routes_agree const.k_inversion_roundtrip const.eps_c_roundtrip
+    const.c_eps_scaling const.omega_scaling
+    alg.weinstein_scale_invariance alg.fiber_mass_law alg.g_zero_at_one alg.g_nonnegative
+    alg.nehari_pohozaev_combination
+    """.split()
 )
 
 
@@ -613,14 +588,15 @@ def verify_constants(
     ]
     if cr.K_numeric is not None:
         # an ascent, but held to the algebraic tier: its random starts reach K
-        # to 1.1e-11 on the 3D desk grid, where a half-cell shift of the
-        # optimizer lowers the discrete quotient, and to roundoff in 1D and 2D
+        # to roundoff on the 1D, 2D and 3D desk grids, though a half-cell shift
+        # of the optimizer lowers the discrete quotient by 2e-11 on 64^3, L 32
         checks.append(
             _check(
                 "const.k_numeric_close",
                 "ascent supremum reaches the closed-form K",
                 abs(cr.K_numeric / cr.K - 1.0),
                 tol.algebraic,
+                detail=cr.provenance["K_numeric"],
             )
         )
     return VerificationReport(checks=tuple(checks))

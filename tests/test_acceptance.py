@@ -103,7 +103,7 @@ def test_criterion_04_consistency_triangle(q_state, params, grid, config, consta
     cr = constants_report
     mass_gap = abs(q_state.nt.mass - c_eps_formula(cr.C, params)) / cr.c_eps
     omega_gap = abs(q_state.omega_extracted - omega_formula(cr.v_mass, params)) / cr.omega_eps
-    k_num = K_numeric(params, grid, config, n_starts=8)
+    k_num = K_numeric(params, grid, config, n_starts=8).value
     k_gap = abs(k_num - cr.K) / cr.K
     algebra_gap = abs(K_from_C(cr.C, params) / cr.K - 1.0)
     ok = mass_gap <= 1e-4 and omega_gap <= 1e-6 and k_gap <= 1e-3 and algebra_gap <= 1e-10

@@ -591,9 +591,17 @@ class TestInputErrors:
             (["verify", "--config", "c.json"], {"samples": "abc"}, "samples"),
             (["constants", "--config", "c.json"], {"out_dir": 5}, "out_dir"),
             (["verify", "--samples", "0"], None, "samples must be an integer >= 1"),
+            # bool("false") is True: read as a truth value, it once switched the
+            # regime guard off
+            (["constants", "--config", "c.json"], {"relaxed": "false", "p": 5},
+             "relaxed must be true or false"),
+            (["ground-state", "--load", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1, "relaxed": "false"}}),
+             "relaxed must be true or false"),
         ],
         ids=["sidecar-iters-many", "sidecar-warnings-5", "sidecar-2d-field-bign-3",
-             "config-samples-abc", "config-out-dir-5", "samples-0"],
+             "config-samples-abc", "config-out-dir-5", "samples-0", "config-relaxed-false",
+             "sidecar-relaxed-false"],
     )
     def test_malformed_value_exit_2(self, argv, stored, named, tmp_path, capsys, monkeypatch):
         # a value of the wrong type or range, in a sidecar, a config file or a
