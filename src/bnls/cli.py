@@ -1,15 +1,19 @@
 """Command-line front end: constants | ground-state | action-gss | verify | sweep.
 
 Configuration is a flat JSON file mirroring Params + SolverConfig + grid keys;
-command-line flags override file values.  ``main`` resolves the configuration
-(and echoes it for --print-config) once, then hands it to the subcommand.
-Exit codes: 0 pass, 1 check failure, 2 configuration/regime error, 3 solver
-divergence.  An input that cannot be read or converted (a config file, a grid,
-an exponent list, a state path, BNLS_THREADS) raises ConfigurationError where
-it is read, so it exits 2 with one ``error:`` line.  BNLS_THREADS caps the
-sweep worker count.  The sweep's residual columns and its identities flag are
-``verify.q_checks``, the checks of ``verify_Q``, at their tiers.  A stalled
-sweep row is retried on its cause; every row is written, with its status.
+flags, typed by argparse, override file values.  ``main`` resolves the
+configuration (and echoes it for --print-config) once, then hands it to the
+subcommand.  Exit codes: 0 pass, 1 check failure, 2 configuration/regime error,
+3 solver divergence.  Config-file and sidecar values are read through one typed
+table by JSON's rules: an int key takes only an integer (not true, not 1.0), a
+float key any number but a bool, stored as a float.  A value of the wrong type,
+or an input that cannot be read (a config file, a grid, an exponent list, a
+state path, BNLS_THREADS), raises ConfigurationError naming the key and its
+file, so it exits 2 with one ``error:`` line; so do a non-finite eps, omega or
+mass and a negative seed.  BNLS_THREADS caps the sweep worker count.  The
+sweep's residual columns and its identities flag are ``verify.q_checks``, the
+checks of ``verify_Q``, at their tiers.  A stalled sweep row is retried on its
+cause; every row is written, with its status.
 """
 
 from __future__ import annotations
@@ -28,9 +32,6 @@ from .errors import (
     BnlsError,
     ConfigurationError,
     DivergenceError,
-    FieldFormatError,
-    PreconditionError,
-    RegimeError,
     VanishingError,
 )
 from .functionals import Params
@@ -49,26 +50,55 @@ from .verify import full_verification, q_checks
 
 log = logging.getLogger("bnls")
 
-CONFIG_KEYS = {
-    "N": 1,
-    "p": 8.0,
-    "eps": None,  # defaults to 1.0 with a notice
-    "omega": None,
-    "mass": None,
-    "relaxed": False,
-    "points": 1024,
-    "box": 40.0,
-    "max_iters": 5000,
-    "tol_residual": 1e-10,
-    "seed": 0,
-    "init": "gaussian_bump",
-    "out_dir": ".",
-    "samples": 500,
+CONFIG_KEYS = {  # key: (default, type)
+    "N": (1, int),
+    "p": (8.0, float),
+    "eps": (None, float | None),  # defaults to 1.0 with a notice
+    "omega": (None, float | None),
+    "mass": (None, float | None),
+    "relaxed": (False, bool),
+    "points": (1024, int),
+    "box": (40.0, float),
+    "max_iters": (5000, int),
+    "tol_residual": (1e-10, float),
+    "seed": (0, int),
+    "init": ("gaussian_bump", str),
+    "out_dir": (".", str),
+    "samples": (500, int),
+}
+SIDECAR_PARAMS = {  # a sidecar's Params fields; bigN, p and eps are required
+    "bigN": (None, int), "p": (None, float), "eps": (None, float),
+    "omega": (None, float | None), "mass_c": (None, float | None), "relaxed": (False, bool),
+}
+SIDECAR_KEYS = {"iters": (0, int), "warnings": ([], list[str]), "route": ("stored", str)}
+JSON_TYPES = {  # a table type: the types json.loads may give for it, and its name
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    float | None: ((int, float, type(None)), "a number or null"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+    list[str]: ((list,), "a list of strings"),
 }
 
 
+def _typed(doc: dict, table: dict, where: str) -> dict:
+    """doc's value of every table key (its default when absent), checked against its type."""
+    typed = {}
+    for key, (default, kind) in table.items():
+        value = doc.get(key, default)
+        accepted, name = JSON_TYPES[kind]
+        if type(value) not in accepted or (
+            kind == list[str] and not all(type(item) is str for item in value)
+        ):
+            raise ConfigurationError(f"{where}{key} must be {name}, got {value!r}")
+        if type(value) is int and kind is not int:
+            value = float(value)
+        typed[key] = tuple(value) if kind == list[str] else value
+    return typed
+
+
 def resolve_config(args) -> dict:
-    cfg = dict(CONFIG_KEYS)
+    loaded = {}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -81,7 +111,7 @@ def resolve_config(args) -> dict:
         unknown = set(loaded) - set(CONFIG_KEYS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
+    cfg = _typed(loaded, CONFIG_KEYS, f"config {args.config}: ")
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -91,37 +121,21 @@ def resolve_config(args) -> dict:
         if not any(getattr(args, key, None) for key in ("load", "energy_state", "eps_grid")):
             log.info("eps not configured; defaulting to eps = 1")
         cfg["eps"] = 1.0
-    if not isinstance(cfg["out_dir"], str):
-        raise ConfigurationError(f"out_dir must be a path, got {cfg['out_dir']!r}")
-    if not (isinstance(cfg["samples"], int) and cfg["samples"] >= 1):
+    if cfg["samples"] < 1:
         raise ConfigurationError(f"samples must be an integer >= 1, got {cfg['samples']!r}")
     return cfg
 
 
 def build_problem(cfg) -> tuple:
+    params = Params(bigN=cfg["N"], p=cfg["p"], eps=cfg["eps"], omega=cfg["omega"],
+                    mass_c=cfg["mass"], relaxed=cfg["relaxed"])
     try:
-        bigN, p, eps = int(cfg["N"]), float(cfg["p"]), float(cfg["eps"])
-        omega, mass_c = (None if cfg[k] is None else float(cfg[k]) for k in ("omega", "mass"))
-        points, box = int(cfg["points"]), float(cfg["box"])
-        max_iters, tol, seed = int(cfg["max_iters"]), float(cfg["tol_residual"]), int(cfg["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config values must be numbers ({exc})") from exc
-    params = Params(
-        bigN=bigN, p=p, eps=eps, omega=omega, mass_c=mass_c, relaxed=_relaxed(cfg["relaxed"], "")
-    )
-    try:
-        grid = BoxGrid(dim=bigN, points_per_axis=points, box_length=box)
+        grid = BoxGrid(dim=cfg["N"], points_per_axis=cfg["points"], box_length=cfg["box"])
     except ValueError as exc:
         raise ConfigurationError(f"grid: {exc}") from exc
-    solver = SolverConfig(max_iters=max_iters, tol_residual=tol, seed=seed, init=str(cfg["init"]))
+    solver = SolverConfig(max_iters=cfg["max_iters"], tol_residual=cfg["tol_residual"],
+                          seed=cfg["seed"], init=cfg["init"])
     return params, grid, solver
-
-
-def _relaxed(value, where: str) -> bool:
-    """A stored ``relaxed``, refused unless it is a JSON boolean: bool("false") is True."""
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{where}relaxed must be true or false, got {value!r}")
-    return value
 
 
 def _output_dir(path) -> Path:
@@ -134,6 +148,8 @@ def _output_dir(path) -> Path:
 def save_state(gs: GroundState, config: SolverConfig, out_dir, name: str) -> Path:
     path = _output_dir(out_dir) / f"{name}.bnls"
     write_field(path, gs.field, sidecar=gs.sidecar(config))
+    for warning in gs.warnings:
+        log.warning(warning)
     return path
 
 
@@ -163,21 +179,12 @@ def load_state(path) -> GroundState:
             f"{path} does not match its sidecar {side_path}: the sidecar records "
             f"sha256 {recorded}, the field file hashes to {actual}"
         )
-    try:
-        bigN, p, eps = int(pdoc["bigN"]), float(pdoc["p"]), float(pdoc["eps"])
-        omega, mass_c = (
-            None if pdoc.get(key) is None else float(pdoc[key]) for key in ("omega", "mass_c")
-        )
-        iters, warnings = int(side.get("iters", 0)), tuple(side.get("warnings", ()))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"{side_path}: params and iters must hold numbers, warnings a list ({exc})"
-        ) from exc
-    if field.grid.dim != bigN:
+    state = _typed(side, SIDECAR_KEYS, f"{side_path}: ")
+    typed = _typed(pdoc, SIDECAR_PARAMS, f"{side_path}: params.")
+    if field.grid.dim != typed["bigN"]:
         raise ConfigurationError(f"{path} holds a {field.grid.dim}D field; {side_path} "
-                                 f"records bigN {bigN}")
-    params = Params(bigN=bigN, p=p, eps=eps, omega=omega, mass_c=mass_c,
-                    relaxed=_relaxed(pdoc.get("relaxed", False), f"{side_path}: "))
+                                 f"records bigN {typed['bigN']}")
+    params = Params(**typed)
     nt = norms(field, params.p)
     omega_x = extract_omega(nt, params)
     return GroundState(
@@ -186,9 +193,7 @@ def load_state(path) -> GroundState:
         nt=nt,
         omega_extracted=omega_x,
         residual_pde=pde_residual(field, params, omega_x),
-        iters=iters,
-        route=str(side.get("route", "stored")),
-        warnings=warnings,
+        **state,
     )
 
 
@@ -225,8 +230,6 @@ def cmd_ground_state(args, cfg) -> int:
         gs = route_Q(params, grid, solver)
         name = "ground_state_critical_mass"
     path = save_state(gs, solver, cfg["out_dir"], name)
-    for warning in gs.warnings:
-        log.warning(warning)
     print(
         f"{gs.route}: mass={gs.nt.mass:.12g} omega={gs.omega_extracted:.12g} "
         f"residual={gs.residual_pde:.3e} iters={gs.iters} -> {path}"
@@ -242,8 +245,6 @@ def cmd_action_gss(args, cfg) -> int:
         params = params.with_omega(omega)
     gs = petviashvili(params, grid, solver)
     path = save_state(gs, solver, cfg["out_dir"], "action_gss")
-    for warning in gs.warnings:
-        log.warning(warning)
     print(
         f"petviashvili at omega={params.omega:.12g}: mass={gs.nt.mass:.12g} "
         f"residual={gs.residual_pde:.3e} iters={gs.iters} -> {path}"
@@ -450,9 +451,6 @@ def main(argv=None) -> int:
         if args.print_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))
         return args.func(args, cfg)
-    except (RegimeError, ConfigurationError, FieldFormatError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DivergenceError, VanishingError) as exc:
         _report_failure(exc)
         return 3

@@ -52,6 +52,10 @@ class Params:
             raise RegimeError(f"bigN must be an integer >= 1, got {n}")
         if not (self.p > 2 and math.isfinite(self.p)):
             raise RegimeError(f"p must exceed 2, got {self.p}")
+        for name in ("eps", "omega", "mass_c"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise RegimeError(f"{name} must be finite, got {value}")
         if self.p >= sobolev_critical(n):
             raise RegimeError(f"p = {self.p} is not below the critical exponent for N = {n}")
         if self.relaxed:

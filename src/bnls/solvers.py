@@ -101,6 +101,8 @@ class SolverConfig:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol_residual > 0:
             raise ConfigurationError(f"tol_residual must be positive, got {self.tol_residual}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.init not in INIT_MODES:
             raise ConfigurationError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 

@@ -5,6 +5,8 @@ import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bnls.cli import main
 
@@ -598,10 +600,49 @@ class TestInputErrors:
             (["ground-state", "--load", "x.bnls"],
              (1, {"params": {"bigN": 1, "p": 8, "eps": 1, "relaxed": "false"}}),
              "relaxed must be true or false"),
+            # a config value of the wrong JSON type was cast, or ran into the
+            # solver: N 1.7 and N true solved the 1D problem, max_iters true
+            # and box true ended as a divergence (exit 3)
+            (["ground-state", "--config", "c.json"], {"N": 1.7}, "c.json: N must be"),
+            (["ground-state", "--config", "c.json"], {"N": True}, "c.json: N must be"),
+            (["ground-state", "--config", "c.json"], {"points": 1024.9}, "c.json: points"),
+            (["ground-state", "--config", "c.json"], {"seed": 3.9}, "c.json: seed"),
+            (["ground-state", "--config", "c.json"], {"p": "8"}, "c.json: p must be"),
+            (["ground-state", "--config", "c.json"], {"max_iters": True}, "c.json: max_iters"),
+            (["ground-state", "--config", "c.json"], {"box": True}, "c.json: box"),
+            # a non-finite eps, omega or mass, and a negative seed, crashed in
+            # the solver (exit 1) or were blamed on the field samples
+            (["ground-state", "--config", "c.json"], {"eps": float("inf")}, "eps must be finite"),
+            (["ground-state", "--config", "c.json"], {"mass": float("inf")}, "mass_c must be"),
+            (["ground-state", "--eps", "inf"], None, "eps must be finite"),
+            (["verify", "--seed", "-8"], None, "seed must be a nonnegative integer"),
+            (["ground-state", "--init", "random_bandlimited", "--seed", "-1"], None,
+             "seed must be a nonnegative integer"),
+            # a sidecar value of the wrong type was cast: "abc" became three
+            # warnings, iters 2.9 became 2, true a dimension and "8" an exponent
+            (["ground-state", "--load", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}, "warnings": "abc"}),
+             "x.bnls.json: warnings must be a list of strings"),
+            (["ground-state", "--load", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}, "iters": 2.9}),
+             "x.bnls.json: iters must be an integer"),
+            (["ground-state", "--load", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}, "route": 7}),
+             "x.bnls.json: route must be a string"),
+            (["ground-state", "--load", "x.bnls"],
+             (1, {"params": {"bigN": True, "p": 8, "eps": 1}}),
+             "x.bnls.json: params.bigN must be an integer"),
+            (["ground-state", "--load", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": "8", "eps": 1}}),
+             "x.bnls.json: params.p must be a number"),
         ],
         ids=["sidecar-iters-many", "sidecar-warnings-5", "sidecar-2d-field-bign-3",
              "config-samples-abc", "config-out-dir-5", "samples-0", "config-relaxed-false",
-             "sidecar-relaxed-false"],
+             "sidecar-relaxed-false", "config-n-1.7", "config-n-true", "config-points-1024.9",
+             "config-seed-3.9", "config-p-string", "config-max-iters-true", "config-box-true",
+             "config-eps-infinity", "config-mass-infinity", "eps-inf", "verify-seed-negative",
+             "random-init-seed-negative", "sidecar-warnings-abc", "sidecar-iters-2.9",
+             "sidecar-route-7", "sidecar-bign-true", "sidecar-p-string"],
     )
     def test_malformed_value_exit_2(self, argv, stored, named, tmp_path, capsys, monkeypatch):
         # a value of the wrong type or range, in a sidecar, a config file or a
@@ -628,6 +669,66 @@ class TestInputErrors:
         assert named in line
         assert "Traceback" not in err and "omega=" not in out
         assert {path.name for path in tmp_path.iterdir()} == inputs
+
+
+    @given(data=st.data())
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_wrong_json_type_names_its_key(self, data, tmp_path):
+        # every config key refuses a JSON value of another type: no bool is a
+        # number, no float or string an int, no number a string or a bool
+        from bnls.cli import CONFIG_KEYS, build_parser, build_problem, resolve_config
+        from bnls.errors import ConfigurationError
+
+        numbers = st.integers() | st.floats()
+        wrong = {
+            int: st.booleans() | st.floats() | st.text(),
+            float: st.booleans() | st.text(),
+            float | None: st.booleans() | st.text(),
+            bool: numbers | st.text(),
+            str: numbers | st.booleans(),
+        }
+        key = data.draw(st.sampled_from(sorted(CONFIG_KEYS)))
+        value = data.draw(wrong[CONFIG_KEYS[key][1]])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        args = build_parser().parse_args(["constants", "--config", str(path)])
+        with pytest.raises(ConfigurationError, match=f"c.json: {key} must be "):
+            build_problem(resolve_config(args))
+
+
+class TestConfigTable:
+    """CONFIG_KEYS and the shared flags describe the same keys and types."""
+
+    def test_every_key_has_a_flag_of_its_type(self):
+        from bnls.cli import CONFIG_KEYS, _common_parser
+
+        actions = {action.dest: action for action in _common_parser()._actions}
+        for key, (_, kind) in CONFIG_KEYS.items():
+            action = actions[key]
+            # --relaxed stores a constant; a flag without a type reads a string
+            flag_type = action.type or (str if action.const is None else type(action.const))
+            assert flag_type is {float | None: float}.get(kind, kind), key
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--N", "2", "--p", "5", "--eps", "0.5", "--omega", "2", "--mass", "3",
+              "--relaxed", "--points", "64", "--box", "12.5", "--max-iters", "9", "--tol", "1e-7",
+              "--seed", "4", "--init", "random_bandlimited", "--out-dir", "o", "--samples", "3"]],
+        ids=["defaults", "every-flag"],
+    )
+    def test_print_config_round_trips(self, flags, tmp_path, capsys, monkeypatch):
+        # what --print-config prints, read back through --config, prints again
+        import bnls.cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(bnls.cli, "cmd_constants", lambda args, cfg: 0)
+        code, printed, _ = run(capsys, "constants", "--print-config", *flags)
+        assert code == 0
+        Path("c.json").write_text(printed)
+        code, again, _ = run(capsys, "constants", "--print-config", "--config", "c.json")
+        assert code == 0
+        assert again == printed
+        assert not (tmp_path / "o").exists()
 
 
 class TestHelp:
