@@ -1,19 +1,20 @@
 """Command-line front end: constants | ground-state | action-gss | verify | sweep.
 
 Configuration is a flat JSON file mirroring Params + SolverConfig + grid keys;
-flags, typed by argparse, override file values.  ``main`` resolves the
-configuration (and echoes it for --print-config) once, then hands it to the
-subcommand.  Exit codes: 0 pass, 1 check failure, 2 configuration/regime error,
-3 solver divergence.  Config-file and sidecar values are read through one typed
-table by JSON's rules: an int key takes only an integer (not true, not 1.0), a
-float key any number but a bool, stored as a float.  A value of the wrong type,
-or an input that cannot be read (a config file, a grid, an exponent list, a
-state path, BNLS_THREADS), raises ConfigurationError naming the key and its
-file, so it exits 2 with one ``error:`` line; so do a non-finite eps, omega or
-mass and a negative seed.  BNLS_THREADS caps the sweep worker count.  The
-sweep's residual columns and its identities flag are ``verify.q_checks``, the
-checks of ``verify_Q``, at their tiers.  A stalled sweep row is retried on its
-cause; every row is written, with its status.
+flags, built from the same table (CONFIG_KEYS) and typed by argparse, override
+file values.  ``main`` resolves the configuration (and echoes it for
+--print-config) once, then hands it to the subcommand.  Exit codes: 0 pass, 1
+check failure, 2 configuration/regime error, 3 solver divergence.  Config-file
+and sidecar values are read through one typed table by JSON's rules: an int key
+takes only an integer (not true, not 1.0), a float key any number but a bool,
+stored as a float.  A value of the wrong type, or an input that cannot be read
+(a config file, a grid, an exponent list, a state path, BNLS_THREADS), raises
+ConfigurationError naming the key and its file, so it exits 2 with one
+``error:`` line; so do a non-finite eps, omega or mass, a non-finite tolerance,
+a negative seed and verify --fresh beside a stored state.  BNLS_THREADS caps
+the sweep worker count.  The sweep's residual columns and its identities flag
+are ``verify.q_checks``, the checks of ``verify_Q``, at their tiers.  A stalled
+sweep row is retried on its cause; every row is written, with its status.
 """
 
 from __future__ import annotations
@@ -28,16 +29,12 @@ import sys
 from pathlib import Path
 
 from .constants import K_numeric, compute_constants
-from .errors import (
-    BnlsError,
-    ConfigurationError,
-    DivergenceError,
-    VanishingError,
-)
+from .errors import BnlsError, ConfigurationError, DivergenceError
 from .functionals import Params
 from .grid import BoxGrid, norms
 from .fieldio import read_field, read_sidecar, sidecar_path, write_field
 from .solvers import (
+    INIT_MODES,
     GroundState,
     SolverConfig,
     extract_omega,
@@ -50,21 +47,22 @@ from .verify import full_verification, q_checks
 
 log = logging.getLogger("bnls")
 
-CONFIG_KEYS = {  # key: (default, type)
-    "N": (1, int),
-    "p": (8.0, float),
-    "eps": (None, float | None),  # defaults to 1.0 with a notice
-    "omega": (None, float | None),
-    "mass": (None, float | None),
-    "relaxed": (False, bool),
-    "points": (1024, int),
-    "box": (40.0, float),
-    "max_iters": (5000, int),
-    "tol_residual": (1e-10, float),
-    "seed": (0, int),
-    "init": ("gaussian_bump", str),
-    "out_dir": (".", str),
-    "samples": (500, int),
+CONFIG_KEYS = {  # key: (default, type, flag, help)
+    "N": (1, int, "--N", "space dimension N"),
+    "p": (8.0, float, "--p", "nonlinearity exponent"),
+    # eps defaults to 1.0 with a notice
+    "eps": (None, float | None, "--eps", "fourth-order dispersion coefficient"),
+    "omega": (None, float | None, "--omega", "frequency (action route)"),
+    "mass": (None, float | None, "--mass", "mass constraint c (energy route)"),
+    "relaxed": (False, bool, "--relaxed", "allow any 2 < p < 2* and eps = 0 (oracle mode)"),
+    "points": (1024, int, "--points", "grid points per axis (power of two)"),
+    "box": (40.0, float, "--box", "box side length L"),
+    "max_iters": (5000, int, "--max-iters", None),
+    "tol_residual": (1e-10, float, "--tol", "solver residual tolerance"),
+    "seed": (0, int, "--seed", None),
+    "init": ("gaussian_bump", str, "--init", None),
+    "out_dir": (".", str, "--out-dir", "output directory"),
+    "samples": (500, int, "--samples", "random fields for inequality tests"),
 }
 SIDECAR_PARAMS = {  # a sidecar's Params fields; bigN, p and eps are required
     "bigN": (None, int), "p": (None, float), "eps": (None, float),
@@ -84,7 +82,7 @@ JSON_TYPES = {  # a table type: the types json.loads may give for it, and its na
 def _typed(doc: dict, table: dict, where: str) -> dict:
     """doc's value of every table key (its default when absent), checked against its type."""
     typed = {}
-    for key, (default, kind) in table.items():
+    for key, (default, kind, *_) in table.items():
         value = doc.get(key, default)
         accepted, name = JSON_TYPES[kind]
         if type(value) not in accepted or (
@@ -253,6 +251,9 @@ def cmd_action_gss(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
+    if args.fresh and (args.energy_state or args.action_state):
+        raise ConfigurationError("--fresh solves new states; it takes no --energy-state "
+                                 "or --action-state")
     params, grid, solver = build_problem(cfg)
     energy_state = action_state = None
     if args.energy_state:
@@ -285,14 +286,14 @@ def _sweep_row(problem) -> tuple:
         try:
             gs = route_Q(params, grid, solver)
             break
-        except (DivergenceError, VanishingError) as exc:
-            status = exc.cause if isinstance(exc, DivergenceError) else "vanishing"
-            scale = {"grid": 1.0, "box": 2.0}.get(status)  # the box factor of a retry
+        except DivergenceError as exc:
+            scale = {"grid": 1.0, "box": 2.0}.get(exc.cause)  # the box factor of a retry
             points = 2 * grid.points_per_axis
             if scale is None or attempt == SWEEP_ATTEMPTS or points**grid.dim > SWEEP_MAX_POINTS:
                 # name the row; the type, the cause and the history stay as raised
-                exc.args = (f"sweep row p = {params.p:g}, eps = {params.eps:g} ({status}): {exc}",)
-                return dict(row, identities_pass=False, status=status), exc
+                exc.args = (f"sweep row p = {params.p:g}, eps = {params.eps:g} "
+                            f"({exc.cause}): {exc}",)
+                return dict(row, identities_pass=False, status=exc.cause), exc
         grid = BoxGrid(params.bigN, points, scale * grid.box_length)
     report = compute_constants(gs)
     # the residual columns and the flag are verify_Q's checks, at its tiers
@@ -358,21 +359,12 @@ def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (flat keys; flags override)")
     common.add_argument("--print-config", action="store_true", help="echo the resolved config")
-    common.add_argument("--N", type=int, help="space dimension N")
-    common.add_argument("--p", type=float, help="nonlinearity exponent")
-    common.add_argument("--eps", type=float, help="fourth-order dispersion coefficient")
-    common.add_argument("--omega", type=float, help="frequency (action route)")
-    common.add_argument("--mass", type=float, help="mass constraint c (energy route)")
-    common.add_argument("--relaxed", action="store_const", const=True, default=None,
-                        help="allow any 2 < p < 2* and eps = 0 (oracle mode)")
-    common.add_argument("--points", type=int, help="grid points per axis (power of two)")
-    common.add_argument("--box", type=float, help="box side length L")
-    common.add_argument("--max-iters", dest="max_iters", type=int)
-    common.add_argument("--tol", dest="tol_residual", type=float, help="solver residual tolerance")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--init", choices=["gaussian_bump", "random_bandlimited"])
-    common.add_argument("--out-dir", dest="out_dir", help="output directory")
-    common.add_argument("--samples", type=int, help="random fields for inequality tests")
+    for key, (_, kind, flag, text) in CONFIG_KEYS.items():
+        if kind is bool:  # a flag that switches the key on; absent, the file decides
+            common.add_argument(flag, dest=key, action="store_const", const=True, help=text)
+        else:
+            common.add_argument(flag, dest=key, type={float | None: float}.get(kind, kind),
+                                choices=INIT_MODES if key == "init" else None, help=text)
     return common
 
 
@@ -436,9 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _report_failure(exc) -> None:
     """A solver failure on stderr: its message, then the tail of its residual history."""
     print(f"solver failure: {exc}", file=sys.stderr)
-    history = getattr(exc, "history", None)
-    if history:
-        tail = ", ".join(f"{r:.3e}" for r in history[-8:])
+    if exc.history:
+        tail = ", ".join(f"{r:.3e}" for r in exc.history[-8:])
         print(f"residual history (tail): {tail}", file=sys.stderr)
 
 
@@ -451,7 +442,7 @@ def main(argv=None) -> int:
         if args.print_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))
         return args.func(args, cfg)
-    except (DivergenceError, VanishingError) as exc:
+    except DivergenceError as exc:
         _report_failure(exc)
         return 3
     except BnlsError as exc:

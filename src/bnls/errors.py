@@ -31,9 +31,10 @@ class DivergenceError(BnlsError, RuntimeError):
     ``cause`` says how, so a caller can act on it without reading the
     message: ``"box"`` (a residual floor set by truncated tails: enlarge the
     box), ``"grid"`` (a floor set by the resolution: use more points),
-    ``"iterations"`` (max_iters ran out) or ``"blow-up"`` (the iterate or its
-    residual left the finite numbers).  ``history`` is the residual of every
-    iteration, so the last residual is ``history[-1]``.
+    ``"iterations"`` (max_iters ran out), ``"blow-up"`` (the iterate or its
+    residual left the finite numbers) or ``"vanishing"`` (the iterate
+    collapsed toward the zero field: :class:`VanishingError`).  ``history`` is
+    the residual of every iteration, so the last residual is ``history[-1]``.
     """
 
     def __init__(self, message, cause=None, history=None):
@@ -42,8 +43,11 @@ class DivergenceError(BnlsError, RuntimeError):
         self.history = list(history) if history is not None else []
 
 
-class VanishingError(BnlsError, RuntimeError):
-    """An iterative solver collapsed toward the zero field."""
+class VanishingError(DivergenceError):
+    """An iterative solver collapsed toward the zero field: cause ``"vanishing"``."""
+
+    def __init__(self, message):
+        super().__init__(message, cause="vanishing")
 
 
 class FieldFormatError(BnlsError, ValueError):

@@ -99,8 +99,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol_residual > 0:
-            raise ConfigurationError(f"tol_residual must be positive, got {self.tol_residual}")
+        if not 0 < self.tol_residual < math.inf:
+            raise ConfigurationError(
+                f"tol_residual must be positive finite, got {self.tol_residual}"
+            )
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.init not in INIT_MODES:
@@ -405,20 +407,21 @@ class _SpectralIterate:
         out += c
         return out
 
-    def residual_ratio(self, symbol: np.ndarray, rhs: np.ndarray) -> float:
-        """||symbol * spec - rhs|| / ||rhs|| of a lone iterate (inf for a zero rhs),
-        the difference in ``work``."""
-        diff = _by_real(np.multiply, self.spec, symbol, self.work)
-        diff -= rhs
-        num, den = self.spec_norm_sq(diff), self.spec_norm_sq(rhs)
-        return math.sqrt(num / den) if den > 0 else math.inf
+    def residual_ratio(self, symbol: np.ndarray, rhs: np.ndarray,
+                       out: np.ndarray | None = None) -> float:
+        """||symbol * spec - rhs|| / ||rhs|| of a lone iterate (inf for a zero rhs).
 
-    def residual_in_place(self, symbol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """rhs <- symbol * spec - rhs for a lone iterate, through the power array."""
+        ||rhs|| is taken first, so the difference may overwrite ``rhs``: it goes
+        into ``out`` (``work`` by default), a part (real, imaginary) at a time
+        through the power array.
+        """
+        den = self.spec_norm_sq(rhs)
+        out = self.work if out is None else out
         prod = _carve(self._power, symbol.shape)
-        for part, spec_part in ((rhs.real, self.spec.real), (rhs.imag, self.spec.imag)):
-            np.subtract(np.multiply(spec_part, symbol, out=prod), part, out=part)
-        return rhs
+        for spec_part, rhs_part, out_part in ((self.spec.real, rhs.real, out.real),
+                                              (self.spec.imag, rhs.imag, out.imag)):
+            np.subtract(np.multiply(spec_part, symbol, out=prod), rhs_part, out=out_part)
+        return math.sqrt(self.spec_norm_sq(out) / den) if den > 0 else math.inf
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """The L2 inner product of the fields of two lone spectra (Parseval), with no
@@ -549,17 +552,15 @@ def petviashvili(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundS
     omega = params.require_omega()
     if not omega > 0:
         raise ConfigurationError(f"petviashvili needs omega > 0, got {omega}")
-    u, history, _ = _sweeps(params, grid, config, omega)
+    u, history = _sweeps(params, grid, config, omega)
     return _finish(u, params, history, "petviashvili")
 
 
 def _sweeps(params: Params, grid: BoxGrid, config: SolverConfig, omega: float,
             optimize: bool = False) -> tuple:
-    """The Petviashvili sweep loop from the initial field: (field, residual history, sweeps).
+    """The Petviashvili sweep loop from the initial field: (field, residual history).
 
-    The history holds every sweep's residual, so the sweep count is its
-    length; the count is returned as well, third, where perfbench's tracer
-    reads it.
+    The history holds every sweep's residual, so the sweep count is its length.
 
     A sweep takes the stabilized step u <- S^gamma L^-1 N(u) at the current
     omega, with L = eps lap^2 - lap + omega, N(u) = |u|^(p-2) u, S = <Lu, u> /
@@ -605,7 +606,7 @@ def _sweeps(params: Params, grid: BoxGrid, config: SolverConfig, omega: float,
         progress.update(it, res)
         if res <= config.tol_residual:
             del lin  # free it before the field is copied out
-            return state.field(), progress.history, it
+            return state.field(), progress.history
         stabilizer = (eps * bilap + grad + omega * mass) / lp
         _by_real(np.divide, nl_spec, lin, nl_spec)  # the step, in next
         nl_spec *= stabilizer**gamma
@@ -643,7 +644,8 @@ def _el_residual_spectral(
 
 def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tuple:
     """The quotient optimizer: (field, residual history, sweeps), from :func:`_sweeps` with
-    omega free.
+    omega free; the sweep count, the history's length, is returned third for
+    perfbench's tracer.
 
     The field is a fixed-omega ground state whose norms satisfy grad =
     (beta/alpha) eps bilap, so its exact rescalings are the optimizer and
@@ -655,7 +657,8 @@ def _weinstein_state(params: Params, grid: BoxGrid, config: SolverConfig) -> tup
     larger of the box-truncation and the resolution error, so a stall names
     whichever of the two ratios is larger.
     """
-    return _sweeps(params, grid, config, omega_formula(1.0, params), optimize=True)
+    u, history = _sweeps(params, grid, config, omega_formula(1.0, params), optimize=True)
+    return u, history, len(history)
 
 
 def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
@@ -881,10 +884,8 @@ def _mass_flow_state(
         if energy_trace is not None:
             energy_trace.append(e_k)
         omega_k = (lp - eps * bilap - grad) / c
-        nl_norm_sq = state.spec_norm_sq(r_spec)
         sym = symbol(omega_k)
-        state.residual_in_place(sym, r_spec)
-        rel = math.sqrt(state.spec_norm_sq(r_spec) / nl_norm_sq) if nl_norm_sq > 0 else math.inf
+        rel = state.residual_ratio(sym, r_spec, out=r_spec)
         progress.update(it, rel)
         if rel <= config.tol_residual:
             warn = ()

@@ -34,6 +34,21 @@ class TestConstantsCommand:
         doc = json.loads((tmp_path / "constants.json").read_text())
         assert doc["c_eps"] == pytest.approx(2.0 * doc["C"] ** (-1.0 / 3.0), rel=1e-10)
 
+    def test_vanishing_exit_3(self, tmp_path, capsys, monkeypatch):
+        import bnls.cli
+        from bnls.errors import VanishingError
+
+        def collapse(params, grid, solver):
+            raise VanishingError("iterate collapsed to zero")
+
+        monkeypatch.setattr(bnls.cli, "route_Q", collapse)
+        code, out, err = run(
+            capsys, "constants", "--N", "1", "--p", "8", "--eps", "1", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert "solver failure: iterate collapsed to zero" in err
+        assert "c_eps" not in out and not (tmp_path / "constants.json").exists()
+
     def test_regime_violation_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "constants", "--N", "1", "--p", "6", "--eps", "1",
@@ -499,6 +514,29 @@ class TestSweepCommand:
             (row,) = csv.DictReader(handle)
         assert (row["points"], row["box"], row["status"]) == ("128", "32.0", "grid")
 
+    def test_vanishing_row_is_not_retried(self, monkeypatch):
+        # a collapsed iterate is a DivergenceError of cause "vanishing", which
+        # no retry mends: the row gets that status and keeps the error
+        import bnls.cli
+        from bnls.errors import VanishingError
+        from bnls.functionals import Params
+        from bnls.grid import BoxGrid
+        from bnls.solvers import SolverConfig
+
+        raised = []
+
+        def collapse(params, grid, solver):
+            raised.append(VanishingError("iterate collapsed to zero"))
+            raise raised[-1]
+
+        monkeypatch.setattr(bnls.cli, "route_Q", collapse)
+        row, exc = bnls.cli._sweep_row(
+            (Params(bigN=1, p=8.0, eps=1.0), BoxGrid(1, 512, 40.0), SolverConfig())
+        )
+        assert raised == [exc]
+        assert (row["status"], row["identities_pass"], row["points"]) == ("vanishing", False, 512)
+        assert str(exc) == "sweep row p = 8, eps = 1 (vanishing): iterate collapsed to zero"
+
     def test_eps_grid_gets_no_eps_notice(self, tmp_path, capsys, caplog):
         import logging
 
@@ -635,6 +673,16 @@ class TestInputErrors:
             (["ground-state", "--load", "x.bnls"],
              (1, {"params": {"bigN": 1, "p": "8", "eps": 1}}),
              "x.bnls.json: params.p must be a number"),
+            # an infinite tolerance stopped a solve after one iteration at PDE
+            # residual 3.5, which was written and exited 0
+            (["ground-state", "--tol", "inf"], None, "tol_residual must be positive finite"),
+            (["ground-state", "--config", "c.json"], {"tol_residual": float("inf")},
+             "tol_residual must be positive finite"),
+            # --fresh was not read: the stored state was verified in its place
+            (["verify", "--fresh", "--energy-state", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}), "--fresh"),
+            (["verify", "--fresh", "--action-state", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}), "--fresh"),
         ],
         ids=["sidecar-iters-many", "sidecar-warnings-5", "sidecar-2d-field-bign-3",
              "config-samples-abc", "config-out-dir-5", "samples-0", "config-relaxed-false",
@@ -642,7 +690,8 @@ class TestInputErrors:
              "config-seed-3.9", "config-p-string", "config-max-iters-true", "config-box-true",
              "config-eps-infinity", "config-mass-infinity", "eps-inf", "verify-seed-negative",
              "random-init-seed-negative", "sidecar-warnings-abc", "sidecar-iters-2.9",
-             "sidecar-route-7", "sidecar-bign-true", "sidecar-p-string"],
+             "sidecar-route-7", "sidecar-bign-true", "sidecar-p-string", "tol-inf",
+             "config-tol-infinity", "verify-fresh-energy-state", "verify-fresh-action-state"],
     )
     def test_malformed_value_exit_2(self, argv, stored, named, tmp_path, capsys, monkeypatch):
         # a value of the wrong type or range, in a sidecar, a config file or a
@@ -703,7 +752,7 @@ class TestConfigTable:
         from bnls.cli import CONFIG_KEYS, _common_parser
 
         actions = {action.dest: action for action in _common_parser()._actions}
-        for key, (_, kind) in CONFIG_KEYS.items():
+        for key, (_, kind, _, _) in CONFIG_KEYS.items():
             action = actions[key]
             # --relaxed stores a constant; a flag without a type reads a string
             flag_type = action.type or (str if action.const is None else type(action.const))

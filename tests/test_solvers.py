@@ -58,6 +58,7 @@ class TestSolverConfig:
             {"tol_residual": 0.0},
             {"max_iters": -1},
             {"tol_residual": float("nan")},
+            {"tol_residual": float("inf")},
             {"init": "bogus"},
             {"init": "stored_field"},
         ],
@@ -500,6 +501,14 @@ class TestMassFlow:
         measured = pde_residual(gs.field, params, gs.omega_extracted)
         assert gs.residual_pde == pytest.approx(measured, rel=1e-3)
         assert (len(gs.residuals), gs.residuals[-1]) == (gs.iters, gs.residual_pde)
+
+    def test_iterations_cause(self, params, grid, constants_report):
+        # two iterations solve nothing at 1.2 c_eps: the flow runs out of them
+        pm = params.with_mass(1.2 * constants_report.c_eps)
+        with pytest.raises(DivergenceError, match="^energy descent: no convergence") as err:
+            mass_constrained_flow(pm, grid, SolverConfig(max_iters=2))
+        assert err.value.cause == "iterations"
+        assert len(err.value.history) == 2
 
     def test_step_size_rule(self):
         from bnls.solvers import _step_size
