@@ -11,10 +11,11 @@ stored as a float.  A value of the wrong type, or an input that cannot be read
 (a config file, a grid, an exponent list, a state path, BNLS_THREADS), raises
 ConfigurationError naming the key and its file, so it exits 2 with one
 ``error:`` line; so do a non-finite eps, omega or mass, a non-finite tolerance,
-a negative seed and verify --fresh beside a stored state.  BNLS_THREADS caps
-the sweep worker count.  The sweep's residual columns and its identities flag
-are ``verify.q_checks``, the checks of ``verify_Q``, at their tiers.  A stalled
-sweep row is retried on its cause; every row is written, with its status.
+a negative seed, a stored zero field and verify --fresh beside a stored state.
+BNLS_THREADS caps the sweep worker count.  The sweep's residual columns and its
+identities flag are ``verify.q_checks``, the checks of ``verify_Q``, at their
+tiers.  A stalled sweep row is retried on its cause; every row is written, with
+its status.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 import sys
 from pathlib import Path
 
-from .constants import K_numeric, compute_constants
+from .constants import compute_constants
 from .errors import BnlsError, ConfigurationError, DivergenceError
 from .functionals import Params
 from .grid import BoxGrid, norms
@@ -184,6 +185,8 @@ def load_state(path) -> GroundState:
                                  f"records bigN {typed['bigN']}")
     params = Params(**typed)
     nt = norms(field, params.p)
+    if nt.mass <= 0:
+        raise ConfigurationError(f"{path} holds the zero field; no multiplier can be read off it")
     omega_x = extract_omega(nt, params)
     return GroundState(
         field=field,
@@ -201,10 +204,7 @@ def load_state(path) -> GroundState:
 
 def cmd_constants(args, cfg) -> int:
     params, grid, solver = build_problem(cfg)
-    q = route_Q(params, grid, solver)
-    report = compute_constants(
-        q, K_numeric(params, grid, solver) if args.k_numeric else None
-    )
+    report = compute_constants(route_Q(params, grid, solver))
     (_output_dir(cfg["out_dir"]) / "constants.json").write_text(
         json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     )
@@ -263,8 +263,8 @@ def cmd_verify(args, cfg) -> int:
     if args.action_state:
         action_state = load_state(args.action_state)
     report, _states = full_verification(
-        params, grid, solver, n_samples=cfg["samples"], with_k_numeric=not args.skip_k_numeric,
-        energy_state=energy_state, action_state=action_state,
+        params, grid, solver, n_samples=cfg["samples"], energy_state=energy_state,
+        action_state=action_state,
     )
     (_output_dir(cfg["out_dir"]) / "verify_report.json").write_text(report.to_json() + "\n")
     print(report.table())
@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = subs.add_parser(
         "constants", help="best constants, critical mass, frequency table", parents=common
     )
-    c.add_argument("--k-numeric", action="store_true", help="also run the quotient-ascent K")
     c.set_defaults(func=cmd_constants)
 
     g = subs.add_parser(
@@ -401,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solve fresh states (the default when no paths are given)")
     v.add_argument("--energy-state", help="stored critical-mass state to verify")
     v.add_argument("--action-state", help="stored fixed-frequency state to verify")
-    v.add_argument("--skip-k-numeric", action="store_true",
-                   help="skip the multi-start quotient ascent (faster)")
     v.set_defaults(func=cmd_verify)
 
     s = subs.add_parser(

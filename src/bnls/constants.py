@@ -58,7 +58,6 @@ class ConstantsReport:
     eps_c: float
     omega_eps: float
     v_mass: float
-    K_numeric: float | None = None
     provenance: dict = field(default_factory=dict)
 
     CHAIN = ("C", "K", "c_eps", "eps_c", "omega_eps", "v_mass")
@@ -73,9 +72,8 @@ class ConstantsReport:
         return asdict(self)
 
     def table(self) -> str:
-        names = self.CHAIN + (() if self.K_numeric is None else ("K_numeric",))
         lines = [f"{'entry':<12}{'value':<24}{'provenance'}"]
-        for name in names:
+        for name in self.CHAIN:
             lines.append(f"{name:<12}{getattr(self, name):<24.15g}{self.provenance.get(name, '')}")
         return "\n".join(lines)
 
@@ -219,14 +217,13 @@ def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int
     return KAscent(best, coarse.points_per_axis, coarse_sweeps, fine_sweeps, tail)
 
 
-def compute_constants(q: GroundState, ascent: KAscent | None = None) -> ConstantsReport:
+def compute_constants(q: GroundState) -> ConstantsReport:
     """Assemble the constants chain from the critical-mass state ``q`` of ``route_Q``.
 
     No solve or measurement runs here: ``q`` is an exact amplitude and
     dilation rescaling of the quotient optimizer, and W_p is invariant under
     both, so C = 1/W_p(q.nt); the optimizer's mass at grad = bilap = 1 is
-    v_mass = mass * bilap / grad^2 of q.nt.  ``ascent`` is the
-    :func:`K_numeric` cross-check, if it was run.
+    v_mass = mass * bilap / grad^2 of q.nt.
     """
     params = q.params
     nt = q.nt
@@ -240,7 +237,6 @@ def compute_constants(q: GroundState, ascent: KAscent | None = None) -> Constant
         eps_c=eps_c_formula(c_eps, c_best, params),
         omega_eps=omega_formula(v_mass, params),
         v_mass=v_mass,
-        K_numeric=None if ascent is None else ascent.value,
         provenance={
             "C": "numeric (quotient minimization)",
             "K": "formula (from c_eps)",
@@ -248,6 +244,5 @@ def compute_constants(q: GroundState, ascent: KAscent | None = None) -> Constant
             "eps_c": "formula (inverse at c = c_eps)",
             "omega_eps": "formula (from numeric v_mass)",
             "v_mass": "numeric (optimizer mass)",
-            "K_numeric": "skipped" if ascent is None else ascent.provenance(),
         },
     )

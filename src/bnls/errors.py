@@ -46,8 +46,8 @@ class DivergenceError(BnlsError, RuntimeError):
 class VanishingError(DivergenceError):
     """An iterative solver collapsed toward the zero field: cause ``"vanishing"``."""
 
-    def __init__(self, message):
-        super().__init__(message, cause="vanishing")
+    def __init__(self, message, history=None):
+        super().__init__(message, cause="vanishing", history=history)
 
 
 class FieldFormatError(BnlsError, ValueError):

@@ -594,11 +594,13 @@ def _sweeps(params: Params, grid: BoxGrid, config: SolverConfig, omega: float,
                 f"{progress.label} iterate blew up", cause="blow-up", history=progress.history
             )
         if mass < 1e-24 * mass0:
-            raise VanishingError("iterate collapsed to zero")
+            raise VanishingError("iterate collapsed to zero", progress.history)
         lp, nl_spec = state.nonlinearity(p)
         if lp <= 0:
-            raise VanishingError("nonlinearity vanished; iterate collapsed")
+            raise VanishingError("nonlinearity vanished; iterate collapsed", progress.history)
         if optimize:  # the residual's symbol borrows L's array
+            if grad <= 0 or bilap <= 0:
+                raise VanishingError("degenerate iterate in quotient residual", progress.history)
             res = _el_residual_spectral(state, ep, p, (mass, grad, bilap), lp, nl_spec, lin)
             state.symbol(eps, 1.0, omega, out=lin)
         else:
@@ -630,12 +632,10 @@ def _el_residual_spectral(
     is exactly invariant under amplitude/box rescaling, so this equals the
     residual of the unit-normalized optimizer candidate.  It is taken on the
     equation times lp/p, against ``nl_spec`` = rfftn(|u|^(p-2) u) as it
-    stands, with the symbol in ``out``; ``quadratic`` is (mass, grad, bilap)
-    and ``ep`` the exponents of the problem.
+    stands, with the symbol in ``out``; ``quadratic`` is (mass, grad, bilap),
+    grad and bilap positive, and ``ep`` the exponents of the problem.
     """
     mass, grad, bilap = quadratic
-    if grad <= 0 or bilap <= 0:
-        raise VanishingError("degenerate iterate in quotient residual")
     scale = lp / p
     symbol = state.symbol(scale * ep.alpha / bilap, scale * ep.beta / grad,
                           scale * (p - 2.0) / mass, out=out)

@@ -22,6 +22,7 @@ from .constants import (
     K_from_C,
     K_from_c_eps,
     K_numeric,
+    KAscent,
     c_eps_formula,
     c_eps_from_K,
     compute_constants,
@@ -162,7 +163,7 @@ REQUIRED_CHECKS = frozenset(
     equiv.action_positive equiv.fiber_t_one equiv.fiber_action_max_at_one
     gn.weinstein_lower_bound gn.k_quotient_upper_bound gn.holder_chain
     const.k_routes_agree const.k_inversion_roundtrip const.eps_c_roundtrip
-    const.c_eps_scaling const.omega_scaling
+    const.c_eps_scaling const.omega_scaling const.k_numeric_close
     alg.weinstein_scale_invariance alg.fiber_mass_law alg.g_zero_at_one alg.g_nonnegative
     alg.nehari_pohozaev_combination
     """.split()
@@ -538,10 +539,11 @@ def verify_gn_random(
 
 
 def verify_constants(
-    cr: ConstantsReport, params: Params, tol: TolProfile = TolProfile()
+    cr: ConstantsReport, params: Params, ascent: KAscent, tol: TolProfile = TolProfile()
 ) -> VerificationReport:
+    """The constants chain's algebraic relations, and ``ascent`` (:func:`K_numeric`) against K."""
     ep = params.exponents()
-    checks = [
+    return VerificationReport(checks=(
         _check(
             "const.k_routes_agree",
             "K from C equals K from c_eps",
@@ -585,21 +587,17 @@ def verify_constants(
             ),
             tol.algebraic,
         ),
-    ]
-    if cr.K_numeric is not None:
         # an ascent, but held to the algebraic tier: its random starts reach K
         # to roundoff on the 1D, 2D and 3D desk grids, though a half-cell shift
         # of the optimizer lowers the discrete quotient by 2e-11 on 64^3, L 32
-        checks.append(
-            _check(
-                "const.k_numeric_close",
-                "ascent supremum reaches the closed-form K",
-                abs(cr.K_numeric / cr.K - 1.0),
-                tol.algebraic,
-                detail=cr.provenance["K_numeric"],
-            )
-        )
-    return VerificationReport(checks=tuple(checks))
+        _check(
+            "const.k_numeric_close",
+            "ascent supremum reaches the closed-form K",
+            abs(ascent.value / cr.K - 1.0),
+            tol.algebraic,
+            detail=ascent.provenance(),
+        ),
+    ))
 
 
 def verify_scaling_algebra(
@@ -696,7 +694,6 @@ def full_verification(
     config: SolverConfig,
     tol: TolProfile = TolProfile(),
     n_samples: int = 500,
-    with_k_numeric: bool = True,
     energy_state: "GroundState | None" = None,
     action_state: "GroundState | None" = None,
 ) -> tuple:
@@ -704,16 +701,16 @@ def full_verification(
 
     One ``route_Q`` solve always runs, even when an energy state is supplied,
     and the constants come from it: a supplied state is never checked against
-    constants derived from itself.  The K ascent runs from random starts only,
-    so ``const.k_numeric_close`` checks the closed-form K independently.
-    Missing states are solved fresh (the action state by an independent
-    Petviashvili solve).
+    constants derived from itself.  The K ascent always runs, from random
+    starts only, so ``const.k_numeric_close`` checks the closed-form K
+    independently.  Missing states are solved fresh (the action state by an
+    independent Petviashvili solve).
     Deterministic given the inputs; the report's provenance hashes both states
     and names the sampler seed.
     """
     q = route_Q(params, grid, config)
-    k_numeric = K_numeric(params, grid, config) if with_k_numeric else None
-    cr = compute_constants(q, k_numeric)
+    ascent = K_numeric(params, grid, config)
+    cr = compute_constants(q)
     gs_energy = energy_state if energy_state is not None else q
     gs_action = (
         action_state
@@ -721,7 +718,7 @@ def full_verification(
         else petviashvili(params.with_omega(cr.omega_eps), grid, config)
     )
     checks = (
-        *verify_constants(cr, params, tol).checks,
+        *verify_constants(cr, params, ascent, tol).checks,
         *verify_Q(gs_energy, cr, tol).checks,
         *verify_equivalence(gs_energy, gs_action, tol).checks,
         *verify_gn_random(

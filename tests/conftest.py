@@ -42,6 +42,22 @@ def action_state(params, grid, config, constants_report):
     return petviashvili(params.with_omega(constants_report.omega_eps), grid, config)
 
 
+@pytest.fixture
+def lp_vanishes_on_third_sweep(monkeypatch):
+    """Every spectral iterate reports lp = 0 from the third call of its nonlinearity on."""
+    import bnls.solvers
+
+    original = bnls.solvers._SpectralIterate.nonlinearity
+    calls = []
+
+    def vanishing(self, p):
+        calls.append(p)
+        lp, nl_spec = original(self, p)
+        return (0.0 if len(calls) >= 3 else lp), nl_spec
+
+    monkeypatch.setattr(bnls.solvers._SpectralIterate, "nonlinearity", vanishing)
+
+
 def make_solution_tuple(grad, bilap, params):
     """NormTuple satisfying both the Nehari and the dilation identity.
 

@@ -171,7 +171,7 @@ class TestGroundStateCommand:
             assert run(capsys, "ground-state", "--load", path)[0] == 0
             code, _, _ = run(
                 capsys, "verify", "--energy-state", path, *FAST, "--samples", "20",
-                "--skip-k-numeric", "--out-dir", str(tmp_path),
+                "--out-dir", str(tmp_path),
             )
         assert code == 0
         assert not any("defaulting to eps" in r.message for r in caplog.records)
@@ -275,6 +275,17 @@ class TestGroundStateCommand:
         assert code == 3
         assert "residual history" in err
 
+    def test_vanishing_exit_3_with_history(self, tmp_path, capsys, lp_vanishes_on_third_sweep):
+        code, out, err = run(
+            capsys, "action-gss", "--N", "1", "--p", "8", "--eps", "1", "--omega", "2.0",
+            *FAST, "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert "solver failure: nonlinearity vanished" in err
+        (tail,) = [line for line in err.splitlines() if line.startswith("residual history")]
+        assert len(tail.split(",")) == 2
+        assert "mass=" not in out and not (tmp_path / "action_gss.bnls").exists()
+
     def test_mass_flow_stall_exit_3_with_history(self, tmp_path, capsys):
         # at twice the desk problem's critical mass the energy descent reaches
         # 9.6e-16 in 28 iterations and floors there, in double-precision
@@ -316,13 +327,13 @@ class TestVerifyCommand:
     def test_fresh_pass_exit_0(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "verify", "--fresh", "--N", "1", "--p", "8", "--eps", "1",
-            *FAST, "--samples", "50", "--skip-k-numeric", "--out-dir", str(tmp_path),
+            *FAST, "--samples", "50", "--out-dir", str(tmp_path),
         )
         assert code == 0
         doc = json.loads((tmp_path / "verify_report.json").read_text())
         assert doc["passed"] is True
-        assert doc["counts"]["failed"] == 0
-        assert "PASS" in out
+        assert doc["counts"] == {"failed": 0, "passed": 39, "skipped": 0, "total": 39}
+        assert "PASS: 39 passed" in out
 
     def test_fresh_2d_runs_every_check(self, tmp_path, capsys):
         # the K ascent runs too: 39 checks, const.k_numeric_close among them
@@ -333,6 +344,22 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads((tmp_path / "verify_report.json").read_text())
         assert doc["counts"] == {"failed": 0, "passed": 39, "skipped": 0, "total": 39}
+        assert "PASS: 39 passed" in out
+
+    def test_fresh_3d_runs_every_check(self, tmp_path, capsys):
+        # the fast 3D desk problem: the K ascent climbs on 32^3 and polishes on
+        # 64^3.  The small --samples is what keeps it in Tier-1: each GN sample
+        # is a 64^3 field
+        code, out, _ = run(
+            capsys, "verify", "--fresh", "--N", "3", "--p", "4", "--eps", "1",
+            "--points", "64", "--box", "32", "--tol", "1e-8", "--samples", "20",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "verify_report.json").read_text())
+        assert doc["counts"] == {"failed": 0, "passed": 39, "skipped": 0, "total": 39}
+        (check,) = [c for c in doc["checks"] if c["name"] == "const.k_numeric_close"]
+        assert "on 32 points per axis" in check["detail"]
         assert "PASS: 39 passed" in out
 
     def test_verify_stored_states(self, tmp_path, capsys):
@@ -346,7 +373,7 @@ class TestVerifyCommand:
             capsys, "verify",
             "--energy-state", str(tmp_path / "ground_state_critical_mass.bnls"),
             "--action-state", str(tmp_path / "action_gss.bnls"),
-            *FAST, "--samples", "30", "--skip-k-numeric", "--out-dir", str(tmp_path),
+            *FAST, "--samples", "30", "--out-dir", str(tmp_path),
         )
         assert code == 0
         assert "PASS" in out
@@ -565,7 +592,7 @@ class TestSweepCommand:
         problem = ["--N", "1", "--p", "8", "--eps", "1", "--points", "1024", "--box", "40",
                    "--seed", "3", "--tol", tol, "--out-dir", str(tmp_path)]
         assert run(capsys, "sweep", *problem)[0] == code
-        verified = run(capsys, "verify", "--fresh", *problem, "--samples", "20", "--skip-k-numeric")
+        verified = run(capsys, "verify", "--fresh", *problem, "--samples", "20")
         assert verified[0] == code
         with (tmp_path / "sweep.csv").open() as handle:
             (row,) = csv.DictReader(handle)
@@ -678,6 +705,14 @@ class TestInputErrors:
             (["ground-state", "--tol", "inf"], None, "tol_residual must be positive finite"),
             (["ground-state", "--config", "c.json"], {"tol_residual": float("inf")},
              "tol_residual must be positive finite"),
+            # a stored zero field exited 3, the divergence code, though nothing
+            # was solved: no multiplier can be read off it
+            (["ground-state", "--load", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}, "zero"),
+             "x.bnls holds the zero field"),
+            (["verify", "--energy-state", "x.bnls"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}, "zero"),
+             "x.bnls holds the zero field"),
             # --fresh was not read: the stored state was verified in its place
             (["verify", "--fresh", "--energy-state", "x.bnls"],
              (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}), "--fresh"),
@@ -691,13 +726,15 @@ class TestInputErrors:
              "config-eps-infinity", "config-mass-infinity", "eps-inf", "verify-seed-negative",
              "random-init-seed-negative", "sidecar-warnings-abc", "sidecar-iters-2.9",
              "sidecar-route-7", "sidecar-bign-true", "sidecar-p-string", "tol-inf",
-             "config-tol-infinity", "verify-fresh-energy-state", "verify-fresh-action-state"],
+             "config-tol-infinity", "load-zero-field", "verify-zero-energy-state",
+             "verify-fresh-energy-state", "verify-fresh-action-state"],
     )
     def test_malformed_value_exit_2(self, argv, stored, named, tmp_path, capsys, monkeypatch):
         # a value of the wrong type or range, in a sidecar, a config file or a
         # flag, is refused where it is read, before anything is solved or
         # written; a 2D p 4.5 state (p 4.5 lies in the 2D and the 3D window)
-        # is not taken for a 3D one
+        # is not taken for a 3D one; a stored tuple's third entry "zero" stores
+        # the zero field in place of the bump
         import numpy as np
 
         from bnls.fieldio import write_field
@@ -705,10 +742,10 @@ class TestInputErrors:
 
         monkeypatch.chdir(tmp_path)
         if isinstance(stored, tuple):
-            dim, sidecar = stored
+            dim, sidecar, *zero = stored
             grid = BoxGrid(dim, 32, 10.0)
             bump = np.exp(-sum(x**2 for x in grid.coordinates()))
-            write_field("x.bnls", Field(grid, bump), sidecar=sidecar)
+            write_field("x.bnls", Field(grid, 0.0 * bump if zero else bump), sidecar=sidecar)
         elif stored is not None:
             Path("c.json").write_text(json.dumps(stored))
         inputs = {path.name for path in tmp_path.iterdir()}

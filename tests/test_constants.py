@@ -137,17 +137,24 @@ class TestPipeline:
         got = K_numeric(params, grid, config, n_starts=2).value
         assert got == pytest.approx(constants_report.K, rel=1e-4)
 
-    def test_compute_constants_with_k_numeric(self, params, config):
+    def test_verify_constants_checks_k_numeric(self, params, config):
         from bnls.grid import BoxGrid
         from bnls.solvers import route_Q
+        from bnls.verify import verify_constants
 
         small = BoxGrid(1, 512, 40.0)
-        q = route_Q(params, small, config)
-        cr = compute_constants(q, K_numeric(params, small, config))
-        assert cr.K_numeric == pytest.approx(cr.K, rel=1e-3)
-        # the provenance states the coarse stage: a quarter of the points
-        assert cr.provenance["K_numeric"].startswith("numeric")
-        assert "on 128 points per axis" in cr.provenance["K_numeric"]
+        cr = compute_constants(route_Q(params, small, config))
+        # the chain holds no ascent: verify checks it, beside the chain
+        assert set(cr.provenance) == set(cr.CHAIN)
+        assert set(cr.as_dict()) == {*cr.CHAIN, "provenance"}
+        ascent = K_numeric(params, small, config)
+        assert ascent.value == pytest.approx(cr.K, rel=1e-3)
+        (check,) = [c for c in verify_constants(cr, params, ascent).checks
+                    if c.name == "const.k_numeric_close"]
+        # the detail states the coarse stage: a quarter of the points
+        assert check.passed and check.detail == ascent.provenance()
+        assert check.detail.startswith("numeric")
+        assert "on 128 points per axis" in check.detail
 
 
 class TestComputeConstants:
@@ -224,12 +231,12 @@ class TestKAscent:
 
         params2 = Params(bigN=2, p=5.0, eps=1.0)
         grid2 = BoxGrid(2, 128, 40.0)
-        q = route_Q(params2, grid2, config)
-        cr = compute_constants(q, K_numeric(params2, grid2, config))
-        report = verify_constants(cr, params2)
+        ascent = K_numeric(params2, grid2, config)
+        cr = compute_constants(route_Q(params2, grid2, config))
+        report = verify_constants(cr, params2, ascent)
         (check,) = [c for c in report.checks if c.name == "const.k_numeric_close"]
         assert check.passed and check.tol == TolProfile().algebraic
-        assert check.detail == cr.provenance["K_numeric"]
+        assert check.detail == ascent.provenance()
         assert "on 32 points per axis" in check.detail
 
     def test_3d_eight_starts_reach_route_q(self):
@@ -244,8 +251,8 @@ class TestKAscent:
         grid = BoxGrid(3, 64, 32.0)
         config = SolverConfig(tol_residual=1e-8)
         ascent = K_numeric(params, grid, config)
-        cr = compute_constants(route_Q(params, grid, config), ascent)
-        (check,) = [c for c in verify_constants(cr, params).checks
+        cr = compute_constants(route_Q(params, grid, config))
+        (check,) = [c for c in verify_constants(cr, params, ascent).checks
                     if c.name == "const.k_numeric_close"]
         assert check.passed and check.tol == TolProfile().algebraic
         assert ascent.coarse_points == 32 and ascent.fine_sweeps <= 15

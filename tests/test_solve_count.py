@@ -35,7 +35,7 @@ def solves(monkeypatch):
 
 
 def test_fresh_verification(solves):
-    report, _ = full_verification(PARAMS, GRID, CONFIG, n_samples=20, with_k_numeric=True)
+    report, _ = full_verification(PARAMS, GRID, CONFIG, n_samples=20)
     assert report.passed
     assert len(solves) == 1
 
@@ -45,7 +45,7 @@ def test_verification_of_supplied_energy_state(solves):
     solves.clear()
     # the supplied state is still checked against constants of a fresh solve
     report, states = full_verification(
-        PARAMS, GRID, CONFIG, n_samples=20, with_k_numeric=False, energy_state=stored
+        PARAMS, GRID, CONFIG, n_samples=20, energy_state=stored
     )
     assert report.passed
     assert states["energy"] is stored
@@ -55,11 +55,11 @@ def test_verification_of_supplied_energy_state(solves):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["constants", "--k-numeric"],
+        ["constants"],
         ["sweep", "--p-grid", "8"],
         ["action-gss"],
     ],
-    ids=["constants-k-numeric", "sweep-row", "action-gss-without-omega"],
+    ids=["constants", "sweep-row", "action-gss-without-omega"],
 )
 def test_cli_pipelines(solves, argv, tmp_path, capsys):
     assert main(argv + FAST + ["--out-dir", str(tmp_path)]) == 0

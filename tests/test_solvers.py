@@ -215,6 +215,15 @@ class TestPetviashvili:
         assert len(err.value.history) == 3
         assert math.isfinite(err.value.history[-1])
 
+    def test_vanishing_error_carries_history(self, grid, lp_vanishes_on_third_sweep):
+        # the third sweep finds lp = 0: the residuals of the two before it stay
+        pm = Params(bigN=1, p=8.0, eps=1.0, omega=2.0)
+        with pytest.raises(DivergenceError) as err:
+            petviashvili(pm, grid, SolverConfig())
+        assert err.value.cause == "vanishing"
+        assert len(err.value.history) == 2
+        assert all(math.isfinite(r) for r in err.value.history)
+
     def test_2d_ground_state(self):
         pm = Params(bigN=2, p=5.0, eps=1.0, omega=1.0)
         g = BoxGrid(2, 128, 30.0)

@@ -30,7 +30,7 @@ from bnls.verify import (
 
 @pytest.fixture(scope="module")
 def full_run(params, grid, config):
-    return full_verification(params, grid, config, n_samples=200, with_k_numeric=True)
+    return full_verification(params, grid, config, n_samples=200)
 
 
 class TestFullSuite:
@@ -44,6 +44,8 @@ class TestFullSuite:
         report, _ = full_run
         missing = REQUIRED_CHECKS - report.names()
         assert not missing
+        # the K ascent always runs, so the default suite is the manifest
+        assert report.names() == REQUIRED_CHECKS and len(REQUIRED_CHECKS) == 39
 
     def test_provenance_recorded(self, full_run):
         report, _ = full_run
@@ -53,8 +55,8 @@ class TestFullSuite:
     def test_deterministic(self, params, config, full_run):
         report, _ = full_run
         small = BoxGrid(1, 512, 40.0)
-        a, _ = full_verification(params, small, config, n_samples=50, with_k_numeric=False)
-        b, _ = full_verification(params, small, config, n_samples=50, with_k_numeric=False)
+        a, _ = full_verification(params, small, config, n_samples=50)
+        b, _ = full_verification(params, small, config, n_samples=50)
         assert a.as_dict() == b.as_dict()
 
     def test_json_and_table_render(self, full_run):
