@@ -2,16 +2,20 @@
 
 Configuration is a flat JSON file mirroring Params + SolverConfig + grid keys;
 flags, built from the same table (CONFIG_KEYS) and typed by argparse, override
-file values.  ``main`` resolves the configuration (and echoes it for
---print-config) once, then hands it to the subcommand.  Exit codes: 0 pass, 1
-check failure, 2 configuration/regime error, 3 solver divergence.  Config-file
-and sidecar values are read through one typed table by JSON's rules: an int key
-takes only an integer (not true, not 1.0), a float key any number but a bool,
-stored as a float.  A value of the wrong type, or an input that cannot be read
-(a config file, a grid, an exponent list, a state path, BNLS_THREADS), raises
-ConfigurationError naming the key and its file, so it exits 2 with one
-``error:`` line; so do a non-finite eps, omega or mass, a non-finite tolerance,
-a negative seed, a stored zero field and verify --fresh beside a stored state.
+file values.  A key that one subcommand alone reads (READ_BY: mass for
+ground-state, omega for action-gss, samples for verify) has its flag, and its
+range check, there only.  ``main`` resolves the configuration (and echoes it
+for --print-config) once, then hands it to the subcommand.  Exit codes: 0 pass,
+1 check failure, 2 configuration/regime error, 3 solver divergence.
+Config-file and sidecar values are read through one typed table by JSON's
+rules: an int key takes only an integer (not true, not 1.0), a float key any
+number but a bool, stored as a float.  A value of the wrong type, or an input
+that cannot be read (a config file, a grid, an exponent list, a state path,
+BNLS_THREADS), raises ConfigurationError naming the key and its file, so it
+exits 2 with one ``error:`` line; so do a non-finite eps, omega or mass, a
+non-finite tolerance, a negative seed, verify's samples below 1, a stored zero
+field, verify --fresh beside a stored state and ground-state --load beside a
+config flag.
 BNLS_THREADS caps the sweep worker count.  The sweep's residual columns and its
 identities flag are ``verify.q_checks``, the checks of ``verify_Q``, at their
 tiers.  A stalled sweep row is retried on its cause; every row is written, with
@@ -65,6 +69,8 @@ CONFIG_KEYS = {  # key: (default, type, flag, help)
     "out_dir": (".", str, "--out-dir", "output directory"),
     "samples": (500, int, "--samples", "random fields for inequality tests"),
 }
+# a key that one subcommand alone reads: only that subcommand takes its flag
+READ_BY = {"mass": "ground-state", "omega": "action-gss", "samples": "verify"}
 SIDECAR_PARAMS = {  # a sidecar's Params fields; bigN, p and eps are required
     "bigN": (None, int), "p": (None, float), "eps": (None, float),
     "omega": (None, float | None), "mass_c": (None, float | None), "relaxed": (False, bool),
@@ -120,14 +126,11 @@ def resolve_config(args) -> dict:
         if not any(getattr(args, key, None) for key in ("load", "energy_state", "eps_grid")):
             log.info("eps not configured; defaulting to eps = 1")
         cfg["eps"] = 1.0
-    if cfg["samples"] < 1:
-        raise ConfigurationError(f"samples must be an integer >= 1, got {cfg['samples']!r}")
     return cfg
 
 
 def build_problem(cfg) -> tuple:
-    params = Params(bigN=cfg["N"], p=cfg["p"], eps=cfg["eps"], omega=cfg["omega"],
-                    mass_c=cfg["mass"], relaxed=cfg["relaxed"])
+    params = Params(bigN=cfg["N"], p=cfg["p"], eps=cfg["eps"], relaxed=cfg["relaxed"])
     try:
         grid = BoxGrid(dim=cfg["N"], points_per_axis=cfg["points"], box_length=cfg["box"])
     except ValueError as exc:
@@ -214,6 +217,11 @@ def cmd_constants(args, cfg) -> int:
 
 def cmd_ground_state(args, cfg) -> int:
     if args.load:
+        got = ["--config"] * bool(args.config) + [
+            row[2] for key, row in CONFIG_KEYS.items() if getattr(args, key, None) is not None
+        ]
+        if got:
+            raise ConfigurationError(f"--load takes no {', '.join(got)}; it reads a stored state")
         gs = load_state(args.load)
         print(
             f"loaded {args.load}: route={gs.route} mass={gs.nt.mass:.12g} "
@@ -221,8 +229,8 @@ def cmd_ground_state(args, cfg) -> int:
         )
         return 0
     params, grid, solver = build_problem(cfg)
-    if params.mass_c is not None:
-        gs = mass_constrained_flow(params, grid, solver)
+    if cfg["mass"] is not None:
+        gs = mass_constrained_flow(params.with_mass(cfg["mass"]), grid, solver)
         name = "ground_state_mass_flow"
     else:
         gs = route_Q(params, grid, solver)
@@ -237,10 +245,11 @@ def cmd_ground_state(args, cfg) -> int:
 
 def cmd_action_gss(args, cfg) -> int:
     params, grid, solver = build_problem(cfg)
-    if params.omega is None:
+    omega = cfg["omega"]
+    if omega is None:
         omega = compute_constants(route_Q(params, grid, solver)).omega_eps
         log.info("omega not configured; using the optimizer frequency %.12g", omega)
-        params = params.with_omega(omega)
+    params = params.with_omega(omega)
     gs = petviashvili(params, grid, solver)
     path = save_state(gs, solver, cfg["out_dir"], "action_gss")
     print(
@@ -254,6 +263,8 @@ def cmd_verify(args, cfg) -> int:
     if args.fresh and (args.energy_state or args.action_state):
         raise ConfigurationError("--fresh solves new states; it takes no --energy-state "
                                  "or --action-state")
+    if cfg["samples"] < 1:
+        raise ConfigurationError(f"samples must be an integer >= 1, got {cfg['samples']!r}")
     params, grid, solver = build_problem(cfg)
     energy_state = action_state = None
     if args.energy_state:
@@ -354,17 +365,23 @@ def cmd_sweep(args, cfg) -> int:
 # argument plumbing
 
 
+def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """The flags of the config keys ``keys``, typed from their CONFIG_KEYS rows."""
+    for key in keys:
+        _, kind, flag, text = CONFIG_KEYS[key]
+        if kind is bool:  # a flag that switches the key on; absent, the file decides
+            parser.add_argument(flag, dest=key, action="store_const", const=True, help=text)
+        else:
+            parser.add_argument(flag, dest=key, type={float | None: float}.get(kind, kind),
+                                choices=INIT_MODES if key == "init" else None, help=text)
+
+
 def _common_parser() -> argparse.ArgumentParser:
     """The flags every subcommand takes, as a parent parser: built once, copied into each."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (flat keys; flags override)")
     common.add_argument("--print-config", action="store_true", help="echo the resolved config")
-    for key, (_, kind, flag, text) in CONFIG_KEYS.items():
-        if kind is bool:  # a flag that switches the key on; absent, the file decides
-            common.add_argument(flag, dest=key, action="store_const", const=True, help=text)
-        else:
-            common.add_argument(flag, dest=key, type={float | None: float}.get(kind, kind),
-                                choices=INIT_MODES if key == "init" else None, help=text)
+    _add_config_flags(common, [key for key in CONFIG_KEYS if key not in READ_BY])
     return common
 
 
@@ -379,30 +396,29 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     common = [_common_parser()]
 
-    c = subs.add_parser(
-        "constants", help="best constants, critical mass, frequency table", parents=common
-    )
+    def add(name, **kwargs) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, parents=common, **kwargs)
+        _add_config_flags(sub, [key for key, reader in READ_BY.items() if reader == name])
+        return sub
+
+    c = add("constants", help="best constants, critical mass, frequency table")
     c.set_defaults(func=cmd_constants)
 
-    g = subs.add_parser(
-        "ground-state", help="critical-mass state, or mass flow with --mass", parents=common
-    )
+    g = add("ground-state", help="critical-mass state, or mass flow with --mass")
     g.add_argument("--load", help="load and report a stored field instead of solving")
     g.set_defaults(func=cmd_ground_state)
 
-    a = subs.add_parser("action-gss", help="fixed-frequency ground state", parents=common)
+    a = add("action-gss", help="fixed-frequency ground state")
     a.set_defaults(func=cmd_action_gss)
 
-    v = subs.add_parser(
-        "verify", help="run every identity check on fresh or stored states", parents=common
-    )
+    v = add("verify", help="run every identity check on fresh or stored states")
     v.add_argument("--fresh", action="store_true",
                    help="solve fresh states (the default when no paths are given)")
     v.add_argument("--energy-state", help="stored critical-mass state to verify")
     v.add_argument("--action-state", help="stored fixed-frequency state to verify")
     v.set_defaults(func=cmd_verify)
 
-    s = subs.add_parser(
+    s = add(
         "sweep",
         help="CSV over a parameter grid",
         epilog="CSV columns: " + ", ".join(SWEEP_COLUMNS) + ". "
@@ -414,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         "doubles the points, box the points and the box. status is ok or the last cause; a "
         "failed row has empty numbers and is named on stderr. Exit 3 if a row failed, else "
         "1 if identities fail. BNLS_THREADS caps the worker count.",
-        parents=common,
     )
     s.add_argument("--p-grid", help="comma-separated exponents, e.g. 7,7.5,8")
     s.add_argument("--eps-grid", help="comma-separated dispersion values")

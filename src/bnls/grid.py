@@ -30,7 +30,7 @@ iteration that hands in its own output and work arrays therefore transforms
 without fresh memory: large temporaries go back to the operating system when
 freed, so allocating them anew each sweep pays page faults on every page,
 which cost more than the arithmetic on 3D grids.  The ``out=`` argument of
-``numpy.fft`` needs numpy 2.0.
+``numpy.fft`` needs numpy 2.0, and ``np.reshape(..., copy=False)`` numpy 2.1.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Identity checks over computed states, collected into pass/fail reports.
 
 Every identity the computed states are supposed to satisfy becomes a named
-check with a measured residual and a tolerance drawn from a tiered profile:
-``algebraic`` for pure NormTuple arithmetic, ``numeric`` for single-solve
-identities, ``cross`` tiers for quantities that compose several numeric
-stages.  ``REQUIRED_CHECKS`` is the coverage manifest: the default full suite
+check with a measured residual and a tolerance drawn from the four tiers of
+``TOL``: ``algebraic`` for pure NormTuple arithmetic, ``numeric`` for
+single-solve identities, ``cross_numeric`` for quantities that compose several
+numeric stages and ``route`` for the comparison of the two ground-state
+routes.  ``REQUIRED_CHECKS`` is the coverage manifest: the default full suite
 must produce every name in it, and the test suite enforces that.
 """
 
@@ -71,12 +72,15 @@ from .solvers import (
 
 @dataclass(frozen=True)
 class TolProfile:
-    """Three-tier tolerances; override any field per call."""
+    """The four tolerance tiers of the module doc; every check reads the one instance TOL."""
 
     algebraic: float = 1e-10
     numeric: float = 1e-6
     cross_numeric: float = 1e-4
     route: float = 1e-3
+
+
+TOL = TolProfile()
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,7 @@ REQUIRED_CHECKS = frozenset(
 # checks on the constructed critical-mass state
 
 
-def _fiber_frame(gs: GroundState, omega: float, tol: TolProfile) -> tuple:
+def _fiber_frame(gs: GroundState, omega: float) -> tuple:
     """(params at omega, quadratic scale, skip reason) for a fiber statement.
 
     The fiber statements presuppose the Nehari and dilation identities; when
@@ -184,14 +188,14 @@ def _fiber_frame(gs: GroundState, omega: float, tol: TolProfile) -> tuple:
     pm = gs.params.with_omega(omega)
     scale = quadratic_scale(gs.nt, pm)
     gap = max(abs(nehari_residual(gs.nt, pm)), abs(pohozaev(gs.nt, pm))) / scale
-    if gap > tol.numeric:
+    if gap > TOL.numeric:
         return pm, scale, f"stationarity identities off by {gap:.3e}; not a solution"
     return pm, scale, ""
 
 
-def _fiber_max_check(prefix: str, gs: GroundState, omega: float, tol: TolProfile) -> Check:
+def _fiber_max_check(prefix: str, gs: GroundState, omega: float) -> Check:
     """Action maximality along u^t = t^N u(t.): I(u) - I(u^t) > 0 for t != 1."""
-    pm, scale, unsolved = _fiber_frame(gs, omega, tol)
+    pm, scale, unsolved = _fiber_frame(gs, omega)
     base = action(gs.nt, pm)
     gaps = [] if unsolved else [
         base - action(fiber_scale_laws(gs.nt, t, pm), pm) for t in fiber_t_grid() if t != 1.0
@@ -200,15 +204,15 @@ def _fiber_max_check(prefix: str, gs: GroundState, omega: float, tol: TolProfile
         f"{prefix}.fiber_action_max_at_one",
         "I(u) >= I(t^N u(t.)) for t in [1/4, 4], equality only at t = 1",
         max(0.0, -min(gaps, default=0.0)) / scale,
-        tol.algebraic,
+        TOL.algebraic,
         skipped=bool(unsolved),
         detail=unsolved or f"smallest off-peak gap {min(gaps):.3e}",
     )
 
 
-def _fiber_gap_check(prefix: str, gs: GroundState, omega: float, tol: TolProfile) -> Check:
+def _fiber_gap_check(prefix: str, gs: GroundState, omega: float) -> Check:
     """The three-term split of the action gap I(u) - I(u^t) at four off-peak t."""
-    pm, scale, unsolved = _fiber_frame(gs, omega, tol)
+    pm, scale, unsolved = _fiber_frame(gs, omega)
     base = action(gs.nt, pm)
     errors = [] if unsolved else [
         abs(base - action(fiber_scale_laws(gs.nt, t, pm), pm)
@@ -219,13 +223,13 @@ def _fiber_gap_check(prefix: str, gs: GroundState, omega: float, tol: TolProfile
         f"{prefix}.fiber_gap_decomposition",
         "I(u) - I(u^t) splits into the three g-weighted norm terms",
         max(errors, default=0.0),
-        tol.algebraic,
+        TOL.algebraic,
         skipped=bool(unsolved),
         detail=unsolved,
     )
 
 
-def verify_Q(gs: GroundState, cr: ConstantsReport, tol: TolProfile = TolProfile()) -> VerificationReport:
+def verify_Q(gs: GroundState, cr: ConstantsReport) -> VerificationReport:
     """All identities the constructed critical-mass state must satisfy.
 
     Mildly off states produce a report whose checks fail; grossly unconverged
@@ -235,10 +239,10 @@ def verify_Q(gs: GroundState, cr: ConstantsReport, tol: TolProfile = TolProfile(
         raise PreconditionError(
             f"refusing to verify an unconverged state (residual {gs.residual_pde:.3e})"
         )
-    return VerificationReport(checks=q_checks(gs, cr, tol))
+    return VerificationReport(checks=q_checks(gs, cr))
 
 
-def q_checks(gs: GroundState, cr: ConstantsReport, tol: TolProfile = TolProfile()) -> tuple:
+def q_checks(gs: GroundState, cr: ConstantsReport) -> tuple:
     """The checks of :func:`verify_Q`, taken on any state, however unconverged.
 
     ``sweep`` reports its identity columns from these, so a row solved to a
@@ -257,73 +261,73 @@ def q_checks(gs: GroundState, cr: ConstantsReport, tol: TolProfile = TolProfile(
             "q.pde_residual",
             "eps lap^2 Q - lap Q + omega Q = |Q|^(p-2) Q",
             gs.residual_pde,
-            tol.numeric,
+            TOL.numeric,
         ),
         _check(
             "q.ratio_grad_bilap",
             "grad(Q) = (beta/alpha) eps bilap(Q)",
             abs(nt.grad * ep.alpha / (ep.beta * eps * nt.bilap) - 1.0),
-            tol.numeric,
+            TOL.numeric,
         ),
         _check(
             "q.ratio_grad_lp",
             "grad(Q) = (beta/p) lp(Q)",
             abs(nt.grad * p / (ep.beta * nt.lp) - 1.0),
-            tol.numeric,
+            TOL.numeric,
         ),
         _check(
             "q.ratio_bilap_lp",
             "bilap(Q) = (alpha/p) lp(Q) / eps",
             abs(nt.bilap * p * eps / (ep.alpha * nt.lp) - 1.0),
-            tol.numeric,
+            TOL.numeric,
         ),
         _check(
             "q.energy_zero",
             "energy(Q) = 0",
             abs(energy(nt, params)) / scale,
-            tol.numeric,
+            TOL.numeric,
         ),
         _check(
             "q.mass_at_least_critical",
             "mass(Q) >= c_eps",
             max(0.0, (cr.c_eps - nt.mass) / cr.c_eps),
-            tol.cross_numeric,
+            TOL.cross_numeric,
         ),
         _check(
             "q.mass_equals_critical",
             "mass(Q) = c_eps",
             abs(nt.mass - cr.c_eps) / cr.c_eps,
-            tol.cross_numeric,
+            TOL.cross_numeric,
         ),
         _check(
             "q.nehari_zero",
             "eps bilap + grad + omega mass = lp at the extracted omega",
             abs(nehari_residual(nt, pm)) / scale,
-            tol.numeric,
+            TOL.numeric,
         ),
         _check(
             "q.pohozaev_zero",
             "dilation identity vanishes at the extracted omega",
             abs(pohozaev(nt, pm)) / scale,
-            tol.numeric,
+            TOL.numeric,
         ),
         _check(
             "q.omega_matches_formula",
             "extracted omega equals the optimizer-mass frequency",
             abs(omega_x - cr.omega_eps) / cr.omega_eps,
-            tol.numeric,
+            TOL.numeric,
         ),
         _check(
             "q.weinstein_optimal",
             "W_p(Q) * C = 1",
             abs(weinstein(nt, params) * cr.C - 1.0),
-            tol.numeric,
+            TOL.numeric,
         ),
         _check(
             "q.gnk_quotient_extremal",
             "gn_k_quotient(Q) = (p/2) c_eps^(-(p-2)/2)",
             abs(gn_k_quotient(nt, params) / K_from_c_eps(cr.c_eps, params) - 1.0),
-            tol.cross_numeric,
+            TOL.cross_numeric,
         ),
     ]
     qd, bracket = energy_factored(nt, params.with_mass(nt.mass))
@@ -332,7 +336,7 @@ def q_checks(gs: GroundState, cr: ConstantsReport, tol: TolProfile = TolProfile(
             "q.energy_factored_reconstruction",
             "energy = (1/2) (eps bilap + grad) * bracket on the mass sphere",
             abs(0.5 * qd * bracket - energy(nt, params)) / scale,
-            tol.algebraic,
+            TOL.algebraic,
         )
     )
     checks.append(
@@ -340,7 +344,7 @@ def q_checks(gs: GroundState, cr: ConstantsReport, tol: TolProfile = TolProfile(
             "q.energy_factored_bracket_zero",
             "factored-energy bracket vanishes at the optimizer with critical mass",
             abs(bracket),
-            tol.cross_numeric,
+            TOL.cross_numeric,
         )
     )
     te = t_eps(nt, params)
@@ -349,7 +353,7 @@ def q_checks(gs: GroundState, cr: ConstantsReport, tol: TolProfile = TolProfile(
             "q.h_profile_critical_at_one",
             "the rescaled energy profile has its critical point at t = 1",
             abs(te - 1.0),
-            tol.numeric,
+            TOL.numeric,
         )
     )
     delta = 1e-5 * te
@@ -363,8 +367,8 @@ def q_checks(gs: GroundState, cr: ConstantsReport, tol: TolProfile = TolProfile(
             1e-10,
         )
     )
-    checks.append(_fiber_max_check("q", gs, omega_x, tol))
-    checks.append(_fiber_gap_check("q", gs, omega_x, tol))
+    checks.append(_fiber_max_check("q", gs, omega_x))
+    checks.append(_fiber_gap_check("q", gs, omega_x))
     return tuple(checks)
 
 
@@ -372,9 +376,7 @@ def q_checks(gs: GroundState, cr: ConstantsReport, tol: TolProfile = TolProfile(
 # equivalence of the two ground-state notions
 
 
-def verify_equivalence(
-    gsE: GroundState, gsA: GroundState, tol: TolProfile = TolProfile()
-) -> VerificationReport:
+def verify_equivalence(gsE: GroundState, gsA: GroundState) -> VerificationReport:
     """Compare a critical-mass energy minimizer with a fixed-frequency minimizer."""
     pe, pa = gsE.params, gsA.params
     if (pe.bigN, pe.p, pe.eps) != (pa.bigN, pa.p, pa.eps):
@@ -405,25 +407,25 @@ def verify_equivalence(
             "equiv.aligned_distance",
             "energy and action ground states coincide after centering",
             distance,
-            tol.route,
+            TOL.route,
         ),
         _check(
             "equiv.mass_match",
             "action ground state at the optimizer frequency has critical mass",
             abs(gsA.nt.mass - gsE.nt.mass) / gsE.nt.mass,
-            tol.cross_numeric,
+            TOL.cross_numeric,
         ),
         _check(
             "equiv.action_energy_zero",
             "action ground state at the optimizer frequency has zero energy",
             abs(energy(gsA.nt, pa)) / scale,
-            tol.cross_numeric,
+            TOL.cross_numeric,
         ),
         _check(
             "equiv.action_match",
             "both routes give the same action value",
             abs(i_e - i_a) / max(abs(i_e), abs(i_a)),
-            tol.route,
+            TOL.route,
         ),
         _check(
             "equiv.action_positive",
@@ -436,10 +438,10 @@ def verify_equivalence(
             "equiv.fiber_t_one",
             "the mass-matching fiber parameter equals 1",
             abs(t_star - 1.0),
-            tol.cross_numeric,
+            TOL.cross_numeric,
         ),
     ]
-    checks.append(_fiber_max_check("equiv", gsA, omega, tol))
+    checks.append(_fiber_max_check("equiv", gsA, omega))
     return VerificationReport(checks=tuple(checks))
 
 
@@ -455,7 +457,6 @@ def verify_gn_random(
     seed: int = 7,
     grid: BoxGrid | None = None,
     fields=None,
-    tol: TolProfile = TolProfile(),
 ) -> VerificationReport:
     """Random band-limited fields never violate the two inequalities or the
     interpolation chain that proves the homogeneous one.
@@ -502,21 +503,21 @@ def verify_gn_random(
             "gn.weinstein_lower_bound",
             "W_p(u) >= 1/C for every field",
             max(0.0, 1.0 - worst_w),
-            tol.numeric,
+            TOL.numeric,
             detail=f"{used} samples, worst margin {worst_w - 1.0:.3e}",
         ),
         _check(
             "gn.k_quotient_upper_bound",
             "gn_k_quotient(u) <= K for every field",
             max(0.0, worst_k - 1.0),
-            tol.numeric,
+            TOL.numeric,
             detail=f"{used} samples, worst margin {1.0 - worst_k:.3e}",
         ),
         _check(
             "gn.holder_chain",
             "lp interpolates between the two mass-critical integrals",
             max(0.0, -worst_holder),
-            tol.algebraic,
+            TOL.algebraic,
             detail=f"{used} samples, smallest slack {worst_holder:.3e}",
         ),
     ]
@@ -526,7 +527,7 @@ def verify_gn_random(
                 "gn.degenerate_samples",
                 "fields with vanishing derivative norms are excluded",
                 0.0,
-                tol.algebraic,
+                TOL.algebraic,
                 skipped=True,
                 detail=f"{skipped} degenerate sample(s) skipped",
             )
@@ -538,9 +539,7 @@ def verify_gn_random(
 # constants cross-relations and pure scaling algebra
 
 
-def verify_constants(
-    cr: ConstantsReport, params: Params, ascent: KAscent, tol: TolProfile = TolProfile()
-) -> VerificationReport:
+def verify_constants(cr: ConstantsReport, params: Params, ascent: KAscent) -> VerificationReport:
     """The constants chain's algebraic relations, and ``ascent`` (:func:`K_numeric`) against K."""
     ep = params.exponents()
     return VerificationReport(checks=(
@@ -548,13 +547,13 @@ def verify_constants(
             "const.k_routes_agree",
             "K from C equals K from c_eps",
             abs(K_from_C(cr.C, params) / K_from_c_eps(cr.c_eps, params) - 1.0),
-            tol.algebraic,
+            TOL.algebraic,
         ),
         _check(
             "const.k_inversion_roundtrip",
             "c_eps = ((2/p) K)^(-2/(p-2)) inverts K = (p/2) c_eps^(-(p-2)/2)",
             abs(c_eps_from_K(cr.K, params) / cr.c_eps - 1.0),
-            tol.algebraic,
+            TOL.algebraic,
         ),
         _check(
             "const.eps_c_roundtrip",
@@ -564,7 +563,7 @@ def verify_constants(
                 / (2.0 * cr.c_eps)
                 - 1.0
             ),
-            tol.algebraic,
+            TOL.algebraic,
         ),
         _check(
             "const.c_eps_scaling",
@@ -574,7 +573,7 @@ def verify_constants(
                 / (cr.c_eps * 64.0 ** (ep.alpha / (params.p - 2.0)))
                 - 1.0
             ),
-            tol.algebraic,
+            TOL.algebraic,
         ),
         _check(
             "const.omega_scaling",
@@ -585,7 +584,7 @@ def verify_constants(
                 / cr.omega_eps
                 - 1.0
             ),
-            tol.algebraic,
+            TOL.algebraic,
         ),
         # an ascent, but held to the algebraic tier: its random starts reach K
         # to roundoff on the 1D, 2D and 3D desk grids, though a half-cell shift
@@ -594,14 +593,14 @@ def verify_constants(
             "const.k_numeric_close",
             "ascent supremum reaches the closed-form K",
             abs(ascent.value / cr.K - 1.0),
-            tol.algebraic,
+            TOL.algebraic,
             detail=ascent.provenance(),
         ),
     ))
 
 
 def verify_scaling_algebra(
-    gs: GroundState, params: Params, tol: TolProfile = TolProfile(), seed: int = 5
+    gs: GroundState, params: Params, seed: int = 5
 ) -> VerificationReport:
     """Pure NormTuple algebra: scaling invariances and the g-polynomial facts."""
     nt = gs.nt
@@ -616,7 +615,7 @@ def verify_scaling_algebra(
             "alg.weinstein_scale_invariance",
             "W_p is invariant under the mass-preserving rescaling",
             worst,
-            tol.algebraic,
+            TOL.algebraic,
         )
     ]
     t_m = (2.0 * nt.mass / nt.mass) ** (1.0 / params.bigN)
@@ -626,7 +625,7 @@ def verify_scaling_algebra(
             "alg.fiber_mass_law",
             "the fiber scaling with t = (c/mass)^(1/N) lands exactly on mass c",
             abs(scaled.mass / (2.0 * nt.mass) - 1.0),
-            tol.algebraic,
+            TOL.algebraic,
         )
     )
     n, p = params.bigN, params.p
@@ -636,7 +635,7 @@ def verify_scaling_algebra(
             "alg.g_zero_at_one",
             "g1(1) = g2(1) = g3(1) = 0",
             max(abs(g) for g in g_at_one),
-            tol.algebraic,
+            TOL.algebraic,
         )
     )
     rng = np.random.default_rng(seed)
@@ -648,7 +647,7 @@ def verify_scaling_algebra(
             "alg.g_nonnegative",
             "each g polynomial is nonnegative on (0, inf)",
             worst_g,
-            tol.algebraic,
+            TOL.algebraic,
             detail="200 random t in [0.05, 20]",
         )
     )
@@ -692,7 +691,6 @@ def full_verification(
     params: Params,
     grid: BoxGrid,
     config: SolverConfig,
-    tol: TolProfile = TolProfile(),
     n_samples: int = 500,
     energy_state: "GroundState | None" = None,
     action_state: "GroundState | None" = None,
@@ -718,13 +716,11 @@ def full_verification(
         else petviashvili(params.with_omega(cr.omega_eps), grid, config)
     )
     checks = (
-        *verify_constants(cr, params, ascent, tol).checks,
-        *verify_Q(gs_energy, cr, tol).checks,
-        *verify_equivalence(gs_energy, gs_action, tol).checks,
-        *verify_gn_random(
-            params, cr.C, cr.K, n_samples=n_samples, seed=config.seed + 7, tol=tol
-        ).checks,
-        *verify_scaling_algebra(gs_energy, params, tol, seed=config.seed + 11).checks,
+        *verify_constants(cr, params, ascent).checks,
+        *verify_Q(gs_energy, cr).checks,
+        *verify_equivalence(gs_energy, gs_action).checks,
+        *verify_gn_random(params, cr.C, cr.K, n_samples=n_samples, seed=config.seed + 7).checks,
+        *verify_scaling_algebra(gs_energy, params, seed=config.seed + 11).checks,
     )
     provenance = {
         "params": {"bigN": params.bigN, "p": params.p, "eps": params.eps},

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -15,6 +16,14 @@ FAST = [
     "--box", "40",
     "--tol", "1e-9",
 ]
+COMMANDS = ["constants", "ground-state", "action-gss", "verify", "sweep"]
+SHARED_FLAGS = [  # a value for every config-key flag that every subcommand takes
+    "--N", "2", "--p", "5", "--eps", "0.5", "--relaxed", "--points", "64", "--box", "12.5",
+    "--max-iters", "9", "--tol", "1e-7", "--seed", "4", "--init", "random_bandlimited",
+    "--out-dir", "o",
+]
+OWN_FLAGS = {"ground-state": ["--mass", "3"], "action-gss": ["--omega", "2"],
+             "verify": ["--samples", "3"]}
 
 
 def run(capsys, *argv):
@@ -111,6 +120,16 @@ class TestConstantsCommand:
         assert code == 2
         assert key in err
 
+    def test_unread_samples_not_range_checked(self, tmp_path, capsys):
+        # only verify reads samples (its --samples 0 exits 2): a config's
+        # samples 0 once stopped constants too
+        (tmp_path / "c.json").write_text(json.dumps({"samples": 0}))
+        code, _, err = run(
+            capsys, "constants", "--config", str(tmp_path / "c.json"), "--N", "1", "--p", "8",
+            "--eps", "1", *FAST, "--out-dir", str(tmp_path),
+        )
+        assert code == 0, err
+
 
 class TestGroundStateCommand:
     def test_solve_and_files(self, tmp_path, capsys):
@@ -145,6 +164,20 @@ class TestGroundStateCommand:
         assert code == 0
         assert (tmp_path / "ground_state_mass_flow.bnls").exists()
         assert "mass_flow" in out
+        side = json.loads((tmp_path / "ground_state_mass_flow.bnls.json").read_text())
+        assert side["params"]["mass_c"] == 8.0 and side["params"]["omega"] is None
+
+    def test_sidecar_records_no_unread_omega(self, tmp_path, capsys):
+        # ground-state reads no omega: a config's omega 5 was once stored
+        # beside a state whose omega is 1.8467
+        (tmp_path / "c.json").write_text(json.dumps({"omega": 5}))
+        code, _, _ = run(
+            capsys, "ground-state", "--config", str(tmp_path / "c.json"), "--N", "1", "--p", "8",
+            "--eps", "1", *FAST, "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        side = json.loads((tmp_path / "ground_state_critical_mass.bnls.json").read_text())
+        assert side["params"]["omega"] is None and side["params"]["mass_c"] is None
 
     def test_load_reports_stored_state(self, tmp_path, capsys):
         code, _, _ = run(
@@ -321,6 +354,17 @@ class TestActionGssCommand:
         assert code == 0
         side = json.loads((tmp_path / "action_gss.bnls.json").read_text())
         assert side["params"]["omega"] == pytest.approx(1.8467, rel=1e-3)
+
+    def test_sidecar_records_no_unread_mass(self, tmp_path, capsys):
+        # action-gss reads no mass: a config's mass 3 was once stored as mass_c
+        (tmp_path / "c.json").write_text(json.dumps({"mass": 3}))
+        code, _, _ = run(
+            capsys, "action-gss", "--config", str(tmp_path / "c.json"), "--N", "1", "--p", "8",
+            "--eps", "1", "--omega", "2.0", *FAST, "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        side = json.loads((tmp_path / "action_gss.bnls.json").read_text())
+        assert side["params"]["mass_c"] is None and side["params"]["omega"] == 2.0
 
 
 class TestVerifyCommand:
@@ -718,6 +762,12 @@ class TestInputErrors:
              (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}), "--fresh"),
             (["verify", "--fresh", "--action-state", "x.bnls"],
              (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}), "--fresh"),
+            # --load reads only the stored state: these flags were ignored (exit 0)
+            (["ground-state", "--load", "x.bnls", "--N", "3", "--p", "4", "--out-dir", "zz"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}),
+             "--load takes no --N, --p, --out-dir"),
+            (["ground-state", "--load", "x.bnls", "--config", "c.json"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}), "--load takes no --config"),
         ],
         ids=["sidecar-iters-many", "sidecar-warnings-5", "sidecar-2d-field-bign-3",
              "config-samples-abc", "config-out-dir-5", "samples-0", "config-relaxed-false",
@@ -727,14 +777,15 @@ class TestInputErrors:
              "random-init-seed-negative", "sidecar-warnings-abc", "sidecar-iters-2.9",
              "sidecar-route-7", "sidecar-bign-true", "sidecar-p-string", "tol-inf",
              "config-tol-infinity", "load-zero-field", "verify-zero-energy-state",
-             "verify-fresh-energy-state", "verify-fresh-action-state"],
+             "verify-fresh-energy-state", "verify-fresh-action-state", "load-beside-flags",
+             "load-beside-config"],
     )
     def test_malformed_value_exit_2(self, argv, stored, named, tmp_path, capsys, monkeypatch):
         # a value of the wrong type or range, in a sidecar, a config file or a
         # flag, is refused where it is read, before anything is solved or
         # written; a 2D p 4.5 state (p 4.5 lies in the 2D and the 3D window)
         # is not taken for a 3D one; a stored tuple's third entry "zero" stores
-        # the zero field in place of the bump
+        # the zero field in place of the bump, and an empty c.json lies beside it
         import numpy as np
 
         from bnls.fieldio import write_field
@@ -746,6 +797,7 @@ class TestInputErrors:
             grid = BoxGrid(dim, 32, 10.0)
             bump = np.exp(-sum(x**2 for x in grid.coordinates()))
             write_field("x.bnls", Field(grid, 0.0 * bump if zero else bump), sidecar=sidecar)
+            Path("c.json").write_text("{}")
         elif stored is not None:
             Path("c.json").write_text(json.dumps(stored))
         inputs = {path.name for path in tmp_path.iterdir()}
@@ -783,44 +835,76 @@ class TestInputErrors:
 
 
 class TestConfigTable:
-    """CONFIG_KEYS and the shared flags describe the same keys and types."""
+    """CONFIG_KEYS and the subcommands' flags describe the same keys and types."""
 
     def test_every_key_has_a_flag_of_its_type(self):
-        from bnls.cli import CONFIG_KEYS, _common_parser
+        # a key that one subcommand alone reads has its flag there only; every
+        # other key has its flag on every subcommand
+        from bnls.cli import CONFIG_KEYS, READ_BY, build_parser
 
-        actions = {action.dest: action for action in _common_parser()._actions}
-        for key, (_, kind, _, _) in CONFIG_KEYS.items():
-            action = actions[key]
-            # --relaxed stores a constant; a flag without a type reads a string
-            flag_type = action.type or (str if action.const is None else type(action.const))
-            assert flag_type is {float | None: float}.get(kind, kind), key
+        parser = build_parser()
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(subs.choices) == sorted(COMMANDS)
+        for command, sub in subs.choices.items():
+            actions = {action.dest: action for action in sub._actions}
+            for key, (_, kind, _, _) in CONFIG_KEYS.items():
+                action = actions.get(key)
+                takes = READ_BY.get(key, command) == command
+                assert (action is not None) == takes, (command, key)
+                if action is None:
+                    continue
+                # --relaxed stores a constant; a flag without a type reads a string
+                flag_type = action.type or (str if action.const is None else type(action.const))
+                assert flag_type is {float | None: float}.get(kind, kind), (command, key)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "flag, key, reader",
+        [("--mass", "mass", "ground-state"), ("--omega", "omega", "action-gss"),
+         ("--samples", "samples", "verify")],
+    )
+    def test_single_reader_flag(self, flag, key, reader, command, capsys):
+        # each subcommand once took --mass, --omega and --samples and ignored
+        # the two it does not read; now argparse refuses them (exit 2)
+        from bnls.cli import build_parser
+
+        if command == reader:
+            assert getattr(build_parser().parse_args([command, flag, "3"]), key) == 3
+            return
+        with pytest.raises(SystemExit) as done:
+            build_parser().parse_args([command, flag, "3"])
+        assert done.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags",
-        [[], ["--N", "2", "--p", "5", "--eps", "0.5", "--omega", "2", "--mass", "3",
-              "--relaxed", "--points", "64", "--box", "12.5", "--max-iters", "9", "--tol", "1e-7",
-              "--seed", "4", "--init", "random_bandlimited", "--out-dir", "o", "--samples", "3"]],
-        ids=["defaults", "every-flag"],
+        "command, flags",
+        [("constants", []),
+         *((command, SHARED_FLAGS + OWN_FLAGS.get(command, [])) for command in COMMANDS)],
+        ids=["defaults", *(f"every-flag-{command}" for command in COMMANDS)],
     )
-    def test_print_config_round_trips(self, flags, tmp_path, capsys, monkeypatch):
+    def test_print_config_round_trips(self, command, flags, tmp_path, capsys, monkeypatch):
         # what --print-config prints, read back through --config, prints again
         import bnls.cli
+        from bnls.cli import CONFIG_KEYS, READ_BY
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(bnls.cli, "cmd_constants", lambda args, cfg: 0)
-        code, printed, _ = run(capsys, "constants", "--print-config", *flags)
+        monkeypatch.setattr(bnls.cli, "cmd_" + command.replace("-", "_"), lambda args, cfg: 0)
+        code, printed, _ = run(capsys, command, "--print-config", *flags)
         assert code == 0
+        if flags:  # every flag of the subcommand is given, so none prints its default
+            taken = [key for key in CONFIG_KEYS if READ_BY.get(key, command) == command]
+            assert all(json.loads(printed)[key] != CONFIG_KEYS[key][0] for key in taken)
         Path("c.json").write_text(printed)
-        code, again, _ = run(capsys, "constants", "--print-config", "--config", "c.json")
+        code, again, _ = run(capsys, command, "--print-config", "--config", "c.json")
         assert code == 0
         assert again == printed
         assert not (tmp_path / "o").exists()
 
 
 class TestHelp:
-    """The shared flags come from one parent parser; every help text is the one
-    each subcommand printed when it added those flags itself (tests/data/help,
-    written by Python 3.11's argparse at 80 columns)."""
+    """The shared flags come from one parent parser, and a key that one
+    subcommand alone reads has its flag there; every help text is its golden
+    in tests/data/help, written by Python 3.11's argparse at 80 columns."""
 
     @pytest.mark.parametrize(
         "command", ["bnls", "constants", "ground-state", "action-gss", "verify", "sweep"]

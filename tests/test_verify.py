@@ -119,7 +119,7 @@ class TestThreeDimensional:
         q = route_Q(params, BoxGrid(3, 64, 32.0), SolverConfig(tol_residual=1e-8))
         assert q.residual_pde <= 1e-8
         assert q.iters <= 130
-        out = verify_Q(q, compute_constants(q), TolProfile())
+        out = verify_Q(q, compute_constants(q))
         assert out.passed, out.table()
         assert any("spectral tail" in w and "under-resolve" in w for w in q.warnings)
 
