@@ -13,9 +13,12 @@ number but a bool, stored as a float.  A value of the wrong type, or an input
 that cannot be read (a config file, a grid, an exponent list, a state path,
 BNLS_THREADS), raises ConfigurationError naming the key and its file, so it
 exits 2 with one ``error:`` line; so do a non-finite eps, omega or mass, a
-non-finite tolerance, a negative seed, verify's samples below 1, a stored zero
-field, verify --fresh beside a stored state and ground-state --load beside a
-config flag.
+non-finite tolerance, a negative seed, verify's samples below 1 and a stored
+zero field.  A stored state (--load, --energy-state, --action-state), read once
+by resolve_config, sets the problem: N, p, eps and relaxed from its sidecar,
+points and box from its field (the energy state's, given both).  A problem key
+(flag or --config key) or verify --fresh beside it, any config flag or --config
+beside --load and two states of different problems exit 2.
 BNLS_THREADS caps the sweep worker count.  The sweep's residual columns and its
 identities flag are ``verify.q_checks``, the checks of ``verify_Q``, at their
 tiers.  A stalled sweep row is retried on its cause; every row is written, with
@@ -71,6 +74,7 @@ CONFIG_KEYS = {  # key: (default, type, flag, help)
 }
 # a key that one subcommand alone reads: only that subcommand takes its flag
 READ_BY = {"mass": "ground-state", "omega": "action-gss", "samples": "verify"}
+PROBLEM_KEYS = ("N", "p", "eps", "relaxed", "points", "box")  # a stored state sets these
 SIDECAR_PARAMS = {  # a sidecar's Params fields; bigN, p and eps are required
     "bigN": (None, int), "p": (None, float), "eps": (None, float),
     "omega": (None, float | None), "mass_c": (None, float | None), "relaxed": (False, bool),
@@ -121,9 +125,26 @@ def resolve_config(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    dests = [key for key in ("load", "energy_state", "action_state") if getattr(args, key, None)]
+    args.states = {}
+    if dests:
+        keys = CONFIG_KEYS if "load" in dests else PROBLEM_KEYS  # --load reads only the state
+        got = [CONFIG_KEYS[key][2] for key in keys if getattr(args, key, None) is not None]
+        got += [f"{key} in {args.config}" for key in keys if key in loaded]
+        got += ["--config"] * bool(args.config and "load" in dests)
+        got += ["--fresh"] * getattr(args, "fresh", False)
+        if got:
+            raise ConfigurationError(f"--{dests[0].replace('_', '-')} takes no "
+                                     f"{', '.join(got)}; a stored state sets the problem")
+        args.states = {dest: load_state(getattr(args, dest)) for dest in dests}
+        problems = [(s.params.bigN, s.params.p, s.params.eps, s.params.relaxed)
+                    for s in args.states.values()]
+        if len(set(problems)) > 1:
+            raise ConfigurationError(f"states of different (N, p, eps, relaxed): {problems}")
+        grid = args.states[dests[0]].field.grid  # the energy state's, when both are given
+        cfg.update(zip(PROBLEM_KEYS, problems[0] + (grid.points_per_axis, grid.box_length)))
     if cfg["eps"] is None:
-        # a loaded state or a sweep with --eps-grid gets no default eps
-        if not any(getattr(args, key, None) for key in ("load", "energy_state", "eps_grid")):
+        if not getattr(args, "eps_grid", None):  # each --eps-grid row has its own eps
             log.info("eps not configured; defaulting to eps = 1")
         cfg["eps"] = 1.0
     return cfg
@@ -217,12 +238,7 @@ def cmd_constants(args, cfg) -> int:
 
 def cmd_ground_state(args, cfg) -> int:
     if args.load:
-        got = ["--config"] * bool(args.config) + [
-            row[2] for key, row in CONFIG_KEYS.items() if getattr(args, key, None) is not None
-        ]
-        if got:
-            raise ConfigurationError(f"--load takes no {', '.join(got)}; it reads a stored state")
-        gs = load_state(args.load)
+        gs = args.states["load"]
         print(
             f"loaded {args.load}: route={gs.route} mass={gs.nt.mass:.12g} "
             f"omega={gs.omega_extracted:.12g} residual={gs.residual_pde:.3e}"
@@ -260,22 +276,12 @@ def cmd_action_gss(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
-    if args.fresh and (args.energy_state or args.action_state):
-        raise ConfigurationError("--fresh solves new states; it takes no --energy-state "
-                                 "or --action-state")
     if cfg["samples"] < 1:
         raise ConfigurationError(f"samples must be an integer >= 1, got {cfg['samples']!r}")
     params, grid, solver = build_problem(cfg)
-    energy_state = action_state = None
-    if args.energy_state:
-        energy_state = load_state(args.energy_state)
-        params = energy_state.params
-        grid = energy_state.field.grid
-    if args.action_state:
-        action_state = load_state(args.action_state)
     report, _states = full_verification(
-        params, grid, solver, n_samples=cfg["samples"], energy_state=energy_state,
-        action_state=action_state,
+        params, grid, solver, n_samples=cfg["samples"],
+        energy_state=args.states.get("energy_state"), action_state=args.states.get("action_state"),
     )
     (_output_dir(cfg["out_dir"]) / "verify_report.json").write_text(report.to_json() + "\n")
     print(report.table())

@@ -203,11 +203,29 @@ class TestGroundStateCommand:
         with caplog.at_level(logging.INFO, logger="bnls"):
             assert run(capsys, "ground-state", "--load", path)[0] == 0
             code, _, _ = run(
-                capsys, "verify", "--energy-state", path, *FAST, "--samples", "20",
+                capsys, "verify", "--energy-state", path, "--tol", "1e-9", "--samples", "20",
                 "--out-dir", str(tmp_path),
             )
         assert code == 0
         assert not any("defaulting to eps" in r.message for r in caplog.records)
+
+    def test_load_prints_the_stored_problem(self, tmp_path, capsys):
+        # --print-config beside --load once printed the default 1D problem
+        import numpy as np
+
+        from bnls.fieldio import write_field
+        from bnls.grid import BoxGrid, Field
+
+        grid = BoxGrid(2, 32, 10.0)
+        bump = np.exp(-sum(x**2 for x in grid.coordinates()))
+        path = write_field(tmp_path / "x.bnls", Field(grid, bump),
+                           sidecar={"params": {"bigN": 2, "p": 5, "eps": 0.5}})
+        code, out, _ = run(capsys, "ground-state", "--load", str(path), "--print-config")
+        assert code == 0
+        cfg = json.loads(out[: out.index("}") + 1])
+        assert {key: cfg[key] for key in ("N", "p", "eps", "relaxed", "points", "box")} == {
+            "N": 2, "p": 5.0, "eps": 0.5, "relaxed": False, "points": 32, "box": 10.0}
+        assert f"loaded {path}" in out
 
     def test_load_corrupted_magic_exit_2_with_offset(self, tmp_path, capsys):
         path = tmp_path / "bad.bnls"
@@ -417,10 +435,106 @@ class TestVerifyCommand:
             capsys, "verify",
             "--energy-state", str(tmp_path / "ground_state_critical_mass.bnls"),
             "--action-state", str(tmp_path / "action_gss.bnls"),
-            *FAST, "--samples", "30", "--out-dir", str(tmp_path),
+            "--tol", "1e-9", "--samples", "30", "--out-dir", str(tmp_path),
         )
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "problem, tol",
+        [(["--N", "2", "--p", "5", "--points", "128", "--box", "40"], []),
+         (["--N", "3", "--p", "4", "--points", "64", "--box", "32"], ["--tol", "1e-8"])],
+        ids=["2d", "3d"],
+    )
+    def test_stored_round_trip(self, problem, tol, tmp_path, capsys):
+        # stored states are verified on their own problem and grid, with no
+        # problem flag
+        from bnls.fieldio import read_field
+
+        for cmd in ("ground-state", "action-gss"):
+            assert run(capsys, cmd, *problem, "--eps", "1", *tol, "--out-dir", str(tmp_path))[0] == 0
+        energy = tmp_path / "ground_state_critical_mass.bnls"
+        code, out, _ = run(
+            capsys, "verify", "--energy-state", str(energy),
+            "--action-state", str(tmp_path / "action_gss.bnls"), *tol, "--samples", "20",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert "PASS: 39 passed" in out
+        doc = json.loads((tmp_path / "verify_report.json").read_text())
+        assert doc["counts"] == {"failed": 0, "passed": 39, "skipped": 0, "total": 39}
+        grid = read_field(energy).grid
+        assert doc["provenance"]["params"] == {"bigN": grid.dim, "p": float(problem[3]), "eps": 1.0}
+        assert doc["provenance"]["grid"] == {"dim": grid.dim, "points": grid.points_per_axis,
+                                             "box": grid.box_length}
+
+    def test_action_state_alone_sets_the_problem(self, tmp_path, capsys, caplog):
+        # a p 7 state verified alone once ran route_Q and the K ascent on the
+        # default p 8 problem, then exited 2
+        import logging
+
+        code, _, _ = run(
+            capsys, "action-gss", "--N", "1", "--p", "7", "--eps", "1", *FAST,
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="bnls"):
+            code, out, _ = run(
+                capsys, "verify", "--action-state", str(tmp_path / "action_gss.bnls"),
+                "--tol", "1e-9", "--samples", "20", "--out-dir", str(tmp_path),
+            )
+        assert code == 0
+        assert "PASS: 39 passed" in out
+        provenance = json.loads((tmp_path / "verify_report.json").read_text())["provenance"]
+        assert provenance["params"] == {"bigN": 1, "p": 7.0, "eps": 1.0}
+        assert provenance["grid"]["points"] == 512
+        assert not any("defaulting to eps" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "doc, code", [({"points": 256}, 2), ({"tol_residual": 1e-9}, 0)],
+        ids=["problem-key", "solver-key"],
+    )
+    def test_config_beside_stored_state(self, doc, code, tmp_path, capsys):
+        # a problem key in the config file is refused beside a stored state,
+        # as its flag is; a solver key is read
+        state = tmp_path / "ground_state_critical_mass.bnls"
+        assert run(capsys, "ground-state", "--N", "1", "--p", "8", "--eps", "1", *FAST,
+                   "--out-dir", str(tmp_path))[0] == 0
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        got, out, err = run(
+            capsys, "verify", "--energy-state", str(state), "--config", str(tmp_path / "c.json"),
+            "--samples", "20", "--out-dir", str(tmp_path),
+        )
+        assert got == code, err
+        if code == 2:
+            (line,) = err.splitlines()
+            assert line.startswith("error: --energy-state takes no points in ")
+        assert (tmp_path / "verify_report.json").exists() == (code == 0)
+
+    def test_states_of_different_problems_exit_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import bnls.cli
+        import bnls.verify
+
+        for p in ("8", "7"):
+            assert run(capsys, "ground-state", "--N", "1", "--p", p, "--eps", "1", *FAST,
+                       "--out-dir", str(tmp_path / p))[0] == 0
+        solves = []
+        for module in (bnls.cli, bnls.verify):
+            monkeypatch.setattr(module, "route_Q", lambda *args: solves.append(args))
+        name = "ground_state_critical_mass.bnls"
+        code, out, err = run(
+            capsys, "verify", "--energy-state", str(tmp_path / "8" / name),
+            "--action-state", str(tmp_path / "7" / name), "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert solves == []
+        (line,) = err.splitlines()
+        assert "different (N, p, eps, relaxed)" in line
+        assert "(1, 8.0, 1.0, False)" in line and "(1, 7.0, 1.0, False)" in line
+        assert not (tmp_path / "verify_report.json").exists()
 
 
 class TestRelaxedMode:
@@ -768,6 +882,12 @@ class TestInputErrors:
              "--load takes no --N, --p, --out-dir"),
             (["ground-state", "--load", "x.bnls", "--config", "c.json"],
              (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}), "--load takes no --config"),
+            # a stored state sets the problem: these flags were checked, then
+            # overridden by the state's p 8 on 32 points (exit 0)
+            (["verify", "--energy-state", "x.bnls", "--p", "7", "--points", "256"],
+             (1, {"params": {"bigN": 1, "p": 8, "eps": 1}}),
+             "--energy-state takes no --p, --points"),
+            (["constants", "--config", "c.json"], [1, 2], "does not hold a JSON object"),
         ],
         ids=["sidecar-iters-many", "sidecar-warnings-5", "sidecar-2d-field-bign-3",
              "config-samples-abc", "config-out-dir-5", "samples-0", "config-relaxed-false",
@@ -778,7 +898,7 @@ class TestInputErrors:
              "sidecar-route-7", "sidecar-bign-true", "sidecar-p-string", "tol-inf",
              "config-tol-infinity", "load-zero-field", "verify-zero-energy-state",
              "verify-fresh-energy-state", "verify-fresh-action-state", "load-beside-flags",
-             "load-beside-config"],
+             "load-beside-config", "energy-state-beside-problem-flags", "config-json-list"],
     )
     def test_malformed_value_exit_2(self, argv, stored, named, tmp_path, capsys, monkeypatch):
         # a value of the wrong type or range, in a sidecar, a config file or a

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnls.constants import (
+    ConstantsReport,
     K_from_C,
     K_from_c_eps,
     K_numeric,
@@ -106,6 +107,11 @@ class TestOmegaFormula:
     def test_n2_p5(self):
         assert omega_formula(1.0, Params(bigN=2, p=5.0, eps=1.0)) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("v_mass", [0.0, -1.0])
+    def test_nonpositive_v_mass_rejected(self, v_mass):
+        with pytest.raises(RegimeError, match="v_mass must be positive finite"):
+            omega_formula(v_mass, Params(bigN=1, p=8.0, eps=1.0))
+
     @given(regime_params(), st.floats(0.1, 10.0))
     @settings(max_examples=40)
     def test_inverse_eps_scaling(self, pm, s):
@@ -132,6 +138,13 @@ class TestPipeline:
         assert "c_eps" in table and "omega_eps" in table
         doc = constants_report.as_dict()
         assert doc["C"] == constants_report.C
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("entry", ConstantsReport.CHAIN)
+    def test_report_refuses_nonpositive_entry(self, entry, value):
+        chain = dict.fromkeys(ConstantsReport.CHAIN, 1.0)
+        with pytest.raises(RegimeError, match=f"constants entry {entry} = .* not positive finite"):
+            ConstantsReport(**{**chain, entry: value})
 
     def test_k_numeric_two_random_starts(self, params, grid, config, constants_report):
         got = K_numeric(params, grid, config, n_starts=2).value

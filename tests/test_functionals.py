@@ -88,6 +88,17 @@ class TestParams:
         with pytest.raises(RegimeError):
             Params(bigN=1, p=8.0, eps=1.0, mass_c=-2.0)
 
+    @pytest.mark.parametrize(
+        "fields, phrase",
+        [({"bigN": 0, "p": 8.0, "eps": 1.0}, "bigN must be an integer >= 1"),
+         ({"bigN": 1, "p": 2.0, "eps": 1.0}, "p must exceed 2"),
+         ({"bigN": 1, "p": 8.0, "eps": -1.0, "relaxed": True}, "eps must be nonnegative")],
+        ids=["bign-0", "p-2", "relaxed-eps-negative"],
+    )
+    def test_field_out_of_range_rejected(self, fields, phrase):
+        with pytest.raises(RegimeError, match=phrase):
+            Params(**fields)
+
 
 class TestExponentPack:
     def test_known_values(self):
@@ -270,6 +281,13 @@ class TestHolderChain:
             low = vol * float(np.sum(np.abs(u.samples) ** 6.0))
             high = vol * float(np.sum(np.abs(u.samples) ** 10.0))
             assert holder_chain_gap(nt, pm, low, high) >= -1e-14
+
+    def test_weight_outside_unit_interval_rejected(self):
+        # relaxed mode admits p 5 in 1D, below the window: theta = 5/4
+        pm = Params(bigN=1, p=5.0, eps=1.0, relaxed=True)
+        nt = NormTuple(mass=1.0, grad=1.0, bilap=1.0, lp=1.0, p=5.0)
+        with pytest.raises(RegimeError, match=r"theta = 1\.25 outside \(0, 1\)"):
+            holder_chain_gap(nt, pm, 1.0, 1.0)
 
 
 class TestPerFieldArrays:

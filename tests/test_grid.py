@@ -294,6 +294,11 @@ class TestShiftField:
         out = shift_field(shift_field(u, [0.3]), [-0.3])
         np.testing.assert_allclose(out.samples, u.samples, atol=1e-12)
 
+    @pytest.mark.parametrize("shifts", [[0.1, 0.2], []], ids=["two-on-1d", "none"])
+    def test_wrong_component_count_rejected(self, shifts):
+        with pytest.raises(ValueError, match=f"need 1 shift components, got {len(shifts)}"):
+            shift_field(bump(), shifts)
+
 
 def dense_regrid(u, target):
     """Reference interpolant: the full exp(i k x) basis, contracted along each axis."""

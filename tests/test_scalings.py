@@ -60,6 +60,12 @@ class TestTupleLaws:
 
 
 class TestResample:
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_nonpositive_factor_rejected(self, mu):
+        u = Field(BoxGrid(1, 64, 10.0), np.ones(64))
+        with pytest.raises(ValueError, match="resample factor must be positive"):
+            resample(u, mu)
+
     def test_identity(self):
         g = BoxGrid(1, 256, 2 * np.pi)
         u = Field(g, np.sin(3 * g.axis_coordinates()))
