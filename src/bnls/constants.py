@@ -27,7 +27,7 @@ from .errors import RegimeError
 from .functionals import Params, weinstein
 from .grid import BoxGrid, Field, _irfftn, regrid, spectral_tail_ratio
 from .scalings import omega_formula
-from .solvers import GroundState, SolverConfig, _band_limiter, _by_real, _SpectralIterate
+from .solvers import GroundState, SolverConfig, _band_limiter, _SpectralIterate
 
 STAGNATION_RTOL = 1e-12
 COARSE_RTOL = 1e-6
@@ -165,9 +165,9 @@ def _ascend(params: Params, state: _SpectralIterate, rtol: float, cap: int) -> t
             break
         state.symbol(2.0 * params.eps / quad, 2.0 / quad, (p - 2.0) / mass, out=symbol)
         nl_spec *= p / lp
-        _by_real(np.divide, nl_spec, symbol, nl_spec)
+        np.divide(nl_spec, symbol, out=nl_spec)
         # quotient is amplitude-invariant; renormalize mass to stop drift
-        nl_spec /= np.sqrt(state.spec_norm_sq(nl_spec))
+        nl_spec /= np.sqrt(state.inner(nl_spec, nl_spec))
         state.mix()
         state.advance()
         recent = np.column_stack([recent[:, 1:], quotient])

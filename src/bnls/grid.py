@@ -11,9 +11,11 @@ sums are weighted by the cell volume h^d, so Parseval reads
     h^d * sum(u**2) == (h^d / M^d) * sum(w * |rfftn(u)|**2)
 
 where w doubles the interior modes of the half-spectrum axis.  Every
-quadratic norm is such a spectral sum, computed by :func:`_parseval_sums`:
-the mass, and the derivative seminorms weighted by |k|^2 and |k|^4, with the
-full symmetric wavenumber (including Nyquist) entering the even symbols.
+quadratic norm is such a spectral sum, computed by :func:`_parseval_sums`,
+all three at once: the mass, and the derivative seminorms weighted by |k|^2
+and |k|^4, with the full symmetric wavenumber (including Nyquist) entering
+the even symbols.  The iteration kernel's inner product of two spectra,
+``solvers._SpectralIterate.inner``, is the same sum with no |k| weight.
 Only ||u||_p^p is a physical-space sum.
 
 Every real transform runs through one pair, :func:`_rfftn` and :func:`_irfftn`.
@@ -182,18 +184,17 @@ def _irfftn(
 
 
 def _parseval_sums(
-    grid: BoxGrid, spec: np.ndarray, moments: int = 3, power=None, keepdims=False,
-    other=None, scratch=None,
+    grid: BoxGrid, spec: np.ndarray, power=None, keepdims=False, other=None, scratch=None,
 ):
-    """The Parseval sums (mass, grad, bilap)[:moments] of the rfftn spectrum ``spec``,
-    or, given the spectrum ``other``, the same sums of Re(spec conj(other)): the cross
-    terms (u, w), (grad u, grad w) and (lap u, lap w) of the two fields.
+    """The Parseval sums (mass, grad, bilap) of the rfftn spectrum ``spec``, or, given
+    the spectrum ``other``, the same sums of Re(spec conj(other)): the cross terms
+    (u, w), (grad u, grad w) and (lap u, lap w) of the two fields.
 
     Forms weight * |spec|^2 (or weight * Re(spec conj(other)), from the
     products of the two spectra's real and imaginary parts in ``scratch``, a
     float array of spec's shape with its last axis doubled) and sums it,
     times h^d / M^d, over the last ``grid.dim`` axes; then multiplies it by
-    |k|^2 in place and sums again, twice, for the |k|^2 and |k|^4 moments.
+    |k|^2 in place and sums again, twice, for the |k|^2 and |k|^4 sums.
     ``power``, a real array of spec's shape, holds it all; both are fresh
     when omitted.  ``keepdims`` keeps the summed axes, as a batch
     broadcasting on spec needs.
@@ -214,7 +215,7 @@ def _parseval_sums(
     axes = tuple(range(-grid.dim, 0))
     scale = grid.cell_volume / grid.size
     sums = [scale * np.sum(power, axis=axes, keepdims=keepdims)]
-    for _ in range(moments - 1):
+    for _ in range(2):
         power *= k2
         sums.append(scale * np.sum(power, axis=axes, keepdims=keepdims))
     return tuple(sums)

@@ -256,15 +256,9 @@ def normalize_to_mass(u: Field, c: float) -> Field:
 # spectral iteration plumbing
 
 
-def _carve(memory: np.ndarray, shape: tuple, start: int = 0) -> np.ndarray:
-    """A C-contiguous array of ``shape`` on the flat array ``memory``, from index ``start``."""
-    return memory[start : start + math.prod(shape)].reshape(shape)
-
-
-def _real_rows(spec: np.ndarray, lead: int) -> np.ndarray:
-    """The real and imaginary parts of a complex array, flat past ``lead`` axes: a view, so
-    writes reach ``spec`` (reshaping raises where it would have to copy)."""
-    return np.reshape(spec, spec.shape[:lead] + (-1,), copy=False).view(np.float64)
+def _carve(memory: np.ndarray, shape: tuple) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on the front of the flat array ``memory``."""
+    return memory[: math.prod(shape)].reshape(shape)
 
 
 class _SpectralIterate:
@@ -284,11 +278,12 @@ class _SpectralIterate:
     * ``work``, the complex work array of the inverse transform, which between
       transforms holds one physical-space or residual array (:meth:`scratch`)
       or the mass flow's last preconditioned gradient;
-    * a real array of the spectrum's shape for the weighted power behind
-      every quadratic norm.
+    * a real array of the spectrum's shape, the power array, which holds the
+      weighted power of the Parseval sums (:meth:`quadratic_norms`) and the
+      product of :meth:`residual_ratio`.
 
     An iterate that :meth:`mix` drives also owns its mixing history, allocated
-    by the first call.
+    by its first two calls.
     """
 
     def __init__(self, fields):
@@ -324,10 +319,12 @@ class _SpectralIterate:
         and of its image (floats for a lone iterate, else per-row arrays),
         fitted and mixed with the spectrum; the mixed coordinate is returned.
 
-        The history is each row's last (f, g) pair and its extra pair,
-        allocated once.  A call turns the last pair into (df, dg) in place,
-        builds the mixed step in dg's array, which trades places with
-        ``next``, so that the history keeps g, and copies f over df.
+        The history is each row's last (f, g) pair and its extra pair.  A call
+        turns the last pair into (df, dg) in place and builds the mixed step in
+        dg's array, which becomes ``next``; the history takes this call's f and
+        g arrays and ``work`` takes df's, so no spectrum is copied.  The first
+        call keeps f alone: its g becomes the iterate, whence the second call
+        forms dg, in a new array.
         """
         g = self.next
         f = np.subtract(g, self.spec, out=self.work)
@@ -336,14 +333,13 @@ class _SpectralIterate:
         pair[:, 1] = extra[1]
         pair[:, 0] = pair[:, 1] - extra[0]
         if self._history is None:
-            self._history = (f.copy(), g.copy(), pair)
+            self.work, self._history = np.empty_like(f), (f, None, pair)
             return pair[:, 1] if self.batched else float(pair[0, 1])
         df, dg, d_pair = self._history
-        rowed = (lambda arr: arr) if self.batched else (lambda arr: arr[np.newaxis])
         np.subtract(f, df, out=df)
-        np.subtract(g, dg, out=dg)
+        dg = np.subtract(g, self.spec if dg is None else dg, out=dg)
         np.subtract(pair, d_pair, out=d_pair)
-        f_re, df_re = _real_rows(rowed(f), 1), _real_rows(rowed(df), 1)
+        f_re, df_re = self._rows(f), self._rows(df)
         df_df = np.einsum("rn,rn->r", df_re, df_re) + d_pair[:, 0] * d_pair[:, 0]
         f_df = np.einsum("rn,rn->r", f_re, df_re) + pair[:, 0] * d_pair[:, 0]
         # |f|^2 - |f_last|^2 = 2 f.df - |df|^2 with df = f - f_last
@@ -351,12 +347,17 @@ class _SpectralIterate:
         gamma = np.divide(f_df, df_df, out=np.zeros(rows), where=fit)
         mixed = pair[:, 1] - gamma * d_pair[:, 1]
         d_pair[...] = pair
-        df[...] = f  # work is free from here
-        step = rowed(dg)  # -gamma per row, complex, so no casting buffer
-        step *= np.negative(gamma).astype(complex).reshape((-1,) + (1,) * self.grid.dim)
-        step += rowed(g)
-        self.next, self._history = dg, (df, g, d_pair)
+        step = self._rows(dg)
+        step *= np.negative(gamma)[:, np.newaxis]  # a real factor per row
+        dg += g
+        self.next, self.work, self._history = dg, df, (f, g, d_pair)
         return mixed if self.batched else float(mixed[0])
+
+    def _rows(self, spec: np.ndarray) -> np.ndarray:
+        """Each row of a spectrum (a lone iterate's one row) as its real and imaginary parts,
+        flat: a view, so writes reach ``spec`` (reshaping raises where it would copy)."""
+        rows = len(spec) if self.batched else 1
+        return spec.reshape((rows, -1), copy=False).view(np.float64)
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A float array of ``shape``, at most the physical or the spectrum's size, in ``work``."""
@@ -373,37 +374,25 @@ class _SpectralIterate:
         total = np.sum(arr, axis=self._axes, keepdims=self.batched)
         return total if self.batched else float(total)
 
-    def _parseval(self, spec: np.ndarray, moments: int, other: np.ndarray | None = None) -> tuple:
-        """:func:`grid._parseval_sums` of spec (with ``other``, their cross sums, with
-        ``next`` as scratch) in the power array: floats, or per-row arrays."""
-        power = _carve(self._power, spec.shape)
+    def quadratic_norms(self, spec: np.ndarray | None = None,
+                        other: np.ndarray | None = None) -> tuple:
+        """(mass, grad, bilap) of the iterate, or of another spectrum on the grid, or given
+        ``other`` their cross sums, of Re(spec conj(other)), which overwrite ``next``:
+        :func:`grid._parseval_sums` in the power array, as floats or per-row arrays."""
+        spec = self.spec if spec is None else spec
         scratch = None if other is None else self.next.view(np.float64)
-        sums = _parseval_sums(self.grid, spec, moments, power, keepdims=self.batched,
-                              other=other, scratch=scratch)
+        sums = _parseval_sums(self.grid, spec, _carve(self._power, spec.shape),
+                              keepdims=self.batched, other=other, scratch=scratch)
         return sums if self.batched else tuple(float(s) for s in sums)
-
-    def spec_norm_sq(self, arr: np.ndarray):
-        """Parseval ||.||_2^2 of a spectrum on the grid."""
-        return self._parseval(arr, 1)[0]
-
-    def quadratic_norms(self, spec: np.ndarray | None = None) -> tuple:
-        """(mass, grad, bilap) of the iterate, or of another spectrum on the grid."""
-        return self._parseval(self.spec if spec is None else spec, 3)
-
-    def cross_norms(self, spec: np.ndarray) -> tuple:
-        """The (mass, grad, bilap) cross sums of the iterate and another spectrum on the grid,
-        the Parseval sums of Re(iterate conj(spec)); overwrites ``next``."""
-        return self._parseval(self.spec, 3, other=spec)
 
     def symbol(self, a, b, c, out: np.ndarray | None = None) -> np.ndarray:
         """The Fourier symbol a|k|^4 + b|k|^2 + c, per row in a batch, into ``out`` or a new array.
 
-        Formed as ((a k2) k2 + b k2) + c, with b k2 in the power array.
+        Formed in Horner order, (a k2 + b) k2 + c, in ``out`` alone.
         """
         out = np.multiply(a, self.k2, out=out)
+        out += b
         out *= self.k2
-        b_shape = np.broadcast_shapes(np.shape(b), self.k2.shape)
-        out += np.multiply(b, self.k2, out=_carve(self._power, b_shape))
         out += c
         return out
 
@@ -415,22 +404,33 @@ class _SpectralIterate:
         into ``out`` (``work`` by default), a part (real, imaginary) at a time
         through the power array.
         """
-        den = self.spec_norm_sq(rhs)
+        den = self.inner(rhs, rhs)
         out = self.work if out is None else out
         prod = _carve(self._power, symbol.shape)
         for spec_part, rhs_part, out_part in ((self.spec.real, rhs.real, out.real),
                                               (self.spec.imag, rhs.imag, out.imag)):
             np.subtract(np.multiply(spec_part, symbol, out=prod), rhs_part, out=out_part)
-        return math.sqrt(self.spec_norm_sq(out) / den) if den > 0 else math.inf
+        return math.sqrt(self.inner(out, out) / den) if den > 0 else math.inf
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """The L2 inner product of the fields of two lone spectra (Parseval), with no
-        temporary: Re(a conj(b)) summed twice over the last axis's interior modes."""
-        total = 2.0 * np.einsum("n,n->", _real_rows(a, 0), _real_rows(b, 0))
-        for edge in (0, -1):  # m = 0 and Nyquist, counted once
-            x, y = (np.reshape(s[..., edge], -1) for s in (a, b))
-            total -= np.einsum("n,n->", x.real, y.real) + np.einsum("n,n->", x.imag, y.imag)
-        return self.grid.cell_volume / self.grid.size * float(total)
+    def inner(self, a: np.ndarray, b: np.ndarray):
+        """The L2 inner product of the fields of two spectra on the grid (Parseval), per
+        row: h^d/M^d sum w Re(a conj(b)), w 2 on the last axis's interior modes (each
+        stands for a conjugate pair) and 1 on its m = 0 and Nyquist planes; a float, or
+        an array that broadcasts on spec.  ||a||^2 is inner(a, a).
+
+        Twice each row's sum over every mode, one einsum on float views as for a lone
+        iterate, less the two planes of all rows, summed from their product, 2/n of a
+        spectrum: a batch row's value is its lone iterate's, bit for bit.
+        """
+        n = a.shape[-1]
+        rows_a, rows_b = self._rows(a), self._rows(b)
+        total = 2.0 * np.array([np.einsum("n,n->", x, y) for x, y in zip(rows_a, rows_b)])
+        # the m = 0 and Nyquist planes, each plane's long axis innermost
+        edges = [s.reshape(len(s), -1, n, 2)[:, :, :: n - 1].transpose(0, 3, 2, 1)
+                 for s in (rows_a, rows_b)]
+        total -= np.multiply(*edges, order="C").sum(axis=(1, 2, 3))
+        total *= self.grid.cell_volume / self.grid.size
+        return total.reshape((-1,) + (1,) * self.grid.dim) if self.batched else float(total[0])
 
     def nonlinearity(self, p: float) -> tuple:
         """(lp, nl_spec) = (||u||_p^p, rfftn(|u|^(p-2) u)) from one irfftn; nl_spec is ``next``.
@@ -450,18 +450,6 @@ class _SpectralIterate:
         freed first, so it does not stay live beside the copy."""
         self._history = None
         return Field(self.grid, self.physical())
-
-
-def _by_real(op, spec: np.ndarray, real: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """op(spec, real) for a complex spectrum and a real array, into the complex ``out``.
-
-    Applied to the real and the imaginary parts in turn: a mixed complex-by-real
-    ufunc would cast through a 128 KiB buffer, which would set the peak memory
-    of a sweep.
-    """
-    op(spec.real, real, out=out.real)
-    op(spec.imag, real, out=out.imag)
-    return out
 
 
 class _Progress:
@@ -610,7 +598,7 @@ def _sweeps(params: Params, grid: BoxGrid, config: SolverConfig, omega: float,
             del lin  # free it before the field is copied out
             return state.field(), progress.history
         stabilizer = (eps * bilap + grad + omega * mass) / lp
-        _by_real(np.divide, nl_spec, lin, nl_spec)  # the step, in next
+        np.divide(nl_spec, lin, out=nl_spec)  # the step, in next
         nl_spec *= stabilizer**gamma
         if optimize:
             mismatch = ep.beta * eps * bilap / (ep.alpha * grad) - 1.0
@@ -903,7 +891,7 @@ def _mass_flow_state(
             sym = symbol(sigma)
         r_z_last, r_d_last = ((state.inner(r_spec, state.work), state.inner(r_spec, d_spec))
                               if rz_last > 0 else (0.0, 0.0))
-        z_spec = _by_real(np.divide, r_spec, sym, r_spec)
+        z_spec = np.divide(r_spec, sym, out=r_spec)
         z_mass, z_grad, z_bilap = state.quadratic_norms(z_spec)
         rz = eps * z_bilap + z_grad + sigma * z_mass  # <r, z> = <P z, z>
         beta = max(0.0, (rz - r_z_last) / rz_last) if rz_last > 0 else 0.0
@@ -917,7 +905,7 @@ def _mass_flow_state(
         state.work, state.next = z_spec, state.work
         rz_last = rz
         _irfftn(d_spec, grid.dim, state.next, out=v)
-        m_sd, g_sd, b_sd = state.cross_norms(d_spec)
+        m_sd, g_sd, b_sd = state.quadratic_norms(other=d_spec)
         m_dd, g_dd, b_dd = state.quadratic_norms(d_spec)
         quad_sd, quad_dd = eps * b_sd + g_sd, 0.5 * (eps * b_dd + g_dd)
         powered = _carve(state.next.view(np.float64).reshape(-1), u.shape)  # |u|^p

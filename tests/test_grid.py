@@ -139,30 +139,59 @@ class TestNorms:
         assert nt.grad == pytest.approx(k**2 * nt.mass, rel=1e-12)
         assert nt.bilap == pytest.approx(k**4 * nt.mass, rel=1e-12)
 
-    def test_parseval_consistency(self):
+    @pytest.mark.parametrize("dim, points", [(1, 64), (2, 32), (3, 32)])
+    def test_parseval_consistency(self, dim, points):
         # the spectral mass of norms and of the iterate, one field or a batch,
         # equals the physical quadrature mass
-        g = BoxGrid(1, 64, 40.0)
-        fields = rng_fields(g, 50, seed=100)
+        g = BoxGrid(dim, points, 40.0)
+        fields = rng_fields(g, 50 if dim == 1 else 6, seed=100)
         batch = _SpectralIterate(fields)
-        masses = batch.spec_norm_sq(batch.spec).ravel()
+        masses = batch.inner(batch.spec, batch.spec).ravel()
         for u, batch_mass in zip(fields, masses):
             quadrature = g.cell_volume * float(np.sum(u.samples**2))
             lone = _SpectralIterate(u)
-            assert lone.spec_norm_sq(lone.spec) == pytest.approx(quadrature, rel=1e-12)
+            assert lone.inner(lone.spec, lone.spec) == pytest.approx(quadrature, rel=1e-12)
             assert batch_mass == pytest.approx(quadrature, rel=1e-12)
             assert norms(u, 4.0).mass == pytest.approx(quadrature, rel=1e-12)
 
     @pytest.mark.parametrize("dim, points", [(1, 64), (2, 32), (3, 32)])
     def test_iterate_inner_product(self, dim, points):
-        # the mass flow's Parseval inner product, with the m = 0 and Nyquist
-        # planes of the half spectrum counted once, is the quadrature product
+        # the one Parseval inner product, with the m = 0 and Nyquist planes of
+        # the half spectrum counted once, is the quadrature product; a batch
+        # row's value is its lone iterate's, bit for bit
         g = BoxGrid(dim, points, 10.0)
-        a, b = rng_fields(g, 2, seed=7)
-        state = _SpectralIterate(a)
-        quadrature = g.cell_volume * float(np.sum(a.samples * b.samples))
-        inner = state.inner(state.spec, _SpectralIterate(b).spec)
-        assert inner == pytest.approx(quadrature, rel=1e-12)
+        first, second = rng_fields(g, 4, seed=7), rng_fields(g, 4, seed=8)
+        batch = _SpectralIterate(first)
+        inners = batch.inner(batch.spec, _SpectralIterate(second).spec)
+        assert inners.shape == (4,) + (1,) * dim  # broadcasts on the batch's spectra
+        for a, b, batch_inner in zip(first, second, inners.ravel()):
+            state = _SpectralIterate(a)
+            quadrature = g.cell_volume * float(np.sum(a.samples * b.samples))
+            inner = state.inner(state.spec, _SpectralIterate(b).spec)
+            assert inner == pytest.approx(quadrature, rel=1e-12)
+            assert batch_inner.tobytes() == np.float64(inner).tobytes()
+
+    @pytest.mark.parametrize("dim, points", [(1, 64), (2, 32), (3, 32)])
+    def test_symbol_is_the_quartic_in_k(self, dim, points):
+        # a|k|^4 + b|k|^2 + c on the rfftn layout, for a lone iterate and for a
+        # batch with per-row coefficients, written only into its output
+        g = BoxGrid(dim, points, 10.0)
+        axes = [g.wavenumbers()] * (dim - 1) + [g.wavenumbers(half=True)]
+        k2 = sum(k * k for k in np.meshgrid(*axes, indexing="ij"))
+        lone = _SpectralIterate(rng_fields(g, 1, seed=9)[0])
+        power = lone._power.tobytes()
+        symbol = lone.symbol(0.3, 1.7, 2.5)
+        np.testing.assert_allclose(symbol, 0.3 * k2**2 + 1.7 * k2 + 2.5, rtol=1e-15)
+        assert lone._power.tobytes() == power
+
+        batch = _SpectralIterate(rng_fields(g, 3, seed=9))
+        power = batch._power.tobytes()
+        a, b, c = (np.array(v).reshape((3,) + (1,) * dim)
+                   for v in ([0.3, 1.0, 2e-3], [1.7, 0.0, 5.0], [2.5, 1e-2, 0.0]))
+        out = np.empty(batch.spec.shape)
+        assert batch.symbol(a, b, c, out=out) is out
+        np.testing.assert_allclose(out, a * k2**2 + b * k2 + c, rtol=1e-15)
+        assert batch._power.tobytes() == power
 
     def test_interpolation_inequality_500_fields(self):
         g = BoxGrid(1, 64, 40.0)
