@@ -177,9 +177,10 @@ def _ascend(params: Params, state: _SpectralIterate, rtol: float, cap: int) -> t
 def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int = 8) -> KAscent:
     """Independent estimate of the supremum of the non-homogeneous quotient by multi-start ascent.
 
-    Each start is the white noise of seed ``config.seed + 101 k``, k = 1..n_starts,
-    band-limited as one block by the sampler's step (:func:`~bnls.solvers._band_limiter`),
-    never a solved state, so the estimate checks the closed-form K independently.
+    Each start is the white noise of seed ``config.seed + 101 k``, k = 1..n_starts, a row
+    of one block that the sampler's step (:func:`~bnls.solvers._band_limiter`)
+    band-limits in place and the kernel takes as it is; never a solved state, so
+    the estimate checks the closed-form K independently.
     A sweep is a normalized (Petviashvili-type) fixed point on the quotient's
     stationarity equation, Anderson-mixed per row (:meth:`_SpectralIterate.mix`),
     one transform pair for all rows.  The ascent runs coarse to fine:
@@ -200,20 +201,19 @@ def K_numeric(params: Params, grid: BoxGrid, config: SolverConfig, n_starts: int
     """
     params.exponents()
     coarse = BoxGrid(grid.dim, max(32, grid.points_per_axis // 4), grid.box_length)
-    block = np.empty((n_starts,) + coarse.shape)  # filled in place: a stacked list costs a copy
+    block = np.empty((n_starts,) + coarse.shape)  # filled in place, a row per start
     for k in range(n_starts):
         np.random.default_rng(config.seed + 101 * (k + 1)).standard_normal(out=block[k])
-    starts = [Field(coarse, row) for row in _band_limiter(coarse)(block)]
-    del block  # each Field holds a copy of its row
+    state = _SpectralIterate(coarse, _band_limiter(coarse)(block))
+    del block  # the spectrum is the iterate from here
     cap = max(60, min(400, config.max_iters))
-    state = _SpectralIterate(starts)
     _, coarse_sweeps, quotient = _ascend(params, state, COARSE_RTOL, cap)
     top = state.spec[int(np.argmax(quotient))].copy()
-    del state, starts  # the coarse batch: the polish needs only its best row
+    del state  # the coarse batch: the polish needs only its best row
     row = Field(coarse, _irfftn(top, coarse.dim))
     tail = spectral_tail_ratio(row, top)
-    best, fine_sweeps, _ = _ascend(params, _SpectralIterate([regrid(row, grid)]),
-                                   STAGNATION_RTOL, cap)
+    fine = regrid(row, grid).samples[np.newaxis]  # a one-row batch
+    best, fine_sweeps, _ = _ascend(params, _SpectralIterate(grid, fine), STAGNATION_RTOL, cap)
     return KAscent(best, coarse.points_per_axis, coarse_sweeps, fine_sweeps, tail)
 
 

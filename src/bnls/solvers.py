@@ -233,7 +233,7 @@ def pde_residual(u: Field, params: Params, omega: float) -> float:
 
     Measured on the Fourier side by the iteration kernel, in three transforms.
     """
-    state = _SpectralIterate(u)
+    state = _SpectralIterate(u.grid, u.samples)
     _lp, nl_spec = state.nonlinearity(params.p)
     return state.residual_ratio(state.symbol(params.eps, 1.0, omega), nl_spec)
 
@@ -264,8 +264,10 @@ def _carve(memory: np.ndarray, shape: tuple) -> np.ndarray:
 class _SpectralIterate:
     """Iterate kept as an rfftn spectrum on a fixed grid, with the arrays its sweeps reuse.
 
-    Built from a list of fields on one grid, ``spec`` gets a leading batch axis
-    and each norm is a (rows, 1, ...) array.
+    Built from one field's samples, or from a (rows, *grid.shape) block of
+    them, when ``spec`` gets a leading batch axis and each norm is a (rows,
+    1, ...) array.  Every row's dot product goes through :meth:`_dot`, so a
+    batch row computes exactly what its lone iterate computes.
 
     Besides ``spec`` the iterate owns two spectrum-sized arrays and a
     half-sized one that every sweep overwrites instead of allocating
@@ -286,13 +288,12 @@ class _SpectralIterate:
     by its first two calls.
     """
 
-    def __init__(self, fields):
-        self.batched = not isinstance(fields, Field)
-        self.grid = fields[0].grid if self.batched else fields.grid
-        self.k2 = _k2_table(self.grid)
-        self._axes = tuple(range(-self.grid.dim, 0))
-        samples = np.stack([f.samples for f in fields]) if self.batched else fields.samples
-        self.spec = _rfftn(samples, self.grid.dim)
+    def __init__(self, grid: BoxGrid, samples: np.ndarray):
+        self.batched = samples.ndim > grid.dim
+        self.grid = grid
+        self.k2 = _k2_table(grid)
+        self._axes = tuple(range(-grid.dim, 0))
+        self.spec = _rfftn(samples, grid.dim)
         self.next = np.empty_like(self.spec)
         self.work = np.empty_like(self.spec)
         self._power = np.empty(self.spec.size)
@@ -309,11 +310,11 @@ class _SpectralIterate:
         ``next`` holds g = G(spec), the map's image of the iterate, whose
         residual is f = g - spec.  With df and dg the changes of f and g since
         the last call, the mixed step is g - gamma dg, where gamma = <f, df> /
-        <df, df> over the real and imaginary parts is the least-squares fit of
-        f by df: Anderson mixing at depth one (Anderson, J. ACM 12, 1965;
-        Walker and Ni, SIAM J. Numer. Anal. 49, 2011).  A row takes g itself
-        on the first call, where its residual grew in the last sweep and where
-        df is exactly zero.
+        <df, df>, each row's sums over its real and imaginary parts taken alone
+        (:meth:`_dot`), is the least-squares fit of f by df: Anderson mixing at
+        depth one (Anderson, J. ACM 12, 1965; Walker and Ni, SIAM J. Numer.
+        Anal. 49, 2011).  A row takes g itself on the first call, where its
+        residual grew in the last sweep and where df is exactly zero.
 
         ``extra`` = (x, g) is one more real coordinate of each row's iterate
         and of its image (floats for a lone iterate, else per-row arrays),
@@ -340,8 +341,8 @@ class _SpectralIterate:
         dg = np.subtract(g, self.spec if dg is None else dg, out=dg)
         np.subtract(pair, d_pair, out=d_pair)
         f_re, df_re = self._rows(f), self._rows(df)
-        df_df = np.einsum("rn,rn->r", df_re, df_re) + d_pair[:, 0] * d_pair[:, 0]
-        f_df = np.einsum("rn,rn->r", f_re, df_re) + pair[:, 0] * d_pair[:, 0]
+        df_df = self._dot(df_re, df_re) + d_pair[:, 0] * d_pair[:, 0]
+        f_df = self._dot(f_re, df_re) + pair[:, 0] * d_pair[:, 0]
         # |f|^2 - |f_last|^2 = 2 f.df - |df|^2 with df = f - f_last
         fit = ~(2.0 * f_df > df_df) & (df_df > 0)
         gamma = np.divide(f_df, df_df, out=np.zeros(rows), where=fit)
@@ -358,6 +359,13 @@ class _SpectralIterate:
         flat: a view, so writes reach ``spec`` (reshaping raises where it would copy)."""
         rows = len(spec) if self.batched else 1
         return spec.reshape((rows, -1), copy=False).view(np.float64)
+
+    @staticmethod
+    def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Each row's dot product of two :meth:`_rows` views, one einsum a row.  A batched
+        einsum sums rows longer than its 8192-element buffer in chunks that follow
+        the other rows, so a row's last bits would depend on its batch."""
+        return np.array([np.einsum("n,n->", a, b) for a, b in zip(x, y)])
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A float array of ``shape``, at most the physical or the spectrum's size, in ``work``."""
@@ -418,13 +426,13 @@ class _SpectralIterate:
         stands for a conjugate pair) and 1 on its m = 0 and Nyquist planes; a float, or
         an array that broadcasts on spec.  ||a||^2 is inner(a, a).
 
-        Twice each row's sum over every mode, one einsum on float views as for a lone
-        iterate, less the two planes of all rows, summed from their product, 2/n of a
-        spectrum: a batch row's value is its lone iterate's, bit for bit.
+        Twice each row's sum over every mode (:meth:`_dot`), less the two planes of all
+        rows, summed from their product, 2/n of a spectrum: a batch row's value is its
+        lone iterate's, bit for bit.
         """
         n = a.shape[-1]
         rows_a, rows_b = self._rows(a), self._rows(b)
-        total = 2.0 * np.array([np.einsum("n,n->", x, y) for x, y in zip(rows_a, rows_b)])
+        total = 2.0 * self._dot(rows_a, rows_b)
         # the m = 0 and Nyquist planes, each plane's long axis innermost
         edges = [s.reshape(len(s), -1, n, 2)[:, :, :: n - 1].transpose(0, 3, 2, 1)
                  for s in (rows_a, rows_b)]
@@ -569,7 +577,7 @@ def _sweeps(params: Params, grid: BoxGrid, config: SolverConfig, omega: float,
     p, eps = params.p, params.eps
     ep = params.exponents() if optimize else None
     gamma = (p - 1.0) / (p - 2.0)
-    state = _SpectralIterate(initial_field(grid, config))
+    state = _SpectralIterate(grid, initial_field(grid, config).samples)
     lin = state.symbol(eps, 1.0, omega, out=np.empty(state.k2.shape))  # L's symbol
     log_omega = math.log(omega)
     mass0 = state.quadratic_norms()[0]
@@ -831,10 +839,10 @@ def _mass_flow_state(
     """
     p = params.p
     eps = params.eps
-    state = _SpectralIterate(
-        _fiber_start(grid, params, c) if config.init == "gaussian_bump"
-        else normalize_to_mass(initial_field(grid, config), c)
-    )
+    start = (_fiber_start(grid, params, c) if config.init == "gaussian_bump"
+             else normalize_to_mass(initial_field(grid, config), c))
+    state = _SpectralIterate(grid, start.samples)
+    del start
     vol = grid.cell_volume
     d_spec = np.empty_like(state.spec)
     u = state.physical().copy()  # physical() returns next, which the loop overwrites

@@ -455,84 +455,55 @@ def verify_gn_random(
     K: float,
     n_samples: int = 500,
     seed: int = 7,
-    grid: BoxGrid | None = None,
-    fields=None,
 ) -> VerificationReport:
     """Random band-limited fields never violate the two inequalities or the
     interpolation chain that proves the homogeneous one.
 
     The fields are the ``n_samples`` rows of ``random_bandlimited_blocks(grid,
-    seed, n_samples)``, or the given ``fields``.  The sampler grid, unless
-    ``grid`` is given, has box 40 and 256, 128 or 64 points per axis in 1D, 2D
-    or 3D, and the band 20, 10 or 5 modes (on a given grid, the modes of its
-    dimension): k_max / kc = points / (2 modes) = 6.4 in every d, so the band
-    filter is e^-41 at the grid's Nyquist wavenumber.  Norms, Hölder
-    integrals and quotients are taken a block at a time, over the block's
-    rows with nonvanishing derivative norms and lp.
+    seed, n_samples)``.  The sampler grid has box 40 and 256, 128 or 64 points
+    per axis in 1D, 2D or 3D, and the band 20, 10 or 5 modes: k_max / kc =
+    points / (2 modes) = 6.4 in every d, so the band filter is e^-41 at the
+    grid's Nyquist wavenumber.  Norms, Hölder integrals and quotients are
+    taken a block at a time.  The generator makes no row with a vanishing
+    derivative norm or lp; one would raise DegenerateQuotientError in the
+    quotients rather than be skipped.
     """
-    if fields is None:
-        if grid is None:
-            grid = BoxGrid(dim=params.bigN, points_per_axis=512 >> params.bigN, box_length=40.0)
-        blocks = random_bandlimited_blocks(grid, seed, n_samples, modes=40 >> grid.dim)
-        grid_blocks = ((grid, block) for block in blocks)
-    else:
-        grid_blocks = ((u.grid, u.samples[np.newaxis]) for u in fields)
+    grid = BoxGrid(dim=params.bigN, points_per_axis=512 >> params.bigN, box_length=40.0)
     q_low, q_high = params.mass_window()
     worst_w = math.inf
     worst_k = -math.inf
     worst_holder = math.inf
-    skipped = 0
-    used = 0
-    for g, block in grid_blocks:
-        mass, grad, bilap, lp, low_int, high_int = norm_sums(g, block, (params.p, q_low, q_high))
-        ok = (grad > 0) & (bilap > 0) & (lp > 0)
-        count = int(np.count_nonzero(ok))
-        skipped += len(ok) - count
-        if count == 0:
-            continue
-        used += count
-        nt = NormTuple(mass=mass[ok], grad=grad[ok], bilap=bilap[ok], lp=lp[ok], p=float(params.p))
+    for block in random_bandlimited_blocks(grid, seed, n_samples, modes=40 >> grid.dim):
+        sums = norm_sums(grid, block, (params.p, q_low, q_high))
+        mass, grad, bilap, lp, low_int, high_int = sums
+        nt = NormTuple(mass=mass, grad=grad, bilap=bilap, lp=lp, p=float(params.p))
         worst_w = min(worst_w, float(np.min(weinstein(nt, params) * C)))
         worst_k = max(worst_k, float(np.max(gn_k_quotient(nt, params) / K)))
-        gaps = holder_chain_gap(nt, params, low_int[ok], high_int[ok])
+        gaps = holder_chain_gap(nt, params, low_int, high_int)
         worst_holder = min(worst_holder, float(np.min(gaps)))
-    if used == 0:
-        raise PreconditionError("no usable samples: every field was degenerate")
-    checks = [
+    return VerificationReport(checks=(
         _check(
             "gn.weinstein_lower_bound",
             "W_p(u) >= 1/C for every field",
             max(0.0, 1.0 - worst_w),
             TOL.numeric,
-            detail=f"{used} samples, worst margin {worst_w - 1.0:.3e}",
+            detail=f"{n_samples} samples, worst margin {worst_w - 1.0:.3e}",
         ),
         _check(
             "gn.k_quotient_upper_bound",
             "gn_k_quotient(u) <= K for every field",
             max(0.0, worst_k - 1.0),
             TOL.numeric,
-            detail=f"{used} samples, worst margin {1.0 - worst_k:.3e}",
+            detail=f"{n_samples} samples, worst margin {1.0 - worst_k:.3e}",
         ),
         _check(
             "gn.holder_chain",
             "lp interpolates between the two mass-critical integrals",
             max(0.0, -worst_holder),
             TOL.algebraic,
-            detail=f"{used} samples, smallest slack {worst_holder:.3e}",
+            detail=f"{n_samples} samples, smallest slack {worst_holder:.3e}",
         ),
-    ]
-    if skipped:
-        checks.append(
-            _check(
-                "gn.degenerate_samples",
-                "fields with vanishing derivative norms are excluded",
-                0.0,
-                TOL.algebraic,
-                skipped=True,
-                detail=f"{skipped} degenerate sample(s) skipped",
-            )
-        )
-    return VerificationReport(checks=tuple(checks))
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,25 @@ class TestKAscent:
         # so a rerun returning the same value is the whole claim
         assert K_numeric(params, grid, config) == K_numeric(params, grid, config)
 
+    def test_batch_rows_ascend_as_alone(self):
+        # a row of a 3D batch climbs exactly as it does alone: the same last
+        # quotient and spectrum, bit for bit, after the same fixed sweeps
+        from bnls.constants import _ascend
+        from bnls.grid import BoxGrid
+        from bnls.solvers import _SpectralIterate, random_bandlimited_blocks
+
+        params = Params(bigN=3, p=4.0, eps=1.0)
+        grid = BoxGrid(3, 32, 20.0)
+        (block,) = random_bandlimited_blocks(grid, 5, 3, modes=5)
+        batch = _SpectralIterate(grid, block)
+        _, sweeps, quotient = _ascend(params, batch, 0.0, 8)
+        assert sweeps == 8
+        for row in range(3):
+            alone = _SpectralIterate(grid, block[row : row + 1])
+            _, _, last = _ascend(params, alone, 0.0, 8)
+            assert last.tobytes() == quotient[row : row + 1].tobytes()
+            assert alone.spec.tobytes() == batch.spec[row : row + 1].tobytes()
+
     def test_2d_reaches_closed_form(self, config):
         from bnls.grid import BoxGrid
         from bnls.solvers import route_Q

@@ -145,11 +145,11 @@ class TestNorms:
         # equals the physical quadrature mass
         g = BoxGrid(dim, points, 40.0)
         fields = rng_fields(g, 50 if dim == 1 else 6, seed=100)
-        batch = _SpectralIterate(fields)
+        batch = _SpectralIterate(g, np.stack([u.samples for u in fields]))
         masses = batch.inner(batch.spec, batch.spec).ravel()
         for u, batch_mass in zip(fields, masses):
             quadrature = g.cell_volume * float(np.sum(u.samples**2))
-            lone = _SpectralIterate(u)
+            lone = _SpectralIterate(g, u.samples)
             assert lone.inner(lone.spec, lone.spec) == pytest.approx(quadrature, rel=1e-12)
             assert batch_mass == pytest.approx(quadrature, rel=1e-12)
             assert norms(u, 4.0).mass == pytest.approx(quadrature, rel=1e-12)
@@ -160,14 +160,15 @@ class TestNorms:
         # the half spectrum counted once, is the quadrature product; a batch
         # row's value is its lone iterate's, bit for bit
         g = BoxGrid(dim, points, 10.0)
-        first, second = rng_fields(g, 4, seed=7), rng_fields(g, 4, seed=8)
-        batch = _SpectralIterate(first)
-        inners = batch.inner(batch.spec, _SpectralIterate(second).spec)
+        first, second = (np.stack([u.samples for u in rng_fields(g, 4, seed=seed)])
+                         for seed in (7, 8))
+        batch = _SpectralIterate(g, first)
+        inners = batch.inner(batch.spec, _SpectralIterate(g, second).spec)
         assert inners.shape == (4,) + (1,) * dim  # broadcasts on the batch's spectra
         for a, b, batch_inner in zip(first, second, inners.ravel()):
-            state = _SpectralIterate(a)
-            quadrature = g.cell_volume * float(np.sum(a.samples * b.samples))
-            inner = state.inner(state.spec, _SpectralIterate(b).spec)
+            state = _SpectralIterate(g, a)
+            quadrature = g.cell_volume * float(np.sum(a * b))
+            inner = state.inner(state.spec, _SpectralIterate(g, b).spec)
             assert inner == pytest.approx(quadrature, rel=1e-12)
             assert batch_inner.tobytes() == np.float64(inner).tobytes()
 
@@ -178,13 +179,14 @@ class TestNorms:
         g = BoxGrid(dim, points, 10.0)
         axes = [g.wavenumbers()] * (dim - 1) + [g.wavenumbers(half=True)]
         k2 = sum(k * k for k in np.meshgrid(*axes, indexing="ij"))
-        lone = _SpectralIterate(rng_fields(g, 1, seed=9)[0])
+        fields = rng_fields(g, 3, seed=9)
+        lone = _SpectralIterate(g, fields[0].samples)
         power = lone._power.tobytes()
         symbol = lone.symbol(0.3, 1.7, 2.5)
         np.testing.assert_allclose(symbol, 0.3 * k2**2 + 1.7 * k2 + 2.5, rtol=1e-15)
         assert lone._power.tobytes() == power
 
-        batch = _SpectralIterate(rng_fields(g, 3, seed=9))
+        batch = _SpectralIterate(g, np.stack([u.samples for u in fields]))
         power = batch._power.tobytes()
         a, b, c = (np.array(v).reshape((3,) + (1,) * dim)
                    for v in ([0.3, 1.0, 2e-3], [1.7, 0.0, 5.0], [2.5, 1e-2, 0.0]))
@@ -192,6 +194,22 @@ class TestNorms:
         assert batch.symbol(a, b, c, out=out) is out
         np.testing.assert_allclose(out, a * k2**2 + b * k2 + c, rtol=1e-15)
         assert batch._power.tobytes() == power
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_norm_sums_rows_are_their_fields(self, dim):
+        # the GN sampler's block of rows on its grid, with its three exponents
+        # (p and the two mass-critical ones): each row's sums are bit-equal to
+        # those of the row alone
+        from bnls.solvers import random_bandlimited_blocks
+
+        g = BoxGrid(dim, 512 >> dim, 40.0)
+        block = next(random_bandlimited_blocks(g, 11, 4, modes=40 >> dim))
+        exponents = ((8.0, 5.0, 4.0)[dim - 1], 2.0 + 4.0 / dim, 2.0 + 8.0 / dim)
+        sums = np.array(grid_module.norm_sums(g, block, exponents))
+        assert sums.shape == (6, len(block))
+        for row, row_sums in zip(block, sums.T):
+            alone = np.array(grid_module.norm_sums(g, row, exponents))
+            assert alone.tobytes() == row_sums.tobytes()
 
     def test_interpolation_inequality_500_fields(self):
         g = BoxGrid(1, 64, 40.0)

@@ -159,17 +159,18 @@ class TestSampler:
         class Started(Exception):
             pass
 
-        def spy(fields):
-            starts.extend(f.samples.copy() for f in fields)
+        def spy(on, samples):
+            assert on == coarse
+            starts.extend(samples.copy())
             raise Started
 
         starts = []
+        coarse = BoxGrid(grid.dim, max(32, grid.points_per_axis // 4), grid.box_length)
         monkeypatch.setattr(bnls.constants, "_SpectralIterate", spy)
         params = Params(bigN=grid.dim, p=(8.0, 5.0, 4.0)[grid.dim - 1], eps=1.0)
         with pytest.raises(Started):
             bnls.constants.K_numeric(params, grid, SolverConfig(seed=3), n_starts=3)
         assert len(starts) == 3
-        coarse = BoxGrid(grid.dim, max(32, grid.points_per_axis // 4), grid.box_length)
         for k, start in enumerate(starts):
             assert start.tobytes() == reference_random_field(coarse, 3 + 101 * (k + 1)).tobytes()
 
@@ -621,20 +622,24 @@ class TestMassFlow:
 
 class TestAndersonMix:
     """_SpectralIterate.mix on a linear contraction G(x) = x* + A (x - x*), A diagonal in k
-    with rates from 0.1 to 0.95, one fixed point x* per batch row."""
+    with rates from 0.1 to 0.95 along the half-spectrum axis, one fixed point x* per
+    batch row."""
 
     grid = BoxGrid(1, 64, 10.0)
-    rate = np.linspace(0.1, 0.95, 33)
 
     def setup_method(self):
         rng = np.random.default_rng(3)
-        self.fields = [Field(self.grid, rng.standard_normal(64)) for _ in range(3)]
+        self.samples = rng.standard_normal((3, 64))
         self.target = np.fft.rfft(rng.standard_normal((3, 64)))
+
+    def iterate(self, samples, grid=None):
+        """The kernel's iterate of ``samples``, on the class's grid unless ``grid`` is given."""
+        return bnls.solvers._SpectralIterate(grid or self.grid, samples)
 
     def sweep(self, state, target, mixing):
         """One step of G into ``next``, mixed unless ``mixing`` is False; returns G's image."""
         np.subtract(state.spec, target, out=state.next)
-        state.next *= self.rate
+        state.next *= np.linspace(0.1, 0.95, state.spec.shape[-1])
         state.next += target
         image = state.next.copy()
         if mixing:
@@ -649,13 +654,13 @@ class TestAndersonMix:
         return np.abs(state.spec - target).max()
 
     def test_mixing_beats_the_plain_fixed_point(self):
-        plain = self.run(bnls.solvers._SpectralIterate(self.fields), self.target, 30, mixing=False)
-        mixed = self.run(bnls.solvers._SpectralIterate(self.fields), self.target, 30)
+        plain = self.run(self.iterate(self.samples), self.target, 30, mixing=False)
+        mixed = self.run(self.iterate(self.samples), self.target, 30)
         assert mixed < 0.1 * plain
 
     def test_step_is_the_image_less_gamma_times_its_change(self):
         # gamma = <f, df> / <df, df> over the real and imaginary parts of each row
-        state = bnls.solvers._SpectralIterate(self.fields)
+        state = self.iterate(self.samples)
         self.run(state, self.target, 3)
         g_last = self.sweep(state, self.target, True)
         f_last = g_last - state.spec
@@ -672,21 +677,33 @@ class TestAndersonMix:
 
     def test_lone_iterate_matches_one_row_batch(self):
         # a fixed-frequency solve mixes a lone iterate, the K ascent a batch
-        lone = bnls.solvers._SpectralIterate(self.fields[0])
-        batch = bnls.solvers._SpectralIterate([self.fields[0]])
-        plain = bnls.solvers._SpectralIterate(self.fields[0])
+        lone = self.iterate(self.samples[0])
+        batch = self.iterate(self.samples[:1])
+        plain = self.iterate(self.samples[0])
         error = self.run(lone, self.target[0], 20)
         self.run(batch, self.target[:1], 20)
         assert error < 0.1 * self.run(plain, self.target[0], 20, mixing=False)
         assert lone.spec.tobytes() == batch.spec[0].tobytes()
+        # each row of a 3-row batch mixes as it does alone, also on 32^3, whose
+        # rows (34,816 floats) outrun einsum's 8,192-element buffer
+        for dim, points in ((1, 64), (2, 32), (3, 32)):
+            grid = BoxGrid(dim, points, 10.0)
+            rng = np.random.default_rng(dim)
+            samples = rng.standard_normal((3,) + grid.shape)
+            target = np.fft.rfftn(rng.standard_normal((3,) + grid.shape), axes=range(-dim, 0))
+            batch = self.iterate(samples, grid)
+            self.run(batch, target, 6)
+            for row in range(3):
+                lone = self.iterate(samples[row], grid)
+                self.run(lone, target[row], 6)
+                assert lone.spec.tobytes() == batch.spec[row].tobytes(), (dim, row)
 
     def test_history_holds_two_spectra_per_row(self):
         # the last (f, g) pair: 2 spectra a row, allocated by the first call
         # and never again
         grid = BoxGrid(1, 1024, 10.0)
         rng = np.random.default_rng(5)
-        state = bnls.solvers._SpectralIterate([Field(grid, rng.standard_normal(1024))
-                                               for _ in range(3)])
+        state = self.iterate(rng.standard_normal((3, 1024)), grid)
         target = np.fft.rfft(rng.standard_normal((3, 1024)))
         rate = np.linspace(0.1, 0.95, 513)
         tracemalloc.start()
@@ -709,8 +726,7 @@ class TestAndersonMix:
         x_star = 0.7
         ends = {}
         for kind in ("plain", "lone", "batch"):
-            state = bnls.solvers._SpectralIterate(
-                [self.fields[0]] if kind == "batch" else self.fields[0])
+            state = self.iterate(self.samples[:1] if kind == "batch" else self.samples[0])
             x = np.zeros(1) if kind == "batch" else 0.0
             for _ in range(20):
                 self.sweep(state, self.target[0], mixing=False)
@@ -723,7 +739,7 @@ class TestAndersonMix:
         assert ends["batch"][1] == ends["lone"][1]
 
     def test_row_whose_residual_grew_takes_the_plain_step(self):
-        state = bnls.solvers._SpectralIterate(self.fields)
+        state = self.iterate(self.samples)
         self.run(state, self.target, 3)
         f_last = self.sweep(state, self.target, True) - state.spec
         state.advance()

@@ -169,25 +169,6 @@ class TestVerifyGnRandom:
         assert weinstein(nt, params) * cr.C == pytest.approx(1.0, abs=1e-6)
         assert gn_k_quotient(nt, params) / cr.K == pytest.approx(1.0, abs=1e-4)
 
-    def test_constant_field_skipped(self, params, full_run):
-        _, states = full_run
-        cr = states["constants"]
-        g = BoxGrid(1, 64, 40.0)
-        fields = [Field(g, np.full(64, 0.5))] + [random_bandlimited(g, 5 + k) for k in range(3)]
-        out = verify_gn_random(params, cr.C, cr.K, fields=fields)
-        by_name = {c.name: c for c in out.checks}
-        assert by_name["gn.degenerate_samples"].skipped
-        assert "1 degenerate" in by_name["gn.degenerate_samples"].detail
-
-    def test_fields_list_matches_generated_samples(self, params, full_run):
-        _, states = full_run
-        cr = states["constants"]
-        g = BoxGrid(1, 64, 40.0)
-        generated = verify_gn_random(params, cr.C, cr.K, n_samples=7, seed=30, grid=g)
-        (rows,) = random_bandlimited_blocks(g, 30, 7)
-        listed = [Field(g, row) for row in rows]
-        assert verify_gn_random(params, cr.C, cr.K, fields=listed) == generated
-
     def test_one_generator_per_call(self, params, full_run, monkeypatch):
         _, states = full_run
         cr = states["constants"]
@@ -246,13 +227,6 @@ class TestVerifyGnRandom:
         blocks = math.ceil(500 / max(1, bnls.solvers.SAMPLER_BLOCK_BYTES // (8 * 256)))
         assert 0 < calls[bnls.solvers] <= 2 * blocks
         assert calls[bnls.solvers] + calls[bnls.grid] <= 3 * blocks
-
-    def test_all_degenerate_rejected(self, params, full_run):
-        _, states = full_run
-        cr = states["constants"]
-        g = BoxGrid(1, 64, 40.0)
-        with pytest.raises(PreconditionError):
-            verify_gn_random(params, cr.C, cr.K, fields=[Field(g, np.full(64, 1.0))])
 
 
 class TestTolProfile:
