@@ -6,6 +6,9 @@ Writes into --out-dir:
   residuals.csv    residual history of the fixed-frequency solve (its ``residuals``)
   fiber_scan.csv   t, I(u^t), and the gap I(u) - I(u^t)
   flow_energy.csv  accepted-step energies of the supercritical mass flow
+
+The fixed-frequency state is solved at omega_eps on the critical-mass state's
+grid, and the two are aligned as verify aligns them (``bnls.grid.aligned_pair``).
 """
 
 import argparse
@@ -15,7 +18,7 @@ from pathlib import Path
 
 from bnls.constants import compute_constants
 from bnls.functionals import Params, action
-from bnls.grid import BoxGrid, center_and_align, regrid
+from bnls.grid import BoxGrid, aligned_pair
 from bnls.scalings import fiber_scale_laws, fiber_t_grid
 from bnls.solvers import SolverConfig, mass_constrained_flow, petviashvili, route_Q
 
@@ -40,18 +43,16 @@ def main():
     cr = compute_constants(gs_energy)
     print(cr.table())
 
-    gs_action = petviashvili(params.with_omega(cr.omega_eps), grid, config)
+    gs_action = petviashvili(params.with_omega(cr.omega_eps), gs_energy.field.grid, config)
     for warning in gs_energy.warnings + gs_action.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    common = BoxGrid(args.N, args.points, max(gs_energy.field.grid.box_length, args.box))
-    ue = center_and_align(regrid(gs_energy.field, common))
-    ua = center_and_align(regrid(gs_action.field, common))
+    ue, ua = aligned_pair(gs_energy.field, gs_action.field)
     if args.N == 1:
         with (out / "profile.csv").open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "u_critical_mass", "u_fixed_frequency"])
-            for x, a, b in zip(common.axis_coordinates(), ue.samples, ua.samples):
+            for x, a, b in zip(ue.grid.axis_coordinates(), ue.samples, ua.samples):
                 w.writerow([x, a, b])
 
     with (out / "residuals.csv").open("w", newline="") as fh:

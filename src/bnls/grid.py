@@ -16,7 +16,9 @@ all three at once: the mass, and the derivative seminorms weighted by |k|^2
 and |k|^4, with the full symmetric wavenumber (including Nyquist) entering
 the even symbols.  The iteration kernel's inner product of two spectra,
 ``solvers._SpectralIterate.inner``, is the same sum with no |k| weight.
-Only ||u||_p^p is a physical-space sum.
+The power sums h^d sum |u|^q of :func:`norm_sums`, ||u||_p^p among them, are
+physical-space sums, and so are the sums of u**2 in :func:`relative_l2_distance`
+and ``solvers.normalize_to_mass``.
 
 Every real transform runs through one pair, :func:`_rfftn` and :func:`_irfftn`.
 They do numpy's n-dimensional real transforms as one-axis passes written in
@@ -83,11 +85,6 @@ class BoxGrid:
 
     def axis_coordinates(self) -> np.ndarray:
         return -0.5 * self.box_length + self.spacing * np.arange(self.points_per_axis)
-
-    def coordinates(self):
-        """Coordinate arrays, one per axis, in 'ij' meshgrid layout."""
-        axes = [self.axis_coordinates()] * self.dim
-        return np.meshgrid(*axes, indexing="ij")
 
     def wavenumbers(self, half: bool = False) -> np.ndarray:
         """Angular wavenumbers 2*pi*wrap(m)/L along one full-spectrum axis, or
@@ -166,14 +163,12 @@ def _irfftn(
     """Inverse of :func:`_rfftn` onto an even last axis, bit-equal to
     ``numpy.fft.irfftn(spec, s, axes=range(-dim, 0))``.
 
-    When dim > 1, spec is copied once into ``work`` (spec's shape and dtype;
-    fresh when omitted) and every complex pass runs in place there; spec is
-    left unchanged unless ``work`` is spec itself, which the passes then
-    overwrite.  ``out``, when given, receives the real result.
+    spec is copied once into ``work`` (spec's shape and dtype; fresh when
+    omitted) and every complex pass, none when dim = 1, runs in place there;
+    spec is left unchanged unless ``work`` is spec itself, which the passes
+    then overwrite.  ``out``, when given, receives the real result.
     """
     n = 2 * (spec.shape[-1] - 1)
-    if dim == 1:
-        return np.fft.irfft(spec, n=n, axis=-1, out=out)
     if work is None:
         work = spec.copy()
     elif work is not spec:
@@ -334,12 +329,11 @@ def center_and_align(u: Field) -> Field:
     return out
 
 
-def boundary_amplitude_ratio(u) -> float:
+def boundary_amplitude_ratio(samples: np.ndarray) -> float:
     """max |u| over the box faces divided by max |u| overall (0 for the zero field).
 
-    Takes a Field or a bare samples array, which iteration loops pass uncopied.
+    Takes a field's samples, which iteration loops pass uncopied.
     """
-    samples = u.samples if isinstance(u, Field) else u
     peak = max(float(np.max(samples)), -float(np.min(samples)))  # max |u|, with no |u| array
     if peak == 0.0:
         return 0.0
@@ -430,8 +424,16 @@ def regrid(u: Field, target: BoxGrid) -> Field:
     return Field(target, spec.real)
 
 
+def aligned_pair(a: Field, b: Field) -> tuple:
+    """(a, b) on the larger box at the larger point count (:func:`regrid` returns a field
+    already there), each centred and sign-aligned: the one way to compare two states."""
+    target = BoxGrid(a.grid.dim, max(a.grid.points_per_axis, b.grid.points_per_axis),
+                     max(a.grid.box_length, b.grid.box_length))
+    return center_and_align(regrid(a, target)), center_and_align(regrid(b, target))
+
+
 def relative_l2_distance(a: Field, b: Field) -> float:
-    """||a - b||_2 / max(||a||_2, ||b||_2) on a shared grid."""
+    """||a - b||_2 / max(||a||_2, ||b||_2) on a shared grid (see :func:`aligned_pair`)."""
     if a.grid != b.grid:
         raise ValueError("fields must share a grid; regrid first")
     diff = a.samples - b.samples

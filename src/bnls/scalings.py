@@ -114,9 +114,9 @@ def construct_Q(u: Field, nt: NormTuple, params: Params) -> tuple:
 
     With v = lambda_normalize(u), Q(x) = lam * v(mu x) for mu = sqrt(alpha/(beta*eps))
     and lam = (p*alpha / (beta^2*eps*lp(v)))^(1/(p-2)), built as one amplitude
-    and box rescale of u.  Returns (Q, norms of Q, omega), the norms by
-    :func:`rescale_laws` and omega = :func:`omega_formula` of mass(v) the
-    frequency Q solves at.
+    and box rescale of u.  Returns (Q, norms of Q), the norms by
+    :func:`rescale_laws`; Q solves the PDE at the frequency :func:`omega_formula`
+    of mass(v).
     """
     if not (nt.mass > 0 and nt.lp > 0):
         raise PreconditionError(f"construct_Q needs positive mass and lp; got {nt}")
@@ -127,10 +127,9 @@ def construct_Q(u: Field, nt: NormTuple, params: Params) -> tuple:
     eps = params.eps
     mu = math.sqrt(ep.alpha / (ep.beta * eps))
     lam = (params.p * ep.alpha / (ep.beta**2 * eps * nt_v.lp)) ** (1.0 / (params.p - 2.0))
-    omega = omega_formula(nt_v.mass, params)
     amp, dilation = lam * lam1, mu * lam2
     scaled = resample(u, dilation)
-    return Field(scaled.grid, amp * scaled.samples), rescale_laws(nt, amp, dilation, n), omega
+    return Field(scaled.grid, amp * scaled.samples), rescale_laws(nt, amp, dilation, n)
 
 
 def t_eps(nt: NormTuple, params: Params) -> float:

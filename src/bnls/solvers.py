@@ -497,7 +497,7 @@ def _finish(u: Field, params: Params, history: list, route: str,
     nt = norms(u, params.p, spec)
     omega_x = extract_omega(nt, params)
     warn = list(extra_warnings)
-    ratio = boundary_amplitude_ratio(u)
+    ratio = boundary_amplitude_ratio(u.samples)
     if ratio > 1e-8:
         warn.append(f"boundary amplitude is {ratio:.2e} of the peak; box may be too small")
     tail = spectral_tail_ratio(u, spec)
@@ -515,7 +515,7 @@ def _stall(label: str, u: Field, best: float, config: SolverConfig, history: lis
     error, so the error's cause, and its message, name whichever of the
     boundary and spectral-tail ratios of ``u`` is larger: ``"grid"`` or ``"box"``.
     """
-    boundary = boundary_amplitude_ratio(u)
+    boundary = boundary_amplitude_ratio(u.samples)
     tail = spectral_tail_ratio(u)
     if tail > boundary:
         cause, advice = "grid", "the grid may under-resolve the state (use more points)"
@@ -669,11 +669,12 @@ def route_Q(params: Params, grid: BoxGrid, config: SolverConfig) -> GroundState:
     """
     u, history, _ = _weinstein_state(params, grid, config)
     solved = _finish(u, params, history, "weinstein_Q")
-    q_field, nt, omega = construct_Q(solved.field, solved.nt, params)
+    q_field, nt = construct_Q(solved.field, solved.nt, params)
+    omega = extract_omega(nt, params)
     if not (math.isfinite(omega) and omega > 0):
         raise DivergenceError(f"constructed frequency {omega} is not positive",
                               cause="blow-up", history=history)
-    return replace(solved, field=q_field, nt=nt, omega_extracted=extract_omega(nt, params))
+    return replace(solved, field=q_field, nt=nt, omega_extracted=omega)
 
 
 # ---------------------------------------------------------------------------

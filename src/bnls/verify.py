@@ -46,9 +46,8 @@ from .functionals import (
 from .grid import (
     BoxGrid,
     NormTuple,
-    center_and_align,
+    aligned_pair,
     norm_sums,
-    regrid,
     relative_l2_distance,
 )
 from .scalings import (
@@ -377,7 +376,8 @@ def q_checks(gs: GroundState, cr: ConstantsReport) -> tuple:
 
 
 def verify_equivalence(gsE: GroundState, gsA: GroundState) -> VerificationReport:
-    """Compare a critical-mass energy minimizer with a fixed-frequency minimizer."""
+    """Compare a critical-mass energy minimizer with a fixed-frequency minimizer, the
+    fields side by side by :func:`~bnls.grid.aligned_pair`."""
     pe, pa = gsE.params, gsA.params
     if (pe.bigN, pe.p, pe.eps) != (pa.bigN, pa.p, pa.eps):
         raise PreconditionError(
@@ -387,16 +387,7 @@ def verify_equivalence(gsE: GroundState, gsA: GroundState) -> VerificationReport
     omega = pa.omega if pa.omega is not None else gsA.omega_extracted
     pm = pe.with_omega(omega)
     n = pe.bigN
-
-    # Common finer grid: the larger box at the larger point count.
-    target = BoxGrid(
-        dim=n,
-        points_per_axis=max(gsE.field.grid.points_per_axis, gsA.field.grid.points_per_axis),
-        box_length=max(gsE.field.grid.box_length, gsA.field.grid.box_length),
-    )
-    aligned_e = center_and_align(regrid(gsE.field, target))
-    aligned_a = center_and_align(regrid(gsA.field, target))
-    distance = relative_l2_distance(aligned_e, aligned_a)
+    distance = relative_l2_distance(*aligned_pair(gsE.field, gsA.field))
 
     scale = quadratic_scale(gsA.nt, pm)
     i_e = action(gsE.nt, pm)
@@ -672,8 +663,9 @@ def full_verification(
     and the constants come from it: a supplied state is never checked against
     constants derived from itself.  The K ascent always runs, from random
     starts only, so ``const.k_numeric_close`` checks the closed-form K
-    independently.  Missing states are solved fresh (the action state by an
-    independent Petviashvili solve).
+    independently.  A missing action state is an independent Petviashvili solve
+    at ``omega_eps`` on the energy state's grid, so only a stored action state
+    on another grid is interpolated for the comparison.
     Deterministic given the inputs; the report's provenance hashes both states
     and names the sampler seed.
     """
@@ -684,7 +676,7 @@ def full_verification(
     gs_action = (
         action_state
         if action_state is not None
-        else petviashvili(params.with_omega(cr.omega_eps), grid, config)
+        else petviashvili(params.with_omega(cr.omega_eps), gs_energy.field.grid, config)
     )
     checks = (
         *verify_constants(cr, params, ascent).checks,

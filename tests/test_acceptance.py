@@ -31,9 +31,9 @@ from bnls.functionals import (
 from bnls.grid import (
     BoxGrid,
     Field,
+    aligned_pair,
     center_and_align,
     norms,
-    regrid,
     relative_l2_distance,
 )
 from bnls.scalings import (
@@ -116,15 +116,7 @@ def test_criterion_04_consistency_triangle(q_state, params, grid, config, consta
 
 
 def test_criterion_05_route_equivalence(q_state, action_state):
-    common = BoxGrid(
-        1,
-        max(q_state.field.grid.points_per_axis, action_state.field.grid.points_per_axis),
-        max(q_state.field.grid.box_length, action_state.field.grid.box_length),
-    )
-    distance = relative_l2_distance(
-        center_and_align(regrid(q_state.field, common)),
-        center_and_align(regrid(action_state.field, common)),
-    )
+    distance = relative_l2_distance(*aligned_pair(q_state.field, action_state.field))
     mass_gap = abs(q_state.nt.mass - action_state.nt.mass) / q_state.nt.mass
     ok = distance <= 1e-3 and mass_gap <= 1e-4
     report(

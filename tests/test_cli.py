@@ -217,7 +217,8 @@ class TestGroundStateCommand:
         from bnls.grid import BoxGrid, Field
 
         grid = BoxGrid(2, 32, 10.0)
-        bump = np.exp(-sum(x**2 for x in grid.coordinates()))
+        mesh = np.meshgrid(*[grid.axis_coordinates()] * 2, indexing="ij", sparse=True)
+        bump = np.exp(-sum(x**2 for x in mesh))
         path = write_field(tmp_path / "x.bnls", Field(grid, bump),
                            sidecar={"params": {"bigN": 2, "p": 5, "eps": 0.5}})
         code, out, _ = run(capsys, "ground-state", "--load", str(path), "--print-config")
@@ -915,7 +916,8 @@ class TestInputErrors:
         if isinstance(stored, tuple):
             dim, sidecar, *zero = stored
             grid = BoxGrid(dim, 32, 10.0)
-            bump = np.exp(-sum(x**2 for x in grid.coordinates()))
+            mesh = np.meshgrid(*[grid.axis_coordinates()] * dim, indexing="ij", sparse=True)
+            bump = np.exp(-sum(x**2 for x in mesh))
             write_field("x.bnls", Field(grid, 0.0 * bump if zero else bump), sidecar=sidecar)
             Path("c.json").write_text("{}")
         elif stored is not None:

@@ -12,6 +12,7 @@ from bnls.functionals import Params
 from bnls.grid import (
     BoxGrid,
     Field,
+    aligned_pair,
     bilaplacian,
     boundary_amplitude_ratio,
     center_and_align,
@@ -123,7 +124,7 @@ class TestNorms:
 
     def test_3d_product_of_sines(self):
         g = BoxGrid(3, 32, 2.0 * np.pi)
-        x, y, z = g.coordinates()
+        x, y, z = np.meshgrid(*[g.axis_coordinates()] * 3, indexing="ij", sparse=True)
         u = Field(g, np.sin(3 * x) * np.sin(2 * y) * np.sin(z))
         nt = norms(u, 4.0)
         pi3 = np.pi**3
@@ -322,7 +323,7 @@ class TestCenterAndAlign:
 
     def test_2d_centering(self):
         g = BoxGrid(2, 64, 20.0)
-        x, y = g.coordinates()
+        x, y = np.meshgrid(*[g.axis_coordinates()] * 2, indexing="ij", sparse=True)
         u = Field(g, np.exp(-((x - 1.3) ** 2 + (y + 2.1) ** 2)))
         out = center_and_align(u)
         c = g.points_per_axis // 2
@@ -445,9 +446,32 @@ class TestRegrid:
         assert peak <= 262_144
 
 
+class TestAlignedPair:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lands_on_larger_box_at_larger_point_count(self, dim):
+        # a on more points, b on a larger box; b is a's Gaussian shifted and negated
+        a_grid, b_grid = BoxGrid(dim, 128, 16.0), BoxGrid(dim, 64, 20.0)
+        mesh = np.meshgrid(*[a_grid.axis_coordinates()] * dim, indexing="ij", sparse=True)
+        a = Field(a_grid, np.exp(-sum(x**2 for x in mesh)))
+        mesh = np.meshgrid(*[b_grid.axis_coordinates()] * dim, indexing="ij", sparse=True)
+        b = Field(b_grid, -np.exp(-sum((x - 1.3) ** 2 for x in mesh)))
+        ua, ub = aligned_pair(a, b)
+        assert ua.grid == ub.grid == BoxGrid(dim, 128, 20.0)
+        assert relative_l2_distance(ua, ub) <= 1e-10
+
+    def test_shared_grid_is_kept(self):
+        # no interpolation: each field is only centred and sign-aligned
+        a = bump()
+        b = Field(a.grid, -np.roll(a.samples, 37))
+        ua, ub = aligned_pair(a, b)
+        assert ua.grid == a.grid and ub.grid == b.grid
+        assert ua.samples.tobytes() == center_and_align(a).samples.tobytes()
+        assert ub.samples.tobytes() == center_and_align(b).samples.tobytes()
+
+
 class TestBoxAdequacy:
     def test_ratio_of_centered_bump_small(self):
-        assert boundary_amplitude_ratio(bump(width=2.0)) < 1e-8
+        assert boundary_amplitude_ratio(bump(width=2.0).samples) < 1e-8
 
     # a solve's state records the boundary warning
     def test_warning_raised_for_wide_field(self):

@@ -18,6 +18,7 @@ from bnls.scalings import (
     h_profile,
     lambda_normalize,
     mass_preserving_scale_laws,
+    omega_formula,
     resample,
     t_eps,
 )
@@ -137,13 +138,13 @@ class TestConstructQ:
 
     def test_formulas_n1_p8(self):
         # alpha = beta = 1: mu = eps^(-1/2), lam = (8/(eps lp))^(1/6),
-        # omega = 6 / (eps mass)
+        # and Q's frequency omega_formula = 6 / (eps mass)
         v = self.normalized_bump()
         nt = norms(v, 8.0)
         for eps in (1.0, 0.25, 4.0):
             pm = Params(bigN=1, p=8.0, eps=eps)
-            q, _, omega = construct_Q(v, nt, pm)
-            assert omega == pytest.approx(6.0 / (eps * nt.mass), rel=1e-12)
+            q, _ = construct_Q(v, nt, pm)
+            assert omega_formula(nt.mass, pm) == pytest.approx(6.0 / (eps * nt.mass), rel=1e-12)
             mu = eps**-0.5
             assert q.grid.box_length == pytest.approx(v.grid.box_length / mu, rel=1e-12)
             lam = (8.0 / (eps * nt.lp)) ** (1.0 / 6.0)
@@ -154,15 +155,14 @@ class TestConstructQ:
         pm = Params(bigN=1, p=8.0, eps=1.0)  # alpha/beta = 1 here
         # v's tuple with grad = bilap = 1 exactly, so only mu could move the box
         unit = replace(norms(v, 8.0), grad=1.0, bilap=1.0)
-        q, _, _ = construct_Q(v, unit, pm)
+        q, _ = construct_Q(v, unit, pm)
         assert q.grid.box_length == v.grid.box_length
 
     def test_formulas_n2_p5(self):
         v = self.normalized_bump(dim=2, m=64, box=20.0)
         nt = norms(v, 5.0)
         pm = Params(bigN=2, p=5.0, eps=1.0)
-        _, _, omega = construct_Q(v, nt, pm)
-        assert omega == pytest.approx(3.0 / nt.mass, rel=1e-12)
+        assert omega_formula(nt.mass, pm) == pytest.approx(3.0 / nt.mass, rel=1e-12)
 
     @pytest.mark.parametrize(
         "dim, m, box, p", [(1, 512, 40.0, 8.0), (2, 64, 20.0, 5.0), (3, 32, 16.0, 3.5)]
@@ -174,11 +174,11 @@ class TestConstructQ:
         u = gaussian_bump(BoxGrid(dim, m, box), width=box / 8.0, amplitude=1.7)
         v = lambda_normalize(u)
         pm = Params(bigN=dim, p=p, eps=1.0)
-        q, nt, omega = construct_Q(u, norms(u, p), pm)
-        ref, _, ref_omega = construct_Q(v, norms(v, p), pm)
+        q, nt = construct_Q(u, norms(u, p), pm)
+        ref, ref_nt = construct_Q(v, norms(v, p), pm)
         assert q.grid.box_length == pytest.approx(ref.grid.box_length, rel=1e-12)
         np.testing.assert_allclose(q.samples, ref.samples, rtol=1e-12)
-        assert omega == pytest.approx(ref_omega, rel=1e-12)
+        assert nt.mass == pytest.approx(ref_nt.mass, rel=1e-12)
         measured = norms(q, p)
         for name in ("mass", "grad", "bilap", "lp"):
             assert getattr(nt, name) == pytest.approx(getattr(measured, name), rel=1e-12)

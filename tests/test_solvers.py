@@ -17,12 +17,12 @@ from bnls.functionals import (
 from bnls.grid import (
     BoxGrid,
     Field,
+    aligned_pair,
     bilaplacian,
     center_and_align,
     laplacian,
     norms,
     quadratic_norms,
-    regrid,
     relative_l2_distance,
 )
 from bnls.solvers import (
@@ -103,7 +103,7 @@ def reference_band_limit(grid, white, modes=20, width_frac=0.125):
     spec *= np.exp(-k2 / (kc * kc))
     smooth = np.fft.irfftn(spec, s=grid.shape, axes=axes)
     r2 = np.zeros(grid.shape)
-    for x in grid.coordinates():
+    for x in np.meshgrid(*[grid.axis_coordinates()] * grid.dim, indexing="ij", sparse=True):
         r2 += x * x
     sigma = width_frac * grid.box_length
     samples = smooth * np.exp(-r2 / (2.0 * sigma**2))
@@ -239,10 +239,7 @@ class TestWeinstein:
         va, ca = optimizer(params, grid, SolverConfig(init="random_bandlimited", seed=3))
         vb, cb = optimizer(params, grid, SolverConfig(init="random_bandlimited", seed=4))
         assert ca == pytest.approx(cb, rel=1e-8)
-        common = BoxGrid(1, 1024, 40.0)
-        da = center_and_align(regrid(va, common))
-        db = center_and_align(regrid(vb, common))
-        assert relative_l2_distance(da, db) <= 1e-6
+        assert relative_l2_distance(*aligned_pair(va, vb)) <= 1e-6
 
     def test_output_normalized_and_consistent(self, params, q_state, constants_report):
         v = lambda_normalize(q_state.field)
@@ -323,6 +320,14 @@ class TestRouteQ:
 
     def test_physical_residual_small(self, q_state, params):
         assert pde_residual(q_state.field, params, q_state.omega_extracted) <= 1e-6
+
+    def test_returned_frequency_is_checked(self, params, grid, monkeypatch):
+        # the frequency route_Q returns, the Nehari multiplier of Q's norms, is
+        # the one its guard refuses when it is not positive
+        monkeypatch.setattr(bnls.solvers, "extract_omega", lambda nt, params: -1.0)
+        with pytest.raises(DivergenceError, match="constructed frequency -1.0") as err:
+            route_Q(params, grid, SolverConfig())
+        assert err.value.cause == "blow-up"
 
 
 def reference_pde_residual(u, params, omega):
@@ -460,14 +465,7 @@ class TestShooting:
 
 class TestRouteEquivalence:
     def test_states_match(self, q_state, action_state):
-        common = BoxGrid(
-            1,
-            max(q_state.field.grid.points_per_axis, action_state.field.grid.points_per_axis),
-            max(q_state.field.grid.box_length, action_state.field.grid.box_length),
-        )
-        a = center_and_align(regrid(q_state.field, common))
-        b = center_and_align(regrid(action_state.field, common))
-        assert relative_l2_distance(a, b) <= 1e-3
+        assert relative_l2_distance(*aligned_pair(q_state.field, action_state.field)) <= 1e-3
         assert abs(q_state.nt.mass - action_state.nt.mass) / q_state.nt.mass <= 1e-4
 
     def test_action_state_energy_zero(self, action_state):

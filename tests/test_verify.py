@@ -59,6 +59,13 @@ class TestFullSuite:
         b, _ = full_verification(params, small, config, n_samples=50)
         assert a.as_dict() == b.as_dict()
 
+    def test_fresh_action_state_on_energy_grid(self, full_run, grid):
+        # route_Q's state lives on the configured box rescaled by 1 + O(residual);
+        # the fresh action state is solved there, so the comparison interpolates nothing
+        _, states = full_run
+        assert states["energy"].field.grid != grid
+        assert states["action"].field.grid == states["energy"].field.grid
+
     def test_json_and_table_render(self, full_run):
         report, _ = full_run
         doc = json.loads(report.to_json())
