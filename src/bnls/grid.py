@@ -18,7 +18,10 @@ the even symbols.  The iteration kernel's inner product of two spectra,
 ``solvers._SpectralIterate.inner``, is the same sum with no |k| weight.
 The power sums h^d sum |u|^q of :func:`norm_sums`, ||u||_p^p among them, are
 physical-space sums, and so are the sums of u**2 in :func:`relative_l2_distance`
-and ``solvers.normalize_to_mass``.
+and ``solvers.normalize_to_mass``.  Every |u|^q, here and in the solvers, is one
+pass, :func:`_abs_pow`; |k|^2 and |x|^2 come from one builder,
+:func:`_sum_of_squares`.  No sum is a BLAS dot, whose last bit follows the
+OpenBLAS thread count: the centroid's circular sums are einsums too.
 
 Every real transform runs through one pair, :func:`_rfftn` and :func:`_irfftn`.
 They do numpy's n-dimensional real transforms as one-axis passes written in
@@ -132,14 +135,19 @@ class NormTuple:
     p: float
 
 
+def _sum_of_squares(axes) -> np.ndarray:
+    """Sum of a_i^2 over the sparse ``ij`` mesh of the 1-D arrays ``axes``, in a new array."""
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    total = np.zeros(np.broadcast_shapes(*(a.shape for a in mesh)))
+    for a in mesh:
+        total += a * a
+    return total
+
+
 @lru_cache(maxsize=64)
 def _k2_table(grid: BoxGrid):
     """Cached |k|^2 array on the rfftn spectrum layout."""
-    axes = [grid.wavenumbers()] * (grid.dim - 1) + [grid.wavenumbers(half=True)]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    k2 = np.zeros(np.broadcast_shapes(*(k.shape for k in mesh)))
-    for k in mesh:
-        k2 += k * k
+    k2 = _sum_of_squares([grid.wavenumbers()] * (grid.dim - 1) + [grid.wavenumbers(half=True)])
     k2.setflags(write=False)
     return k2
 
@@ -216,6 +224,13 @@ def _parseval_sums(
     return tuple(sums)
 
 
+def _abs_pow(x: np.ndarray, q, out: np.ndarray) -> np.ndarray:
+    """|x|^q into ``out``, which may be x itself, and returned: the one power pass."""
+    np.abs(x, out=out)
+    out **= q
+    return out
+
+
 def norm_sums(grid: BoxGrid, samples: np.ndarray, exponents=(), spec=None) -> tuple:
     """(mass, grad, bilap, *power sums) over the last ``grid.dim`` axes of samples.
 
@@ -233,9 +248,7 @@ def norm_sums(grid: BoxGrid, samples: np.ndarray, exponents=(), spec=None) -> tu
         axes = tuple(range(-grid.dim, 0))
         mag = np.empty_like(samples)
         for q in exponents:
-            np.abs(samples, out=mag)
-            mag **= q  # the same power path as |u| ** q
-            sums.append(grid.cell_volume * np.sum(mag, axis=axes))
+            sums.append(grid.cell_volume * np.sum(_abs_pow(samples, q, mag), axis=axes))
     return tuple(sums)
 
 
@@ -308,7 +321,8 @@ def mass_centroid_indices(u: Field) -> np.ndarray:
     for axis in range(u.grid.dim):
         other = tuple(i for i in range(u.grid.dim) if i != axis)
         marg = w.sum(axis=other) if other else w
-        phi = np.arctan2(float(marg @ np.sin(theta)), float(marg @ np.cos(theta)))
+        phi = np.arctan2(float(np.einsum("n,n->", marg, np.sin(theta))),
+                         float(np.einsum("n,n->", marg, np.cos(theta))))
         out[axis] = (m * phi / (2.0 * np.pi)) % m
     return out
 

@@ -56,10 +56,12 @@ from .grid import (
     BoxGrid,
     Field,
     NormTuple,
+    _abs_pow,
     _irfftn,
     _k2_table,
     _parseval_sums,
     _rfftn,
+    _sum_of_squares,
     boundary_amplitude_ratio,
     norms,
     spectral_tail_ratio,
@@ -143,19 +145,12 @@ class GroundState:
 # initial guesses
 
 
-def _radius_sq(grid: BoxGrid) -> np.ndarray:
-    """|x|^2 on the grid, summed axis by axis from broadcast axis coordinates."""
-    axes = np.meshgrid(*[grid.axis_coordinates()] * grid.dim, indexing="ij", sparse=True)
-    r2 = np.zeros(grid.shape)
-    for x in axes:
-        r2 += x * x
-    return r2
-
-
 def gaussian_bump(grid: BoxGrid, width: float | None = None, amplitude: float = 1.0) -> Field:
     """Centered Gaussian bump; the default initial guess (width L/10)."""
     width = grid.box_length / 10.0 if width is None else width
-    return Field(grid, amplitude * np.exp(-_radius_sq(grid) / (2.0 * width**2)))
+    axes = [grid.axis_coordinates()] * grid.dim
+    # |x|^2 is left unnamed, so numpy negates and divides it in place
+    return Field(grid, amplitude * np.exp(-_sum_of_squares(axes) / (2.0 * width**2)))
 
 
 def _band_limiter(grid: BoxGrid, modes: int = 20):
@@ -164,20 +159,13 @@ def _band_limiter(grid: BoxGrid, modes: int = 20):
 
     Each row is low-passed by exp(-|k|^2/kc^2) with the cutoff kc at ``modes``
     fundamental wavenumbers (the same physical band at any resolution), times a
-    Gaussian envelope of width ENVELOPE_WIDTH L that keeps it well inside the
+    :func:`gaussian_bump` of width ENVELOPE_WIDTH L that keeps it well inside the
     box, and divided by its peak |u|.  The filter and the envelope are built
     once, here; a block costs one batched transform pair.
     """
-    k2 = _k2_table(grid)
     kc = modes * 2.0 * np.pi / grid.box_length
-    band = np.negative(k2)  # exp(-k2 / kc^2), written in place
-    band /= kc * kc
-    np.exp(band, out=band)
-    sigma = ENVELOPE_WIDTH * grid.box_length
-    envelope = _radius_sq(grid)  # exp(-r2 / (2 sigma^2)), written in place
-    np.negative(envelope, out=envelope)
-    envelope /= 2.0 * sigma**2
-    np.exp(envelope, out=envelope)
+    band = np.exp(-_k2_table(grid) / (kc * kc))
+    envelope = gaussian_bump(grid, ENVELOPE_WIDTH * grid.box_length).samples
     axes = tuple(range(-grid.dim, 0))
 
     def limit(block: np.ndarray) -> np.ndarray:
@@ -257,8 +245,8 @@ def normalize_to_mass(u: Field, c: float) -> Field:
 
 
 def _carve(memory: np.ndarray, shape: tuple) -> np.ndarray:
-    """A C-contiguous array of ``shape`` on the front of the flat array ``memory``."""
-    return memory[: math.prod(shape)].reshape(shape)
+    """A C-contiguous float ``shape`` array on the front of the real or complex ``memory``."""
+    return memory.view(np.float64).reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 class _SpectralIterate:
@@ -278,7 +266,7 @@ class _SpectralIterate:
       transform there, a sweep turns it into the new iterate in place and
       :meth:`advance` swaps it with ``spec``;
     * ``work``, the complex work array of the inverse transform, which between
-      transforms holds one physical-space or residual array (:meth:`scratch`)
+      transforms holds one physical-space or residual array (:func:`_carve`)
       or the mass flow's last preconditioned gradient;
     * a real array of the spectrum's shape, the power array, which holds the
       weighted power of the Parseval sums (:meth:`quadratic_norms`) and the
@@ -367,15 +355,10 @@ class _SpectralIterate:
         the other rows, so a row's last bits would depend on its batch."""
         return np.array([np.einsum("n,n->", a, b) for a, b in zip(x, y)])
 
-    def scratch(self, shape: tuple) -> np.ndarray:
-        """A float array of ``shape``, at most the physical or the spectrum's size, in ``work``."""
-        return _carve(self.work.view(np.float64).reshape(-1), shape)
-
     def physical(self) -> np.ndarray:
         """The iterate in physical space, in ``next``, which the next transform overwrites."""
         shape = self.spec.shape[:-1] + (self.grid.points_per_axis,)
-        memory = self.next.view(np.float64).reshape(-1)
-        return _irfftn(self.spec, self.grid.dim, self.work, out=_carve(memory, shape))
+        return _irfftn(self.spec, self.grid.dim, self.work, out=_carve(self.next, shape))
 
     def _sum(self, arr: np.ndarray):
         """Sum over the grid axes: a float, or per row an array that broadcasts on spec."""
@@ -446,9 +429,7 @@ class _SpectralIterate:
         lp is h^d sum(nl * u), which needs no |u|^p pass of its own.
         """
         u = self.physical()
-        nl = self.scratch(u.shape)
-        np.abs(u, out=nl)
-        nl **= p - 2.0
+        nl = _abs_pow(u, p - 2.0, _carve(self.work, u.shape))
         nl *= u
         lp = self.grid.cell_volume * self._sum(np.multiply(nl, u, out=u))
         return lp, _rfftn(nl, self.grid.dim, out=self.next)
@@ -776,8 +757,7 @@ def _power_change(u, v, tau, p, powered, block) -> float:
             stepped = v_b[rest]
             stepped *= -tau
             stepped += u_b[rest]
-            np.abs(stepped, out=stepped)
-            stepped **= p
+            _abs_pow(stepped, p, stepped)
             stepped -= powered_b[rest]
             x[rest] = stepped
             change = float(np.sum(x))
@@ -851,7 +831,7 @@ def _mass_flow_state(
     block = _carve(state._power, (min(state._power.size, POWER_BLOCK),))
 
     def symbol(sigma):
-        return state.symbol(eps, 1.0, sigma, out=_carve(v.reshape(-1), state.k2.shape))
+        return state.symbol(eps, 1.0, sigma, out=_carve(v, state.k2.shape))
 
     def change(tau):  # this iteration's energy change at step tau; inf where undefined
         d_mass = tau * (tau * m_dd - 2.0 * m_sd)
@@ -870,8 +850,7 @@ def _mass_flow_state(
     rz_last = 0.0  # <r, z> of the last iteration; 0 takes z itself as the direction
     progress = _Progress("energy descent", config, lambda: Field(grid, u))
     for it in range(1, config.max_iters + 1):
-        np.abs(u, out=v)  # |u|^(p-2) u, then |u|^p
-        v **= p - 2.0
+        _abs_pow(u, p - 2.0, v)  # |u|^(p-2) u, then |u|^p
         v *= u
         r_spec = _rfftn(v, grid.dim, out=state.next)  # N(u), made r and then z in place
         v *= u
@@ -917,9 +896,7 @@ def _mass_flow_state(
         m_sd, g_sd, b_sd = state.quadratic_norms(other=d_spec)
         m_dd, g_dd, b_dd = state.quadratic_norms(d_spec)
         quad_sd, quad_dd = eps * b_sd + g_sd, 0.5 * (eps * b_dd + g_dd)
-        powered = _carve(state.next.view(np.float64).reshape(-1), u.shape)  # |u|^p
-        np.abs(u, out=powered)
-        powered **= p
+        powered = _abs_pow(u, p, _carve(state.next, u.shape))
         step = _step_size(change, tau, slope)
         if step is None:  # no step lowers the energy: a roundoff floor above the tolerance
             raise _stall("energy descent", Field(grid, u), rel, config, progress.history)

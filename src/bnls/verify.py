@@ -30,7 +30,7 @@ from .constants import (
     eps_c_formula,
     omega_formula,
 )
-from .errors import PreconditionError
+from .errors import ConfigurationError, PreconditionError
 from .functionals import (
     Params,
     action,
@@ -457,8 +457,10 @@ def verify_gn_random(
     grid's Nyquist wavenumber.  Norms, Hölder integrals and quotients are
     taken a block at a time.  The generator makes no row with a vanishing
     derivative norm or lp; one would raise DegenerateQuotientError in the
-    quotients rather than be skipped.
+    quotients rather than be skipped.  No samples at all is a ConfigurationError.
     """
+    if n_samples < 1:
+        raise ConfigurationError(f"samples must be an integer >= 1, got {n_samples!r}")
     grid = BoxGrid(dim=params.bigN, points_per_axis=512 >> params.bigN, box_length=40.0)
     q_low, q_high = params.mass_window()
     worst_w = math.inf

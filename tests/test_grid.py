@@ -1,11 +1,14 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnls
 from bnls import grid as grid_module
 from bnls.errors import InvalidFieldError
 from bnls.functionals import Params
@@ -490,3 +493,22 @@ def test_relative_l2_distance():
     assert relative_l2_distance(u, u) == 0.0
     with pytest.raises(ValueError):
         relative_l2_distance(u, sine())
+
+
+BLAS_CALLS = {f"{module}.{name}" for module in ("np", "numpy")
+              for name in ("dot", "matmul", "inner", "vdot", "tensordot")}
+
+
+def test_no_blas_reduction():
+    # a BLAS reduction's last bit follows the OpenBLAS thread count, so no result
+    # may rest on one: no @, no np.dot or its kin, nothing from np.linalg
+    found = []
+    for path in sorted(Path(bnls.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name in BLAS_CALLS or name.startswith(("np.linalg.", "numpy.linalg.")):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bnls.constants import compute_constants
-from bnls.errors import PreconditionError
+from bnls.errors import ConfigurationError, PreconditionError
 from bnls.functionals import Params
 from bnls.grid import BoxGrid, Field, norms
 from bnls.solvers import (
@@ -166,6 +166,12 @@ class TestVerifyGnRandom:
         assert out.passed
         by_name = {c.name: c for c in out.checks}
         assert "500 samples" in by_name["gn.weinstein_lower_bound"].detail
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_samples_refused(self, params, count):
+        # with no field drawn every inequality would pass, whatever C and K are
+        with pytest.raises(ConfigurationError, match="samples must be an integer >= 1"):
+            verify_gn_random(params, 1.0, 1.0, n_samples=count)
 
     def test_optimizer_is_extremal(self, params, full_run):
         from bnls.functionals import gn_k_quotient, weinstein
